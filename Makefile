@@ -1,6 +1,6 @@
 # Development entry points; CI should run `make verify`.
 
-.PHONY: build test lint lint-fix-check verify bench scale-bench chaos search-bench loadtest
+.PHONY: build test lint verify bench scale-bench chaos search-bench loadtest
 
 build:
 	go build ./...
@@ -8,25 +8,16 @@ build:
 test:
 	go test ./...
 
-# go vet plus kpavet, the repo-invariant contract checks (exact rationals
-# behind internal/rat, no floats in probability code, immutable big.Rat
-# receivers, pool get/put pairing, dense-set ownership, guarded-field
-# locking, deterministic map-derived output, context threading, goroutine
-# termination, service error kinds, shard-disjoint parallel writes, Gate
-# token balance, atomic-field access discipline, cancel polling in sweeps
-# and fixpoints). See docs/LINTING.md.
+# go vet plus kpavet's thirteen repo-invariant contract checks (exact
+# rationals behind internal/rat, no floats in probability code, immutable
+# big.Rat receivers, pool get/put pairing, dense-set ownership,
+# guarded-field locking, deterministic map-derived output, context
+# threading, goroutine termination, service error kinds, shard-disjoint
+# parallel writes, Gate token balance, cancel polling in sweeps and
+# fixpoints). TestList in cmd/kpavet pins the roster. See docs/LINTING.md.
 lint:
 	go vet ./...
 	go run ./cmd/kpavet ./...
-
-# Guard against an analyzer silently dropping out of the default roster:
-# -list must name all fourteen contracts.
-lint-fix-check:
-	@out="$$(go run ./cmd/kpavet -list)"; \
-	for a in atomicstate bigimport cancelpoll ctxflow denseown errkind floatprob gatebal goleak lockguard maprange poolpair ratmut shardsafe; do \
-		echo "$$out" | grep -q "^$$a:" || { echo "kpavet -list is missing $$a"; exit 1; }; \
-	done; \
-	echo "kpavet -list names all fourteen analyzers"
 
 # vet + full test suite under the race detector (validates the concurrent
 # query service's pooling contract).

@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"kpa/internal/analysis"
-	"kpa/internal/analysis/atomicstate"
 	"kpa/internal/analysis/bigimport"
 	"kpa/internal/analysis/cancelpoll"
 	"kpa/internal/analysis/ctxflow"
@@ -55,7 +54,6 @@ import (
 
 func defaultAnalyzers() []analysis.Analyzer {
 	return []analysis.Analyzer{
-		atomicstate.New(),
 		bigimport.New(),
 		cancelpoll.New(),
 		ctxflow.New(),

@@ -26,19 +26,22 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// rosterNames is the pinned 14-analyzer roster, in roster order.
+// rosterNames is the pinned 13-analyzer roster, in roster order.
 var rosterNames = []string{
-	"atomicstate", "bigimport", "cancelpoll", "ctxflow", "denseown",
-	"errkind", "floatprob", "gatebal", "goleak", "lockguard",
-	"maprange", "poolpair", "ratmut", "shardsafe",
+	"bigimport", "cancelpoll", "ctxflow", "denseown", "errkind",
+	"floatprob", "gatebal", "goleak", "lockguard", "maprange",
+	"poolpair", "ratmut", "shardsafe",
 }
 
-// TestList pins the analyzer roster: each of the fourteen contracts
+// TestList pins the analyzer roster: each of the thirteen analyzers
 // must be present and documented.
 func TestList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("kpavet -list: exit %d, stderr: %s", code, stderr.String())
+	}
+	if got := strings.Count(stdout.String(), "\n"); got != len(rosterNames) {
+		t.Errorf("kpavet -list printed %d analyzers, want %d:\n%s", got, len(rosterNames), stdout.String())
 	}
 	for _, name := range rosterNames {
 		if !strings.Contains(stdout.String(), name+":") {

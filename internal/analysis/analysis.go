@@ -11,13 +11,9 @@
 // machine-checked invariant: it inspects the type-checked syntax of one
 // package and reports diagnostics wherever the contract is violated.
 //
-// Beyond single-package syntax, a Pass offers three dataflow services.
+// Beyond single-package syntax, a Pass offers two dataflow services.
 // CFG returns the cached control-flow graph of a function body (see the
-// sibling cfg package), the substrate for flow-sensitive checks. DefUse
-// returns the def-use / value-flow summary built over those graphs (see
-// the sibling defuse package): reaching definitions, alias roots,
-// freshness and closure-capture classification, the substrate for the
-// parallelism-contract checks. Object
+// sibling cfg package), the substrate for flow-sensitive checks. Object
 // facts let an analyzer publish typed conclusions about named objects —
 // "this function returns a caller-owned fresh set", "this method mutates
 // its receiver" — that the driver carries to later passes of the same
@@ -37,7 +33,6 @@ import (
 	"go/types"
 
 	"kpa/internal/analysis/cfg"
-	"kpa/internal/analysis/defuse"
 )
 
 // Analyzer checks one invariant over one type-checked package at a time.
@@ -89,12 +84,6 @@ type Pass struct {
 	// first use and cached for the whole run (graphs are shared between
 	// analyzers, so treat them as read-only).
 	CFG func(body *ast.BlockStmt) *cfg.Graph
-	// DefUse returns the def-use / value-flow summary of a function body
-	// (reaching definitions, alias roots, freshness, closure captures;
-	// see the defuse package), built on first use over the shared CFG
-	// cache and likewise shared read-only between analyzers. The body
-	// must belong to the package under analysis.
-	DefUse func(body *ast.BlockStmt) *defuse.Info
 	// ExportObjectFact publishes a fact about obj, visible to this
 	// analyzer's later passes on packages that import this one. The fact
 	// must not be mutated after export.

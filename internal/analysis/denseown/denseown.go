@@ -4,7 +4,7 @@
 // DenseSet splits its API in two: allocating operations (NewDense,
 // FullDense, DenseOf, Clone, Union, Intersect, Minus, Complement) return
 // a fresh set the caller exclusively owns, while in-place operations
-// (Add, Remove, UnionWith, IntersectWith, MinusWith) overwrite the
+// (Add, Remove, UnionWith, IntersectWith) overwrite the
 // receiver's words and are legal only on such an owned set. Mutating a
 // set that arrived through a parameter, was read out of a memo table or
 // cache, or has already been published into a field, map, channel or

@@ -47,7 +47,6 @@ import (
 
 	"kpa/internal/analysis"
 	"kpa/internal/analysis/cfg"
-	"kpa/internal/analysis/defuse"
 )
 
 // Config describes one driver run.
@@ -170,7 +169,6 @@ type task struct {
 // (package, analyzer) pairs out across a bounded pool of goroutines.
 func schedule(fset *token.FileSet, root, module string, order []*pkg, analyzers []analysis.Analyzer, facts *factStore) ([]analysis.Diagnostic, error) {
 	graphs := newCFGCache()
-	defuses := newDefUseCache(graphs)
 
 	byPath := make(map[string]*pkg, len(order))
 	for _, p := range order {
@@ -226,7 +224,7 @@ func schedule(fset *token.FileSet, root, module string, order []*pkg, analyzers 
 	for i := 0; i < workers; i++ {
 		go func() {
 			for t := range ready {
-				local, err := runPass(fset, root, module, t, facts, graphs, defuses)
+				local, err := runPass(fset, root, module, t, facts, graphs)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("analyzer %s on %s: %w", t.a.Name(), t.p.path, err)
@@ -251,21 +249,17 @@ func schedule(fset *token.FileSet, root, module string, order []*pkg, analyzers 
 }
 
 // runPass runs one analyzer over one package and returns its diagnostics.
-func runPass(fset *token.FileSet, root, module string, t *task, facts *factStore, graphs *cfgCache, defuses *defUseCache) ([]analysis.Diagnostic, error) {
+func runPass(fset *token.FileSet, root, module string, t *task, facts *factStore, graphs *cfgCache) ([]analysis.Diagnostic, error) {
 	name := t.a.Name()
 	doc := docSummary(t.a.Doc())
-	info := t.p.info
 	pass := &analysis.Pass{
 		Fset:    fset,
 		Module:  module,
 		PkgPath: t.p.path,
 		Pkg:     t.p.types,
 		Files:   t.p.files,
-		Info:    info,
+		Info:    t.p.info,
 		CFG:     graphs.get,
-		DefUse: func(body *ast.BlockStmt) *defuse.Info {
-			return defuses.get(body, info)
-		},
 	}
 	var local []analysis.Diagnostic
 	pass.Report = func(pos token.Pos, msg string) {
@@ -396,32 +390,6 @@ func (c *cfgCache) get(body *ast.BlockStmt) *cfg.Graph {
 	g := cfg.New(body)
 	c.m[body] = g
 	return g
-}
-
-// defUseCache builds each function body's def-use summary once, over the
-// shared CFG cache, and shares it across every analyzer's passes. The
-// cache is keyed by body alone: a body belongs to exactly one package,
-// so the first requesting pass's types.Info is the right one for every
-// later request.
-type defUseCache struct {
-	mu     sync.Mutex
-	m      map[*ast.BlockStmt]*defuse.Info
-	graphs *cfgCache
-}
-
-func newDefUseCache(graphs *cfgCache) *defUseCache {
-	return &defUseCache{m: make(map[*ast.BlockStmt]*defuse.Info), graphs: graphs}
-}
-
-func (c *defUseCache) get(body *ast.BlockStmt, info *types.Info) *defuse.Info {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if du, ok := c.m[body]; ok {
-		return du
-	}
-	du := defuse.New(body, info, c.graphs.get)
-	c.m[body] = du
-	return du
 }
 
 // pkg is one package during loading: parsed first, type-checked later.

@@ -3,7 +3,6 @@ package driver_test
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,7 +14,6 @@ import (
 	"kpa/internal/analysis"
 	"kpa/internal/analysis/bigimport"
 	"kpa/internal/analysis/cfg"
-	"kpa/internal/analysis/defuse"
 	"kpa/internal/analysis/driver"
 	"kpa/internal/analysis/floatprob"
 )
@@ -382,51 +380,37 @@ func TestSummariesFlowInDependencyOrder(t *testing.T) {
 	}
 }
 
-// defuseRecorder collects, per function body, the *defuse.Info and
-// *cfg.Graph every probe analyzer saw. Probes run concurrently across
-// packages, so access is locked.
-type defuseRecorder struct {
-	mu    sync.Mutex
-	infos map[*ast.BlockStmt][]*defuse.Info
-	cfgs  map[*ast.BlockStmt][]*cfg.Graph
+// cfgRecorder collects, per function body, the *cfg.Graph every probe
+// analyzer saw. Probes run concurrently across packages, so access is
+// locked.
+type cfgRecorder struct {
+	mu   sync.Mutex
+	cfgs map[*ast.BlockStmt][]*cfg.Graph
 }
 
-// defuseProbe is a fake analyzer that queries the value-flow layer for
-// every function body and reports one deterministic summary line per
+// cfgProbe is a fake analyzer that asks the shared CFG cache for every
+// function body and reports one deterministic summary line per
 // function, so runs can be compared byte for byte.
-type defuseProbe struct {
+type cfgProbe struct {
 	name string
-	rec  *defuseRecorder
+	rec  *cfgRecorder
 }
 
-func (p *defuseProbe) Name() string { return p.name }
-func (p *defuseProbe) Doc() string  { return "probe the shared def-use cache" }
+func (p *cfgProbe) Name() string { return p.name }
+func (p *cfgProbe) Doc() string  { return "probe the shared CFG cache" }
 
-func (p *defuseProbe) Run(pass *analysis.Pass) error {
+func (p *cfgProbe) Run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			du := pass.DefUse(fd.Body)
 			g := pass.CFG(fd.Body)
 			p.rec.mu.Lock()
-			p.rec.infos[fd.Body] = append(p.rec.infos[fd.Body], du)
 			p.rec.cfgs[fd.Body] = append(p.rec.cfgs[fd.Body], g)
 			p.rec.mu.Unlock()
-			fresh := 0
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if v, ok := pass.Info.Defs[id].(*types.Var); ok && du.Fresh(v) {
-					fresh++
-				}
-				return true
-			})
-			pass.Report(fd.Name.Pos(), fmt.Sprintf("%s: %d fresh locals", fd.Name.Name, fresh))
+			pass.Report(fd.Name.Pos(), fmt.Sprintf("%s: %d blocks, %d reachable", fd.Name.Name, len(g.Blocks), len(g.Reachable())))
 		}
 	}
 	return nil
@@ -434,9 +418,9 @@ func (p *defuseProbe) Run(pass *analysis.Pass) error {
 
 // TestDefUseCacheSharedAcrossAnalyzers runs two probes over a module
 // whose packages fan out across goroutines, and demands (a) both probes
-// get the very same *defuse.Info and *cfg.Graph for each body — the
-// layer is built once and shared, not rebuilt per analyzer — and (b)
-// the defuse-derived diagnostics are identical over five runs.
+// get the very same *cfg.Graph for each body — the graph is built once
+// and shared, not rebuilt per analyzer — and (b) the CFG-derived
+// diagnostics are identical over five runs.
 func TestDefUseCacheSharedAcrossAnalyzers(t *testing.T) {
 	files := map[string]string{
 		"go.mod": "module demo\n\ngo 1.22\n",
@@ -480,26 +464,17 @@ func Branch(cond bool) map[string]int {
 `,
 	}
 	root := writeModule(t, files)
-	runOnce := func() ([]analysis.Diagnostic, *defuseRecorder) {
-		rec := &defuseRecorder{
-			infos: make(map[*ast.BlockStmt][]*defuse.Info),
-			cfgs:  make(map[*ast.BlockStmt][]*cfg.Graph),
-		}
-		diags := run(t, root, &defuseProbe{name: "probe1", rec: rec}, &defuseProbe{name: "probe2", rec: rec})
+	runOnce := func() ([]analysis.Diagnostic, *cfgRecorder) {
+		rec := &cfgRecorder{cfgs: make(map[*ast.BlockStmt][]*cfg.Graph)}
+		diags := run(t, root, &cfgProbe{name: "probe1", rec: rec}, &cfgProbe{name: "probe2", rec: rec})
 		return diags, rec
 	}
 	first, rec := runOnce()
 	if len(first) != 8 {
 		t.Fatalf("diagnostics = %d, want 8 (4 functions x 2 probes):\n%+v", len(first), first)
 	}
-	if len(rec.infos) != 4 {
-		t.Fatalf("recorded %d bodies, want 4", len(rec.infos))
-	}
-	for body, infos := range rec.infos {
-		if len(infos) != 2 || infos[0] != infos[1] {
-			t.Errorf("body at %v: defuse.Info not shared across analyzers: %p vs %p",
-				body.Pos(), infos[0], infos[len(infos)-1])
-		}
+	if len(rec.cfgs) != 4 {
+		t.Fatalf("recorded %d bodies, want 4", len(rec.cfgs))
 	}
 	for body, graphs := range rec.cfgs {
 		if len(graphs) != 2 || graphs[0] != graphs[1] {

@@ -182,19 +182,15 @@ func (c *checker) isPutOf(call *ast.CallExpr, obj types.Object) bool {
 // guaranteesPut reports whether every path through stmts returns the
 // worker. It is deliberately conservative: a put buried in a loop, a
 // single-armed if, or a switch does not count; an if counts only when
-// both arms guarantee the put. A return or branch before any put means a
-// path escapes with the worker checked out.
+// both arms guarantee the put. A return or branch statement before any
+// put means a path escapes with the worker checked out, and so does a
+// return nested in an if, switch or loop body before the put.
 func (c *checker) guaranteesPut(stmts []ast.Stmt, obj types.Object) bool {
 	for _, s := range stmts {
+		if c.isPutStmt(s, obj) {
+			return true
+		}
 		switch s := s.(type) {
-		case *ast.DeferStmt:
-			if c.isPutOf(s.Call, obj) {
-				return true
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && c.isPutOf(call, obj) {
-				return true
-			}
 		case *ast.BlockStmt:
 			if c.guaranteesPut(s.List, obj) {
 				return true
@@ -206,6 +202,56 @@ func (c *checker) guaranteesPut(stmts []ast.Stmt, obj types.Object) bool {
 		case *ast.ReturnStmt, *ast.BranchStmt:
 			return false
 		}
+		if c.returnsBeforePut(s, obj) {
+			return false
+		}
+	}
+	return false
+}
+
+// returnsBeforePut reports whether some statement list nested in s
+// reaches a return before it puts obj back. Function literals return
+// for themselves and are skipped.
+func (c *checker) returnsBeforePut(s ast.Stmt, obj types.Object) bool {
+	found := false
+	scan := func(list []ast.Stmt) {
+		for _, st := range list {
+			if c.isPutStmt(st, obj) {
+				return
+			}
+			if _, ok := st.(*ast.ReturnStmt); ok || c.returnsBeforePut(st, obj) {
+				found = true
+				return
+			}
+		}
+	}
+	ast.Inspect(s, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BlockStmt:
+			scan(n.List)
+			return false
+		case *ast.CaseClause:
+			scan(n.Body)
+			return false
+		case *ast.CommClause:
+			scan(n.Body)
+			return false
+		}
+		return !found
+	})
+	return found
+}
+
+// isPutStmt reports whether s is p.put(obj) or defer p.put(obj).
+func (c *checker) isPutStmt(s ast.Stmt, obj types.Object) bool {
+	switch s := s.(type) {
+	case *ast.DeferStmt:
+		return c.isPutOf(s.Call, obj)
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		return ok && c.isPutOf(call, obj)
 	}
 	return false
 }

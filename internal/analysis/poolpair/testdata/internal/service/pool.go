@@ -48,6 +48,19 @@ func goodBranch(p *pool, c bool) {
 	}
 }
 
+// goodEarlyPut returns the worker before its early return, so both
+// paths put it back.
+func goodEarlyPut(p *pool, c bool) int {
+	w := p.get()
+	if c {
+		p.put(w)
+		return 0
+	}
+	n := w.n
+	p.put(w)
+	return n
+}
+
 // goodGoroutine mirrors the real service.Check: checkout confined to one
 // spawned goroutine.
 func goodGoroutine(p *pool, ch chan<- int) {
@@ -71,6 +84,18 @@ func badConditional(p *pool, c bool) {
 	if c {
 		p.put(w)
 	}
+}
+
+// badNestedReturn leaks on the early return inside the branch: the put
+// after the if covers only the fall-through path.
+func badNestedReturn(p *pool, c bool) int {
+	w := p.get() // want `\[poolpair\] worker from p\.get\(\) is not returned with put on every path`
+	if c {
+		return 0
+	}
+	n := w.n
+	p.put(w)
+	return n
 }
 
 // badUseAfterPut touches the worker when another goroutine may own it.

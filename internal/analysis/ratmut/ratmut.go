@@ -13,17 +13,14 @@
 // possibly shared, and flags every mutating call whose receiver is not
 // provably fresh.
 //
-// The freshness classification runs in every package as a
-// promote-until-stable fixpoint: a function counts as a fresh source
-// when every big-pointer value it returns is itself fresh, which is how
+// Freshness of helpers is a promote-until-stable fixpoint over the
+// package's own functions: a function counts as a fresh source when
+// every big-pointer value it returns is itself fresh, which is how
 // chains like base := x.Big(); base.Mul(base, base) are accepted while
-// x.big().Add(...) is flagged. Fresh sources are exported as
-// FreshBigResult facts, so a helper declared in another package is
-// recognized at its internal/rat call sites — the driver analyzes
-// packages in import-dependency order and carries the facts across.
-// Mutating calls are then checked (still only inside internal/rat, the
-// one package allowed to touch math/big) by walking the reachable
-// blocks of each function's control-flow graph.
+// x.big().Add(...) is flagged. The fixpoint is intra-package: bigimport
+// confines math/big to internal/rat, so no other package can declare a
+// helper that returns a big pointer. Mutating calls are checked by
+// walking the reachable blocks of each function's control-flow graph.
 package ratmut
 
 import (
@@ -33,14 +30,6 @@ import (
 
 	"kpa/internal/analysis"
 )
-
-// FreshBigResult marks a function whose returned *big.Rat / *big.Int
-// values are always freshly allocated, so its call sites count as fresh
-// sources in importing packages.
-type FreshBigResult struct{}
-
-// AFact marks FreshBigResult as a driver-transportable fact.
-func (*FreshBigResult) AFact() {}
 
 // Analyzer flags mutating big.Rat/big.Int calls on possibly shared receivers.
 type Analyzer struct{}
@@ -72,17 +61,11 @@ func isMutatingName(name string) bool {
 }
 
 func (*Analyzer) Run(pass *analysis.Pass) error {
-	a := &checker{pass: pass, freshFuncs: make(map[*types.Func]bool)}
-	// Classify fresh sources everywhere, so helper packages export facts
-	// for internal/rat's call sites; the mutation check itself stays
-	// scoped to the one package allowed to touch math/big.
-	a.fixpointFreshFuncs()
-	for fn := range a.freshFuncs {
-		pass.ExportObjectFact(fn, &FreshBigResult{})
-	}
 	if pass.PkgPath != pass.Module+"/internal/rat" {
 		return nil
 	}
+	a := &checker{pass: pass, freshFuncs: make(map[*types.Func]bool)}
+	a.fixpointFreshFuncs()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -315,13 +298,8 @@ func (a *checker) isFreshCall(call *ast.CallExpr, e env) bool {
 			return false
 		}
 		// A function whose big-pointer results are all fresh (e.g.
-		// Rat.Big) is a fresh source: declared here, consult the local
-		// fixpoint; declared in an imported package, consult its
-		// exported fact.
-		if fun.Pkg() == a.pass.Pkg {
-			return a.freshFuncs[fun]
-		}
-		return a.pass.ImportObjectFact(fun, &FreshBigResult{})
+		// Rat.Big) is a fresh source.
+		return a.freshFuncs[fun]
 	}
 	return false
 }

@@ -35,13 +35,13 @@
 // that are not pointwise export BulkMutator and are rejected on captured
 // sets outright.
 //
-// The analysis leans on the defuse layer for provenance: a write
-// target's ownership is decided by chasing the reaching definitions of
-// its root variable (fresh allocation, base[shard] slot, lo:hi subslice,
-// or another owned local). Call results bound inside the body count as
-// shard-owned — the shard asked for the allocation — which is the one
-// deliberate leniency; functions returning aliases into shared state
-// defeat it and stay the reviewer's job.
+// A write target's ownership is decided by chasing every definition of
+// its root variable inside the body (fresh allocation, base[shard]
+// slot, lo:hi subslice, or another owned local). Call results bound
+// inside the body count as shard-owned — the shard asked for the
+// allocation — which is the one deliberate leniency; functions
+// returning aliases into shared state defeat it and stay the
+// reviewer's job.
 package shardsafe
 
 import (
@@ -53,7 +53,6 @@ import (
 
 	"kpa/internal/analysis"
 	"kpa/internal/analysis/callgraph"
-	"kpa/internal/analysis/defuse"
 )
 
 // PointwiseMutator marks a method whose only receiver writes target
@@ -281,7 +280,6 @@ func (c *checker) constInt(e ast.Expr) (int64, bool) {
 // checkDecl finds every ParRange call with a literal body inside fd and
 // checks the literal's writes.
 func (c *checker) checkDecl(fd *ast.FuncDecl) {
-	var du *defuse.Info // built lazily: most decls have no ParRange call
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -302,10 +300,7 @@ func (c *checker) checkDecl(fd *ast.FuncDecl) {
 		if !ok || align < 1 {
 			align = 1 // unknown alignment: only element-disjoint writes pass
 		}
-		if du == nil {
-			du = c.pass.DefUse(fd.Body)
-		}
-		lc := newLitChecker(c, du, lit, align)
+		lc := newLitChecker(c, lit, align)
 		lc.walkStmts(lit.Body.List, false)
 		return true
 	})
@@ -314,7 +309,7 @@ func (c *checker) checkDecl(fd *ast.FuncDecl) {
 // litChecker checks one ParRange body literal.
 type litChecker struct {
 	c     *checker
-	du    *defuse.Info
+	defs  map[*types.Var][]def
 	lit   *ast.FuncLit
 	align int64
 	// shard, lo, hi are the literal's positional parameters (nil for _).
@@ -328,10 +323,10 @@ type litChecker struct {
 	owned map[*types.Var]int8
 }
 
-func newLitChecker(c *checker, du *defuse.Info, lit *ast.FuncLit, align int64) *litChecker {
+func newLitChecker(c *checker, lit *ast.FuncLit, align int64) *litChecker {
 	lc := &litChecker{
 		c:       c,
-		du:      du,
+		defs:    collectDefs(lit, c.pass.Info),
 		lit:     lit,
 		align:   align,
 		bounded: make(map[*types.Var]bool),
@@ -530,6 +525,119 @@ func (lc *litChecker) mentionsHi(e ast.Expr) bool {
 	return sawHi && ok
 }
 
+// --- definition collection ---
+
+// defKind says how a definition binds its variable.
+type defKind int
+
+const (
+	defAssign defKind = iota // x := e, x = e or var x = e, paired one to one
+	defTuple                 // a binding from one multi-value right-hand side
+	defParam                 // a parameter or named result of a function literal
+	defRange                 // a range key or value; rhs is the ranged operand
+	defZero                  // var x with no initializer
+	defUpdate                // x++, x-- or x op= e
+)
+
+// def is one definition of a variable: how it binds and, for defAssign,
+// defTuple and defRange, the expression its value comes from.
+type def struct {
+	kind defKind
+	rhs  ast.Expr
+}
+
+// collectDefs records every definition inside lit, nested literals
+// included, keyed by the defined variable.
+func collectDefs(lit *ast.FuncLit, info *types.Info) map[*types.Var][]def {
+	defs := make(map[*types.Var][]def)
+	add := func(id *ast.Ident, d def) {
+		v, ok := info.Defs[id].(*types.Var)
+		if !ok {
+			v, ok = info.Uses[id].(*types.Var)
+		}
+		if ok {
+			defs[v] = append(defs[v], d)
+		}
+	}
+	ast.Inspect(lit, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				if id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); ok {
+					add(id, def{kind: defUpdate})
+				}
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if len(n.Rhs) == len(n.Lhs) {
+					add(id, def{defAssign, n.Rhs[i]})
+				} else {
+					add(id, def{defTuple, n.Rhs[0]})
+				}
+			}
+		case *ast.IncDecStmt:
+			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
+				add(id, def{kind: defUpdate})
+			}
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				switch {
+				case len(n.Values) == 0:
+					add(id, def{kind: defZero})
+				case len(n.Values) == len(n.Names):
+					add(id, def{defAssign, n.Values[i]})
+				default:
+					add(id, def{defTuple, n.Values[0]})
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.DEFINE {
+				for _, x := range []ast.Expr{n.Key, n.Value} {
+					if id, ok := x.(*ast.Ident); ok {
+						add(id, def{defRange, n.X})
+					}
+				}
+			}
+		case *ast.FuncLit:
+			for _, fl := range []*ast.FieldList{n.Type.Params, n.Type.Results} {
+				if fl == nil {
+					continue
+				}
+				for _, f := range fl.List {
+					for _, id := range f.Names {
+						add(id, def{kind: defParam})
+					}
+				}
+			}
+		}
+		return true
+	})
+	return defs
+}
+
+// freshExpr reports whether e syntactically allocates fresh memory:
+// make, new, a composite literal or its address.
+func freshExpr(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			_, ok := ast.Unparen(e.X).(*ast.CompositeLit)
+			return ok
+		}
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
+			return id.Name == "make" || id.Name == "new"
+		}
+	}
+	return false
+}
+
 // --- write classification ---
 
 func (lc *litChecker) report(pos token.Pos, format string, args ...any) {
@@ -653,7 +761,7 @@ func (lc *litChecker) ownedVar(v *types.Var) bool {
 	}
 	lc.owned[v] = -1 // cycle guard: assume shared while computing
 	result := true
-	defs := lc.du.DefsOf(v)
+	defs := lc.defs[v]
 	if len(defs) == 0 {
 		result = false
 	}
@@ -669,19 +777,19 @@ func (lc *litChecker) ownedVar(v *types.Var) bool {
 	return result
 }
 
-func (lc *litChecker) ownedDef(d *defuse.Def) bool {
-	switch d.Kind {
-	case defuse.DefZero:
+func (lc *litChecker) ownedDef(d def) bool {
+	switch d.kind {
+	case defZero:
 		return true // zero value aliases nothing
-	case defuse.DefUpdate:
+	case defUpdate:
 		return true // derives from the variable's own prior defs
-	case defuse.DefAssign, defuse.DefRange:
-		return lc.ownedExpr(d.Rhs)
-	case defuse.DefTuple:
-		_, isCall := ast.Unparen(d.Rhs).(*ast.CallExpr)
+	case defAssign, defRange:
+		return lc.ownedExpr(d.rhs)
+	case defTuple:
+		_, isCall := ast.Unparen(d.rhs).(*ast.CallExpr)
 		return isCall
 	}
-	return false // DefParam and anything new: not provably owned
+	return false // defParam: not provably owned
 }
 
 // ownedExpr classifies a defining right-hand side as shard-owned.
@@ -689,7 +797,7 @@ func (lc *litChecker) ownedExpr(e ast.Expr) bool {
 	if e == nil {
 		return false
 	}
-	if defuse.FreshExpr(e) {
+	if freshExpr(e) {
 		return true
 	}
 	switch e := ast.Unparen(e).(type) {

@@ -177,3 +177,64 @@ func AliasEscape(n, workers int, shared []int64) {
 		mine[0] = 1 // want `not provably shard-disjoint`
 	})
 }
+
+// ZeroThenAllocate declares a shard-local buffer without an initializer
+// and allocates it later: both definitions are shard-owned.
+func ZeroThenAllocate(n, workers int) {
+	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+		var buf []int32
+		buf = make([]int32, hi-lo+1)
+		buf[0] = int32(shard)
+	})
+}
+
+// scratchPair allocates a scratch buffer and reports its length.
+func scratchPair(n int) ([]int32, int) { return make([]int32, n), n }
+
+// TupleFromCall binds shard-local scratch from a multi-value call: the
+// shard asked for the allocation, so writes through it stay clean.
+func TupleFromCall(n, workers int) {
+	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+		buf, m := scratchPair(hi - lo)
+		if m > 0 {
+			buf[0] = int32(shard)
+		}
+	})
+}
+
+// ReboundOnOnePath allocates per shard but rebinds the local to a
+// captured slice on one path: one shared definition makes the write
+// unsafe.
+func ReboundOnOnePath(n, workers int, shared []int64) {
+	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+		buf := make([]int64, 1)
+		if shard == 0 {
+			buf = shared
+		}
+		buf[0] = 1 // want `not provably shard-disjoint`
+	})
+}
+
+// RangeOverCaptured writes through range values of a captured table:
+// every shard sees the same rows.
+func RangeOverCaptured(n, workers int, rows [][]int32) {
+	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+		for _, row := range rows {
+			row[0] = int32(shard) // want `not provably shard-disjoint`
+		}
+	})
+}
+
+// UpdateThenPoint accumulates into a shard-local counter with op= and
+// writes through a pointer to it: an update keeps the variable's
+// shard-owned provenance.
+func UpdateThenPoint(n, workers int) {
+	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+		count := 0
+		for i := lo; i < hi; i++ {
+			count += i
+		}
+		p := &count
+		*p = 0
+	})
+}

@@ -543,8 +543,8 @@ func (s *Service) searchCheckpointPath(id string) string {
 	return filepath.Join(s.cfg.SearchCheckpointDir, id+".json")
 }
 
-// writeSearchCheckpoint durably writes the job checkpoint (temp file +
-// rename), consulting the BeforeCheckpoint seam first.
+// writeSearchCheckpoint durably writes the job checkpoint (see
+// writeFileDurable), consulting the BeforeCheckpoint seam first.
 func (s *Service) writeSearchCheckpoint(job *searchJob, c *search.Checkpoint) error {
 	if err := s.cfg.Seams.checkpoint("write", job.id); err != nil {
 		return err
@@ -558,27 +558,12 @@ func (s *Service) writeSearchCheckpoint(job *searchJob, c *search.Checkpoint) er
 	if err != nil {
 		return err
 	}
-	// Each write uses its own temp file: the engine may hit two checkpoint
-	// cadence points on different workers close together, and a shared temp
-	// name would let one write rename the other's file away. Whichever
-	// rename lands last wins; every checkpoint is a correct cover of the
-	// remaining search space, so order does not matter for resume.
-	path := s.searchCheckpointPath(job.id)
-	tmp, err := os.CreateTemp(s.cfg.SearchCheckpointDir, job.id+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(doc); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	// The engine may hit two checkpoint cadence points on different
+	// workers close together; each write has its own temp file, and
+	// whichever rename lands last wins. Every checkpoint is a correct
+	// cover of the remaining search space, so order does not matter for
+	// resume.
+	if err := writeFileDurable(s.searchCheckpointPath(job.id), doc, nil); err != nil {
 		return err
 	}
 	s.searchCkpts.Add(1)

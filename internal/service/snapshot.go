@@ -180,32 +180,9 @@ func (s *Service) writeSessionSnapshot(sess *session) (wrote bool, err error) {
 	if err := s.cfg.Seams.snapshotWrite(sess.hash); err != nil {
 		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], err)
 	}
-	f, err := os.CreateTemp(s.snap.dir, sess.hash[:12]+"-*.tmp")
-	if err != nil {
-		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], err)
-	}
-	tmp := f.Name()
-	fail := func(e error) (bool, error) {
-		f.Close()
-		os.Remove(tmp)
-		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], e)
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], err)
-	}
-	if err := s.cfg.Seams.snapshotRename(sess.hash); err != nil {
-		os.Remove(tmp)
-		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.snap.dir, snapshot.Filename(sess.hash))); err != nil {
-		os.Remove(tmp)
+	path := filepath.Join(s.snap.dir, snapshot.Filename(sess.hash))
+	beforeRename := func() error { return s.cfg.Seams.snapshotRename(sess.hash) }
+	if err := writeFileDurable(path, data, beforeRename); err != nil {
 		return false, fmt.Errorf("snapshot %s: %w", sess.hash[:12], err)
 	}
 	s.snap.mu.Lock()

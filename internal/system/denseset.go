@@ -12,8 +12,8 @@ import "math/bits"
 // The allocating operations (Union, Intersect, Minus, Complement, Clone)
 // return fresh sets and never mutate their operands, so DenseSets handed
 // out of caches can be shared immutably. The in-place operations (Add,
-// Remove, UnionWith, IntersectWith, MinusWith) must only be applied to sets
-// the caller owns exclusively.
+// Remove, UnionWith, IntersectWith) must only be applied to sets the
+// caller owns exclusively.
 //
 // Mixing sets from different indexes is a programming error; operations
 // panic on a universe mismatch rather than computing garbage.
@@ -168,14 +168,6 @@ func (s *DenseSet) IntersectWith(t *DenseSet) {
 	}
 }
 
-// MinusWith removes every point of t from s in place. The caller must own s.
-func (s *DenseSet) MinusWith(t *DenseSet) {
-	s.check(t)
-	for i := range s.bits {
-		s.bits[i] &^= t.bits[i]
-	}
-}
-
 // parMinWords is the backing-word count below which the *Par set-algebra
 // variants fall back to their serial counterparts: splitting a few thousand
 // words across goroutines costs more than the sweep itself, so small
@@ -210,21 +202,6 @@ func (s *DenseSet) IntersectPar(t *DenseSet, workers int) *DenseSet {
 	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u.bits[i] = s.bits[i] & t.bits[i]
-		}
-	})
-	return u
-}
-
-// MinusPar is Minus with a work-split word sweep; see UnionPar.
-func (s *DenseSet) MinusPar(t *DenseSet, workers int) *DenseSet {
-	if workers <= 1 || len(s.bits) < parMinWords {
-		return s.Minus(t)
-	}
-	s.check(t)
-	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = s.bits[i] &^ t.bits[i]
 		}
 	})
 	return u

@@ -1,9 +1,6 @@
 package system
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Index is a dense numbering of a system's points: every point is assigned
 // an integer ID in [0, NumPoints), ordered by tree (in the system's tree
@@ -119,16 +116,6 @@ func (x *Index) ID(p Point) (int, bool) {
 		return 0, false
 	}
 	return x.runStart[ti][p.Run] + p.Time, true
-}
-
-// MustID is ID but panics on a foreign point; for callers that already
-// validated membership.
-func (x *Index) MustID(p Point) int {
-	id, ok := x.ID(p)
-	if !ok {
-		panic(fmt.Sprintf("system: point %v is not in the indexed system", p))
-	}
-	return id
 }
 
 // EachRun visits every run of the system in dense-ID order, passing the

@@ -186,9 +186,6 @@ func TestDenseAlgebraParMatchesSerial(t *testing.T) {
 		if got, want := a.IntersectPar(b, workers), a.Intersect(b); !got.Equal(want) {
 			t.Fatalf("IntersectPar(%d) differs from Intersect", workers)
 		}
-		if got, want := a.MinusPar(b, workers), a.Minus(b); !got.Equal(want) {
-			t.Fatalf("MinusPar(%d) differs from Minus", workers)
-		}
 		if got, want := a.ComplementPar(workers), a.Complement(); !got.Equal(want) {
 			t.Fatalf("ComplementPar(%d) differs from Complement", workers)
 		}

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the checks every PR must pass: vet, the kpavet contract
-# suite (all fourteen analyzers, including the interprocedural ctxflow /
+# suite (all thirteen analyzers, including the interprocedural ctxflow /
 # goleak / errkind concurrency contracts and the shardsafe / gatebal /
-# atomicstate / cancelpoll parallelism contracts), then the full test
-# suite under the race detector. kpavet rejects the code shapes that break the
+# cancelpoll parallelism contracts), then the full test suite under the
+# race detector. kpavet rejects the code shapes that break the
 # repo's invariants (docs/LINTING.md); the -race run then validates the
 # pooling and cancellation contracts dynamically (internal/service's
 # concurrency tests hammer shared services from dozens of goroutines).
@@ -12,11 +12,10 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
-make lint-fix-check
 go run ./cmd/kpavet ./...
 # The parallelism-contract subset by itself: the -run fast path must
 # stay wired up and clean on the engine it was written for.
-go run ./cmd/kpavet -run shardsafe,gatebal,atomicstate,cancelpoll ./...
+go run ./cmd/kpavet -run shardsafe,gatebal,cancelpoll ./...
 # The analyzer fixture modules are real Go modules the main build never
 # compiles: keep them gofmt-clean and vet-clean so fixture rot can't
 # hide behind the want-comment matcher. vet's unreachable check is off:
