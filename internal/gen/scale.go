@@ -24,7 +24,7 @@ import (
 // vectors, every node's environment component is minted fresh (so the
 // paper's global-state uniqueness assumption holds by construction and
 // system.NewTrusted may skip its duplicate map), and the uniform run
-// distribution hits Tree.Prob's popcount fast path.
+// distribution gives the tree all-ones integer run weights.
 type ScaleConfig struct {
 	// NumAgents is the number of agents (≥ 1).
 	NumAgents int

@@ -77,11 +77,15 @@ func randomFormula(rng *rand.Rand, depth, nprops, nagents int) Formula {
 }
 
 // TestDifferentialDenseVsReference is the executable-specification check:
-// on ~200 seeded random (system, formula) cases the dense evaluator must
-// agree point-for-point with the retained naive ReferenceEvaluator.
+// on seeded random (system, assignment, formula) cases the dense evaluator
+// must agree point-for-point with the retained naive ReferenceEvaluator.
+// Half the configurations are asynchronous, so agents without a clock have
+// multi-point run fibers where inner and outer measure differ, and every
+// system is checked under all four canonical assignments (post, fut,
+// prior, opp) — 60 systems × 4 assignments × 5 formulas.
 func TestDifferentialDenseVsReference(t *testing.T) {
 	const (
-		numSystems     = 40
+		numSystems     = 60
 		formulasPerSys = 5
 		propsPerSys    = 3
 		formulaDepth   = 4
@@ -91,9 +95,14 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 		{NumAgents: 3, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, Synchronous: true, ObservationLevels: true},
 		{NumAgents: 2, NumTrees: 3, MaxDepth: 4, MaxBranch: 2, Synchronous: true, ObservationLevels: true},
 		{NumAgents: 1, NumTrees: 1, MaxDepth: 4, MaxBranch: 3, Synchronous: true, ObservationLevels: false},
+		{NumAgents: 2, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, Synchronous: false, ObservationLevels: true},
+		{NumAgents: 3, NumTrees: 1, MaxDepth: 4, MaxBranch: 2, Synchronous: false, ObservationLevels: true},
+		{NumAgents: 2, NumTrees: 2, MaxDepth: 4, MaxBranch: 3, Synchronous: false, ObservationLevels: false},
+		{NumAgents: 1, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, Synchronous: false, ObservationLevels: true},
 	}
 	for s := 0; s < numSystems; s++ {
-		rng := rand.New(rand.NewSource(int64(1000 + s)))
+		seed := int64(1000 + s)
+		rng := rand.New(rand.NewSource(seed))
 		cfg := cfgs[s%len(cfgs)]
 		sys := gen.MustSystem(rng, cfg)
 		props := make(map[string]system.Fact, propsPerSys)
@@ -101,28 +110,30 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 			name := fmt.Sprintf("p%d", j)
 			props[name] = gen.RandomFact(rng, sys, name)
 		}
-		P := core.NewProbAssignment(sys, core.Post(sys))
-		dense := NewEvaluator(sys, P, props)
-		naive := NewReferenceEvaluator(sys, P, props)
+		for _, sa := range sampleAssignments(sys) {
+			P := core.NewProbAssignment(sys, sa)
+			dense := NewEvaluator(sys, P, props)
+			naive := NewReferenceEvaluator(sys, P, props)
 
-		for j := 0; j < formulasPerSys; j++ {
-			f := randomFormula(rng, formulaDepth, propsPerSys, cfg.NumAgents)
-			want, errN := naive.Extension(f)
-			got, errD := dense.Extension(f)
-			if (errN == nil) != (errD == nil) {
-				t.Fatalf("seed %d formula %s: error disagreement: naive %v, dense %v", 1000+s, f, errN, errD)
-			}
-			if errN != nil {
-				continue
-			}
-			if !got.Equal(want) {
-				for p := range sys.Points() {
-					if got.Contains(p) != want.Contains(p) {
-						t.Errorf("seed %d formula %s: disagreement at %v: dense %v, naive %v",
-							1000+s, f, p, got.Contains(p), want.Contains(p))
-					}
+			for j := 0; j < formulasPerSys; j++ {
+				f := randomFormula(rng, formulaDepth, propsPerSys, cfg.NumAgents)
+				want, errN := naive.Extension(f)
+				got, errD := dense.Extension(f)
+				if (errN == nil) != (errD == nil) {
+					t.Fatalf("seed %d %s formula %s: error disagreement: naive %v, dense %v", seed, sa.Name(), f, errN, errD)
 				}
-				t.Fatalf("seed %d formula %s: extensions differ", 1000+s, f)
+				if errN != nil {
+					continue
+				}
+				if !got.Equal(want) {
+					for p := range sys.Points() {
+						if got.Contains(p) != want.Contains(p) {
+							t.Errorf("seed %d %s formula %s: disagreement at %v: dense %v, naive %v",
+								seed, sa.Name(), f, p, got.Contains(p), want.Contains(p))
+						}
+					}
+					t.Fatalf("seed %d %s formula %s: extensions differ", seed, sa.Name(), f)
+				}
 			}
 		}
 	}

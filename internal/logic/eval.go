@@ -3,6 +3,7 @@ package logic
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"kpa/internal/core"
@@ -60,19 +61,17 @@ type Evaluator struct {
 	memo    map[Formula]*system.DenseSet // dense extensions, by node identity
 	extMemo map[Formula]system.PointSet  // boundary conversions of memo entries
 
+	// propExt holds the extension of each primitive proposition scanned so
+	// far, by name. It depends only on the system and the proposition
+	// table, so Reset keeps it (a pooled evaluator rescans no facts after
+	// its memo is dropped) and DefineProp clears it.
+	propExt map[string]*system.DenseSet
+
 	// spaceIdx[i] holds agent i's probability spaces resolved into a dense
 	// table: the distinct spaces in first-occurrence order plus a dense-ID →
 	// space-index map, built lazily once per agent. The table depends only
 	// on the system and the assignment, so it survives Reset and DefineProp.
 	spaceIdx map[system.AgentID]*spaceIndex
-
-	// prVerdicts memoizes probability-threshold verdicts by (space, inner-
-	// or hit-run pattern, bound). Fixpoint iterations re-ask mostly
-	// unchanged questions — a space whose run pattern did not move between
-	// rounds skips the exact rational arithmetic entirely. Like spaces,
-	// entries depend only on the immutable system and assignment, so the
-	// cache survives Reset and DefineProp.
-	prVerdicts map[prVerdictKey]bool
 
 	// cancel is the optional cooperative-cancellation hook installed by
 	// SetCancel; nil means evaluation runs to completion.
@@ -94,25 +93,30 @@ type Evaluator struct {
 // len(spaces) is the number of cells — tiny next to the point count — and
 // per-space work (probability verdicts) parallelizes over spaces while
 // per-point work (verdict fan-out) parallelizes over 64-aligned ID ranges.
+//
+// The rest is the integer kernel's table in compressed-row form. Space s
+// owns the local runs runOff[s] ≤ k < runOff[s+1], one per run of R(S_ic);
+// local run k has the integer weight weight[k] (system.Tree.RunWeights)
+// and the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense IDs of the
+// sample points on it. base[s] is the weight of all of R(S_ic), so space
+// s assigns a set of runs of weight w the conditional probability
+// w/base[s]. base[s] == 0 marks a space whose tree has no integer
+// weights; its verdicts take the exact-rational path.
 type spaceIndex struct {
 	spaces []*measure.Space
 	byID   []int32
+
+	runOff []int
+	weight []uint64
+	fibOff []int
+	fibIDs []int32
+	base   []uint64
 }
 
 // cancelStride is how many points a linear scan (proposition extension,
 // probability table sweep) may visit between cancellation checks. Power of
 // two so the hot loops can test id&(cancelStride-1) == 0.
 const cancelStride = 4096
-
-// prVerdictKey identifies one probability-threshold verdict: does the run
-// set with this bit pattern, conditioned on this space, have probability ≥
-// (geq) or ≤ (!geq) the bound?
-type prVerdictKey struct {
-	sp    *measure.Space
-	runs  string // RunSet.Key of the inner (geq) or hit (!geq) runs
-	bound string // rat.Key of the threshold
-	geq   bool
-}
 
 // NewEvaluator builds an evaluator for the system. prob may be nil if no
 // probability operators will be evaluated; props maps primitive proposition
@@ -123,15 +127,15 @@ func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[strin
 		cp[k] = v
 	}
 	return &Evaluator{
-		sys:        sys,
-		idx:        sys.Index(),
-		prob:       prob,
-		props:      cp,
-		memo:       make(map[Formula]*system.DenseSet),
-		extMemo:    make(map[Formula]system.PointSet),
-		spaceIdx:   make(map[system.AgentID]*spaceIndex),
-		prVerdicts: make(map[prVerdictKey]bool),
-		par:        1,
+		sys:      sys,
+		idx:      sys.Index(),
+		prob:     prob,
+		props:    cp,
+		memo:     make(map[Formula]*system.DenseSet),
+		extMemo:  make(map[Formula]system.PointSet),
+		propExt:  make(map[string]*system.DenseSet),
+		spaceIdx: make(map[system.AgentID]*spaceIndex),
+		par:      1,
 	}
 }
 
@@ -144,13 +148,13 @@ func (e *Evaluator) DefineProp(name string, fact system.Fact) {
 	e.props[name] = fact
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
+	e.propExt = make(map[string]*system.DenseSet)
 }
 
-// Reset drops the memo table, returning the evaluator to its
-// freshly-constructed state. Pools call this when a long-lived evaluator's
-// memo exceeds their cap; the proposition table and the per-agent space
-// tables (which depend only on the immutable system and assignment) are
-// kept.
+// Reset drops the memo table. Pools call this when a long-lived
+// evaluator's memo exceeds their cap; the proposition table, the scanned
+// proposition extensions and the per-agent space tables (which depend only
+// on the immutable system, assignment and propositions) are kept.
 func (e *Evaluator) Reset() {
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
@@ -292,6 +296,9 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 	idx := e.idx
 	switch f := f.(type) {
 	case *PropFormula:
+		if ext, ok := e.propExt[f.Name]; ok {
+			return ext, nil
+		}
 		fact, ok := e.props[f.Name]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownProp, f.Name)
@@ -313,9 +320,11 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 				}
 			}
 		})
+		// A scan the hook aborted is partial: return before caching it.
 		if err := ps.Err(); err != nil {
 			return nil, err
 		}
+		e.propExt[f.Name] = out
 		return out, nil
 
 	case *BoolFormula:
@@ -703,19 +712,86 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 			sx.byID[id] = k
 		}
 	}
+	if err := e.buildRunTable(sx); err != nil {
+		return nil, err
+	}
 	e.spaceIdx[i] = sx
 	return sx, nil
+}
+
+// buildRunTable fills the integer kernel's compressed-row table of sx from
+// its spaces, in space order. A space whose tree has no integer run
+// weights gets no rows and base 0, and so does one whose tree is not in
+// the indexed system (a sample-space assignment that breaks REQ1): the
+// exact path's membership test treats such points as outside every
+// extension.
+func (e *Evaluator) buildRunTable(sx *spaceIndex) error {
+	sx.runOff = make([]int, 1, len(sx.spaces)+1)
+	sx.base = make([]uint64, len(sx.spaces))
+	sx.fibOff = []int{0}
+	for s, sp := range sx.spaces {
+		if s&15 == 0 {
+			if err := e.checkCancel(); err != nil {
+				return err
+			}
+		}
+		w, _, weighted := sp.Tree().RunWeights()
+		_, indexed := e.idx.ID(system.Point{Tree: sp.Tree()})
+		if weighted && indexed {
+			sp.EachFiber(func(r int, fiber []system.Point) {
+				for _, p := range fiber {
+					id, _ := e.idx.ID(p) // every point of an indexed tree has an ID
+					sx.fibIDs = append(sx.fibIDs, int32(id))
+				}
+				sx.fibOff = append(sx.fibOff, len(sx.fibIDs))
+				sx.weight = append(sx.weight, w[r])
+				sx.base[s] += w[r]
+			})
+		}
+		sx.runOff = append(sx.runOff, len(sx.weight))
+	}
+	return nil
+}
+
+// intVerdict decides space s's verdict on the integer kernel: Pr ≥ num/den
+// (geq) or Pr ≤ num/den (!geq). The inner measure of ext (geq) sums the
+// weights of the runs whose fiber lies inside ext, the outer measure (!geq)
+// those whose fiber meets it; the measure is then w/base[s], and one exact
+// 128-bit cross-multiplication decides w·den ⋈ num·base[s].
+func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, geq bool) bool {
+	var w uint64
+	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
+		fiber := sx.fibIDs[sx.fibOff[k]:sx.fibOff[k+1]]
+		counts := geq // inner: every point in ext; outer: some point
+		for _, id := range fiber {
+			if ext.Contains(int(id)) != geq {
+				counts = !geq
+				break
+			}
+		}
+		if counts {
+			w += sx.weight[k]
+		}
+	}
+	lhi, llo := bits.Mul64(w, den)
+	rhi, rlo := bits.Mul64(num, sx.base[s])
+	if lhi == rhi && llo == rlo {
+		return true
+	}
+	greater := lhi > rhi || (lhi == rhi && llo > rlo)
+	return greater == geq
 }
 
 // prExtension computes {c : inner measure of S_ic ∩ ext ≥ α} (geq) or
 // {c : outer measure ≤ α} (leq) in two sharded phases: one measure verdict
 // per distinct space (phase A, parallel over spaces — keyed assignments
-// have one space per information cell, so this is the expensive exact-
-// rational part), then one sweep over the dense IDs fanning each verdict
-// out to the points sharing the space (phase B, parallel over 64-aligned ID
-// ranges). Phase A's shards read the shared verdict memo and buffer new
-// entries privately; the calling goroutine merges them after the barrier,
-// so the memo is never written concurrently.
+// have one space per information cell), then one sweep over the dense IDs
+// fanning each verdict out to the points sharing the space (phase B,
+// parallel over 64-aligned ID ranges). Phase A decides a space on the
+// integer kernel (intVerdict) when its tree has integer run weights and
+// the bound fits uint64 parts, and on the exact-rational InnerFunc/
+// OuterFunc otherwise. Either way a verdict costs a walk over the space's
+// own fibers, so nothing is memoized across calls.
 func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
 	if e.prob == nil {
 		return nil, ErrNoProbability
@@ -724,64 +800,28 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	if err != nil {
 		return nil, err
 	}
-	contains := ext.ContainsPoint
-	boundKey := bound.Key()
+	num, den, intBound := bound.Frac64()
 	verdicts := make([]bool, len(sx.spaces))
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
 	ps, stop := e.stopFn()
-	var (
-		mu    sync.Mutex
-		fresh []map[prVerdictKey]bool
-	)
 	system.ParRange(len(sx.spaces), 1, workers, func(_, lo, hi int) {
-		// Reduce each query to a run pattern (cheap bit scanning), then
-		// look the pattern's verdict up before falling back to exact
-		// rational arithmetic. Fixpoint rounds re-ask the same patterns
-		// for most spaces, so the fallback runs rarely.
-		var local map[prVerdictKey]bool
 		for si := lo; si < hi; si++ {
 			if stop != nil && si&15 == 0 && stop() {
 				return
 			}
-			sp := sx.spaces[si]
-			var runs system.RunSet
-			if geq {
-				runs = sp.InnerRuns(contains)
-			} else {
-				runs = sp.OuterRuns(contains)
+			switch sp := sx.spaces[si]; {
+			case intBound && sx.base[si] != 0:
+				verdicts[si] = sx.intVerdict(si, ext, num, den, geq)
+			case geq:
+				verdicts[si] = sp.InnerFunc(ext.ContainsPoint).GreaterEq(bound)
+			default:
+				verdicts[si] = sp.OuterFunc(ext.ContainsPoint).LessEq(bound)
 			}
-			key := prVerdictKey{sp: sp, runs: runs.Key(), bound: boundKey, geq: geq}
-			v, ok := e.prVerdicts[key]
-			if !ok {
-				v, ok = local[key]
-				if !ok {
-					if geq {
-						v = sp.ProbOfRuns(runs).GreaterEq(bound)
-					} else {
-						v = sp.ProbOfRuns(runs).LessEq(bound)
-					}
-					if local == nil {
-						local = make(map[prVerdictKey]bool)
-					}
-					local[key] = v
-				}
-			}
-			verdicts[si] = v
-		}
-		if local != nil {
-			mu.Lock()
-			fresh = append(fresh, local)
-			mu.Unlock()
 		}
 	})
 	if err := ps.Err(); err != nil {
 		return nil, err
-	}
-	for _, m := range fresh {
-		for k, v := range m {
-			e.prVerdicts[k] = v
-		}
 	}
 	out := e.idx.NewDense()
 	system.ParRange(len(sx.byID), 64, workers, func(_, lo, hi int) {

@@ -1,0 +1,273 @@
+package logic
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"kpa/internal/canon"
+	"kpa/internal/core"
+	"kpa/internal/gen"
+	"kpa/internal/rat"
+	"kpa/internal/system"
+)
+
+// primeTreeSystem is a two-agent system over one full binary tree of depth
+// five whose k-th branching splits 1/3 : 2/3 of the prime p_k near 2^16.
+// Every run probability has the ~80-bit product of the primes as its
+// denominator, so the tree has no integer run weights and every Pr verdict
+// takes the exact-rational fallback. p1 sees the clock and the first
+// outcome; p2 has no clock and sees only the latest outcome, so its fibers
+// span several times and inner and outer measure differ.
+func primeTreeSystem(t *testing.T) *system.System {
+	t.Helper()
+	primes := []int64{65521, 65519, 65497, 65479, 65449}
+	tb := system.NewTree("primes", system.NewGlobalState("", "p1:t0", "p2:start"))
+	var grow func(id system.NodeID, hist string)
+	grow = func(id system.NodeID, hist string) {
+		k := len(hist)
+		if k == len(primes) {
+			return
+		}
+		p := primes[k]
+		for bit, prob := range []rat.Rat{rat.New(p/3, p), rat.New(p-p/3, p)} {
+			h := hist + strconv.Itoa(bit)
+			child := tb.Child(id, prob, system.NewGlobalState(h,
+				system.LocalState("p1:t"+strconv.Itoa(k+1)+":"+h[:1]),
+				system.LocalState("p2:"+h[k:])))
+			grow(child, h)
+		}
+	}
+	grow(0, "")
+	tree, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := tree.RunWeights(); ok {
+		t.Fatal("prime tree unexpectedly has integer run weights")
+	}
+	sys, err := system.New(2, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// sampleAssignments returns the four canonical assignments the probability
+// tests sweep: post, fut, prior and the opponent assignment against the
+// last agent.
+func sampleAssignments(sys *system.System) []core.SampleAssignment {
+	return []core.SampleAssignment{
+		core.Post(sys),
+		core.Future(sys),
+		core.Prior(sys),
+		core.Opponent(sys, system.AgentID(sys.NumAgents()-1)),
+	}
+}
+
+// agreeWithReference evaluates every formula on a fresh dense evaluator and
+// on the reference evaluator and fails on the first disagreement.
+func agreeWithReference(t *testing.T, label string, sys *system.System, P *core.ProbAssignment, props map[string]system.Fact, formulas []Formula) {
+	t.Helper()
+	dense := NewEvaluator(sys, P, props)
+	naive := NewReferenceEvaluator(sys, P, props)
+	for _, f := range formulas {
+		want, errN := naive.Extension(f)
+		got, errD := dense.Extension(f)
+		if (errN == nil) != (errD == nil) {
+			t.Fatalf("%s formula %s: error disagreement: reference %v, dense %v", label, f, errN, errD)
+		}
+		if errN == nil && !got.Equal(want) {
+			t.Fatalf("%s formula %s: dense extension differs from reference", label, f)
+		}
+	}
+}
+
+// TestPrFallbackMatchesReference pins the exact-rational fallback: on a
+// tree without integer run weights, Pr ≥, Pr ≤, E_G^α and C_G^α must equal
+// the reference evaluator under every canonical assignment, including at
+// bounds equal to a branch probability.
+func TestPrFallbackMatchesReference(t *testing.T) {
+	sys := primeTreeSystem(t)
+	rng := rand.New(rand.NewSource(15))
+	props := map[string]system.Fact{
+		"p0": gen.RandomFact(rng, sys, "p0"),
+		"p1": gen.RandomRunFact(rng, sys, "p1"),
+	}
+	g := []system.AgentID{0, 1}
+	edge := rat.New(65521/3, 65521)
+	formulas := []Formula{
+		PrGeq(0, Prop("p0"), rat.Half),
+		PrGeq(1, Prop("p0"), rat.New(1, 3)),
+		PrLeq(1, Prop("p0"), rat.New(2, 3)),
+		PrGeq(0, Prop("p1"), edge),
+		PrLeq(0, Prop("p1"), edge),
+		PrGeq(1, Eventually(Prop("p1")), edge),
+		EveryonePr(g, Prop("p0"), rat.New(1, 3)),
+		CommonPr(g, Prop("p0"), rat.New(1, 3)),
+		CommonPr(g, Or(Prop("p0"), Prop("p1")), edge),
+	}
+	for j := 0; j < 20; j++ {
+		formulas = append(formulas, randomFormula(rng, 3, 2, 2))
+	}
+	for _, sa := range sampleAssignments(sys) {
+		P := core.NewProbAssignment(sys, sa)
+		agreeWithReference(t, "prime tree/"+sa.Name(), sys, P, props, formulas)
+	}
+}
+
+// TestPrWideBoundsMatchReference runs integer-weighted systems against
+// bounds the integer kernel cannot take — a denominator past 2^64, a
+// negative bound — and bounds above one, which it can.
+func TestPrWideBoundsMatchReference(t *testing.T) {
+	tiny := rat.MustParse("1/100000000000000000000")
+	if _, _, ok := tiny.Frac64(); ok {
+		t.Fatal("1/10^20 unexpectedly fits uint64 parts")
+	}
+	bounds := []rat.Rat{tiny, rat.One.Sub(tiny), rat.New(-1, 2), rat.New(3, 2), rat.Zero, rat.One}
+	cfgs := []gen.Config{
+		gen.DefaultConfig(),
+		{NumAgents: 2, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, Synchronous: false, ObservationLevels: true},
+	}
+	for s := 0; s < 6; s++ {
+		rng := rand.New(rand.NewSource(int64(7000 + s)))
+		cfg := cfgs[s%len(cfgs)]
+		sys := gen.MustSystem(rng, cfg)
+		props := map[string]system.Fact{"p0": gen.RandomFact(rng, sys, "p0")}
+		g := []system.AgentID{0, 1}
+		var formulas []Formula
+		for _, b := range bounds {
+			for i := system.AgentID(0); i < 2; i++ {
+				formulas = append(formulas, PrGeq(i, Prop("p0"), b), PrLeq(i, Prop("p0"), b))
+			}
+			formulas = append(formulas, EveryonePr(g, Prop("p0"), b), CommonPr(g, Eventually(Prop("p0")), b))
+		}
+		for _, sa := range sampleAssignments(sys) {
+			P := core.NewProbAssignment(sys, sa)
+			agreeWithReference(t, fmt.Sprintf("seed %d/%s", 7000+s, sa.Name()), sys, P, props, formulas)
+		}
+	}
+}
+
+// TestPrGeqAllocsConstant pins the integer kernel's allocation profile: a
+// warm Pr ≥ verdict sweep allocates a fixed number of times — the verdict
+// slice, the result set, the sweep closures — however many spaces the
+// agent has.
+func TestPrGeqAllocsConstant(t *testing.T) {
+	var counts []float64
+	for _, buckets := range []int{4, 32} {
+		sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 2, NumRuns: 256, RunLen: 6, Buckets: buckets})
+		P := core.NewProbAssignment(sys, core.Post(sys))
+		e := NewEvaluator(sys, P, map[string]system.Fact{"p": gen.ScaleFact("p", 3)})
+		ext, err := e.DenseExtension(Prop("p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx, err := e.spaceIndexFor(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sx.base) == 0 || sx.base[len(sx.base)-1] == 0 {
+			t.Fatal("scale system spaces did not take the integer kernel")
+		}
+		alpha := rat.New(1, 3)
+		n := testing.AllocsPerRun(50, func() {
+			if _, err := e.prExtension(0, ext, alpha, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d spaces: %v allocs per PrGeq sweep", len(sx.spaces), n)
+		counts = append(counts, n)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("PrGeq allocations grow with the number of spaces: %v", counts)
+	}
+	if counts[0] > 8 {
+		t.Fatalf("PrGeq allocates %v times per sweep, want a small constant", counts[0])
+	}
+}
+
+// TestPropExtensionsSurviveReset checks the proposition cache's lifetime:
+// Reset keeps scanned proposition extensions (the fact is not consulted
+// again), DefineProp drops them, and a scan the cancel hook aborted is
+// never cached.
+func TestPropExtensionsSurviveReset(t *testing.T) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 1, NumRuns: 2048, RunLen: 4, Buckets: 4})
+	scans := 0
+	fact := system.NewFact("p", func(p system.Point) bool {
+		if p.Run == 0 && p.Time == 0 {
+			scans++
+		}
+		return p.Run%3 == 0
+	})
+	e := NewEvaluator(sys, nil, map[string]system.Fact{"p": fact})
+	want, err := e.DenseExtension(Prop("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	got, err := e.DenseExtension(Prop("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scans != 1 || !got.Equal(want) {
+		t.Fatalf("after Reset: %d scans (want 1), equal extension %v", scans, got.Equal(want))
+	}
+	if e.MemoLen() != 1 {
+		t.Fatalf("MemoLen after re-evaluation = %d, want 1", e.MemoLen())
+	}
+
+	e.DefineProp("p", fact)
+	if _, err := e.DenseExtension(Prop("p")); err != nil {
+		t.Fatal(err)
+	}
+	if scans != 2 {
+		t.Fatalf("DefineProp kept the scanned extension: %d scans, want 2", scans)
+	}
+
+	// Abort the scan partway: the hook passes the subformula boundary,
+	// then fails at the first stride inside the scan (8192 points, two
+	// strides).
+	e.DefineProp("p", fact)
+	calls := 0
+	e.SetCancel(func() error {
+		calls++
+		if calls > 1 {
+			return errCancelTest
+		}
+		return nil
+	})
+	if _, err := e.DenseExtension(Prop("p")); !errors.Is(err, errCancelTest) {
+		t.Fatalf("aborted scan returned %v, want the hook's error", err)
+	}
+	e.SetCancel(nil)
+	got, err = e.DenseExtension(Prop("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scans != 4 || !got.Equal(want) {
+		t.Fatalf("after an aborted scan: %d scans (want 4), equal extension %v", scans, got.Equal(want))
+	}
+}
+
+// TestPrForeignSampleMatchesReference feeds the evaluator a sample-space
+// assignment that breaks REQ1: every sample lies in a tree of another,
+// structurally identical system. Such points are outside every extension
+// over the evaluator's index, so the integer kernel must not guess dense
+// IDs for them; dense and reference verdicts must agree.
+func TestPrForeignSampleMatchesReference(t *testing.T) {
+	sys, other := canon.AsyncCoins(3), canon.AsyncCoins(3)
+	foreign := core.NewAssignment("foreign", func(i system.AgentID, c system.Point) system.PointSet {
+		return other.KInTree(i, system.Point{Tree: other.Trees()[0], Run: c.Run, Time: c.Time})
+	})
+	props := map[string]system.Fact{"lastHeads": canon.LastTossHeads()}
+	formulas := []Formula{
+		PrGeq(0, Prop("lastHeads"), rat.Zero),
+		PrGeq(1, Not(Prop("lastHeads")), rat.New(1, 8)),
+		PrLeq(0, Prop("lastHeads"), rat.Zero),
+		PrLeq(1, True, rat.Half),
+	}
+	agreeWithReference(t, "foreign samples", sys, core.NewProbAssignment(sys, foreign), props, formulas)
+}

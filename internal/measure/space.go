@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"kpa/internal/rat"
 	"kpa/internal/system"
@@ -39,13 +40,14 @@ var (
 type Space struct {
 	tree   *system.Tree
 	sample system.PointSet
-	runs   system.RunSet // R(S_ic)
-	base   rat.Rat       // μ_A(R(S_ic)) > 0
+	base   rat.Rat // μ_A(R(S_ic)) > 0
 
-	// fibers[r] lists the sample points on run r in time order: the run
-	// fiber index. Every measure query (Inner, Outer, IsMeasurable, Prob,
-	// Expect) reduces to a walk over run fibers, so precomputing them once
-	// at construction removes the per-call RunsThrough projections.
+	// runs lists R(S_ic) in increasing order and fibers[k] the sample
+	// points on runs[k] in time order: the run-fiber index, local to the
+	// space, so its size is that of the sample, not of the tree. Every
+	// measure query (Inner, Outer, IsMeasurable, Prob, Expect) is a walk
+	// over these fibers.
+	runs   []int
 	fibers [][]system.Point
 }
 
@@ -59,21 +61,24 @@ func NewSpace(sample system.PointSet) (*Space, error) {
 	if tree == nil {
 		return nil, ErrSpansTrees
 	}
-	fibers := make([][]system.Point, tree.NumRuns())
-	for _, p := range sample.Sorted() {
-		fibers[p.Run] = append(fibers[p.Run], p)
-	}
-	runs := system.NewRunSet(tree.NumRuns())
-	for r, f := range fibers {
-		if len(f) > 0 {
-			runs.Add(r)
+	// Sorted orders one tree's points by run, then time, so each fiber is
+	// a contiguous slice of pts.
+	pts := sample.Sorted()
+	s := &Space{tree: tree, sample: sample.Clone()}
+	for lo := 0; lo < len(pts); {
+		hi := lo + 1
+		for hi < len(pts) && pts[hi].Run == pts[lo].Run {
+			hi++
 		}
+		s.runs = append(s.runs, pts[lo].Run)
+		s.fibers = append(s.fibers, pts[lo:hi:hi])
+		lo = hi
 	}
-	base := tree.Prob(runs)
-	if base.Sign() <= 0 {
+	s.base = s.runProb(func(int) bool { return true })
+	if s.base.Sign() <= 0 {
 		return nil, ErrZeroMeasure
 	}
-	return &Space{tree: tree, sample: sample.Clone(), runs: runs, base: base, fibers: fibers}, nil
+	return s, nil
 }
 
 // MustSpace is NewSpace but panics on error; for tests and examples.
@@ -91,20 +96,58 @@ func (s *Space) Tree() *system.Tree { return s.tree }
 // Sample returns the sample set S_ic. It must not be modified.
 func (s *Space) Sample() system.PointSet { return s.sample }
 
-// Runs returns R(S_ic), the runs passing through the sample set.
-func (s *Space) Runs() system.RunSet { return s.runs }
+// Runs returns R(S_ic), the runs passing through the sample set, as a
+// fresh set over the tree's runs.
+func (s *Space) Runs() system.RunSet {
+	rs := system.NewRunSet(s.tree.NumRuns())
+	for _, r := range s.runs {
+		rs.Add(r)
+	}
+	return rs
+}
 
 // BaseProb returns μ_A(R(S_ic)), the unconditional probability of the runs
 // through the sample set.
 func (s *Space) BaseProb() rat.Rat { return s.base }
 
+// EachFiber visits the runs of R(S_ic) in increasing order, each with its
+// fiber: the sample points on the run, in time order. The fiber slice is
+// shared and must not be modified.
+func (s *Space) EachFiber(visit func(run int, fiber []system.Point)) {
+	for k, r := range s.runs {
+		visit(r, s.fibers[k])
+	}
+}
+
 // Fiber returns the points of the sample set lying on run r.
 func (s *Space) Fiber(r int) system.PointSet {
-	out := make(system.PointSet, len(s.fibers[r]))
-	for _, p := range s.fibers[r] {
-		out.Add(p)
+	k := sort.SearchInts(s.runs, r)
+	if k == len(s.runs) || s.runs[k] != r {
+		return system.PointSet{}
 	}
-	return out
+	return system.NewPointSet(s.fibers[k]...)
+}
+
+// runProb returns μ_A of the runs runs[k] with keep(k): a uint64 sum over
+// the tree's integer run weights when it has them, an exact-rational sum
+// otherwise.
+func (s *Space) runProb(keep func(k int) bool) rat.Rat {
+	if w, den, ok := s.tree.RunWeights(); ok {
+		var sum uint64
+		for k, r := range s.runs {
+			if keep(k) {
+				sum += w[r]
+			}
+		}
+		return rat.New(int64(sum), int64(den))
+	}
+	acc := rat.Zero
+	for k, r := range s.runs {
+		if keep(k) {
+			acc = acc.Add(s.tree.RunProb(r))
+		}
+	}
+	return acc
 }
 
 // IsMeasurable reports whether set ∩ S_ic ∈ X_ic, i.e. whether the set is a
@@ -115,33 +158,38 @@ func (s *Space) IsMeasurable(set system.PointSet) bool {
 
 func (s *Space) isMeasurableFunc(contains func(system.Point) bool) bool {
 	// Measurable ⟺ every fiber is hit entirely or not at all.
-	all := true
-	s.runs.Iterate(func(r int) {
+	for _, fiber := range s.fibers {
 		hits := 0
-		for _, p := range s.fibers[r] {
+		for _, p := range fiber {
 			if contains(p) {
 				hits++
 			}
 		}
-		if hits != 0 && hits != len(s.fibers[r]) {
-			all = false
+		if hits != 0 && hits != len(fiber) {
+			return false
 		}
-	})
-	return all
+	}
+	return true
 }
 
-// hitRuns returns R(set ∩ S_ic): the runs whose fiber meets the set.
-func (s *Space) hitRuns(contains func(system.Point) bool) system.RunSet {
-	hit := system.NewRunSet(s.tree.NumRuns())
-	s.runs.Iterate(func(r int) {
-		for _, p := range s.fibers[r] {
-			if contains(p) {
-				hit.Add(r)
-				break
-			}
+// hits reports whether fiber k meets the set.
+func (s *Space) hits(k int, contains func(system.Point) bool) bool {
+	for _, p := range s.fibers[k] {
+		if contains(p) {
+			return true
 		}
-	})
-	return hit
+	}
+	return false
+}
+
+// inside reports whether fiber k lies entirely inside the set.
+func (s *Space) inside(k int, contains func(system.Point) bool) bool {
+	for _, p := range s.fibers[k] {
+		if !contains(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // Prob returns μ_ic(set ∩ S_ic). It returns ErrNotMeasurable if the set is
@@ -150,22 +198,7 @@ func (s *Space) Prob(set system.PointSet) (rat.Rat, error) {
 	if !s.IsMeasurable(set) {
 		return rat.Rat{}, fmt.Errorf("%w: %d points", ErrNotMeasurable, set.Len())
 	}
-	return s.tree.Prob(s.hitRuns(set.Contains)).Div(s.base), nil
-}
-
-// innerRuns returns the runs of R(S_ic) whose entire fiber lies inside the
-// set — the largest measurable subset of the set is their projection.
-func (s *Space) innerRuns(contains func(system.Point) bool) system.RunSet {
-	ok := system.NewRunSet(s.tree.NumRuns())
-	s.runs.Iterate(func(r int) {
-		for _, p := range s.fibers[r] {
-			if !contains(p) {
-				return
-			}
-		}
-		ok.Add(r)
-	})
-	return ok
+	return s.OuterFunc(set.Contains), nil
 }
 
 // Inner returns the inner measure (μ_ic)_*(set): the best lower bound on the
@@ -176,33 +209,10 @@ func (s *Space) Inner(set system.PointSet) rat.Rat {
 
 // InnerFunc is Inner with the set given as a membership predicate, so
 // callers holding a non-PointSet representation (a DenseSet, a Fact) can
-// query without materializing a map.
+// query without materializing a map. The largest measurable subset is the
+// projection of the runs whose entire fiber satisfies the predicate.
 func (s *Space) InnerFunc(contains func(system.Point) bool) rat.Rat {
-	return s.tree.Prob(s.innerRuns(contains)).Div(s.base)
-}
-
-// InnerRuns returns the runs of R(S_ic) whose entire fiber satisfies the
-// predicate — the run projection of the largest measurable subset. Together
-// with ProbOfRuns it splits InnerFunc into the cheap bit-scanning half and
-// the expensive rational-arithmetic half, so callers evaluating many
-// near-identical queries (fixpoint iterations) can memoize the second half
-// by run pattern (RunSet.Key).
-func (s *Space) InnerRuns(contains func(system.Point) bool) system.RunSet {
-	return s.innerRuns(contains)
-}
-
-// OuterRuns returns R(set ∩ S_ic): the runs whose fiber meets the
-// predicate. It is the run-level half of OuterFunc, as InnerRuns is of
-// InnerFunc.
-func (s *Space) OuterRuns(contains func(system.Point) bool) system.RunSet {
-	return s.hitRuns(contains)
-}
-
-// ProbOfRuns returns the conditioned probability of a run set:
-// μ_A(rs)/μ_A(R(S_ic)). Combined with InnerRuns/OuterRuns it reproduces
-// InnerFunc/OuterFunc.
-func (s *Space) ProbOfRuns(rs system.RunSet) rat.Rat {
-	return s.tree.Prob(rs).Div(s.base)
+	return s.runProb(func(k int) bool { return s.inside(k, contains) }).Div(s.base)
 }
 
 // Outer returns the outer measure (μ_ic)*(set): the best upper bound,
@@ -211,9 +221,10 @@ func (s *Space) Outer(set system.PointSet) rat.Rat {
 	return s.OuterFunc(set.Contains)
 }
 
-// OuterFunc is Outer with the set given as a membership predicate.
+// OuterFunc is Outer with the set given as a membership predicate: the
+// conditioned probability of R(set ∩ S_ic), the runs whose fiber meets it.
 func (s *Space) OuterFunc(contains func(system.Point) bool) rat.Rat {
-	return s.tree.Prob(s.hitRuns(contains)).Div(s.base)
+	return s.runProb(func(k int) bool { return s.hits(k, contains) }).Div(s.base)
 }
 
 // ProbFact returns μ_ic(S_ic(φ)) for a fact φ, or ErrNotMeasurable.
@@ -223,7 +234,7 @@ func (s *Space) ProbFact(phi system.Fact) (rat.Rat, error) {
 	if !s.isMeasurableFunc(phi.Holds) {
 		return rat.Rat{}, fmt.Errorf("%w: fact %s", ErrNotMeasurable, phi)
 	}
-	return s.tree.Prob(s.hitRuns(phi.Holds)).Div(s.base), nil
+	return s.OuterFunc(phi.Holds), nil
 }
 
 // InnerFact returns the inner measure of S_ic(φ).
@@ -262,24 +273,16 @@ func (s *Space) Condition(sub system.PointSet) (*Space, error) {
 func (s *Space) Expect(w func(system.Point) rat.Rat) (rat.Rat, error) {
 	// Walk the run fibers; verify constancy per fiber.
 	acc := rat.Zero
-	var badRun = -1
-	s.runs.Iterate(func(r int) {
-		if badRun >= 0 {
-			return
-		}
-		fiber := s.fibers[r]
+	for k, r := range s.runs {
+		fiber := s.fibers[k]
 		v := w(fiber[0])
 		for _, p := range fiber[1:] {
 			if !w(p).Equal(v) {
-				badRun = r
-				return
+				return rat.Rat{}, fmt.Errorf("expect: %w: variable not constant on run %d",
+					ErrNotMeasurable, r)
 			}
 		}
 		acc = acc.Add(v.Mul(s.tree.RunProb(r)))
-	})
-	if badRun >= 0 {
-		return rat.Rat{}, fmt.Errorf("expect: %w: variable not constant on run %d",
-			ErrNotMeasurable, badRun)
 	}
 	return acc.Div(s.base), nil
 }
@@ -325,7 +328,7 @@ func (s *Space) OuterExpectTwoValued(high, low rat.Rat, set system.PointSet) rat
 // MeasurableSets enumerates X_ic as point sets, one per measurable run set
 // of R(S_ic); intended for small spaces in tests (2^|runs| sets!).
 func (s *Space) MeasurableSets() []system.PointSet {
-	runs := s.runs.Runs()
+	runs := s.runs
 	n := len(runs)
 	if n > 20 {
 		panic("measure: MeasurableSets on more than 2^20 sets")

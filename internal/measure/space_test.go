@@ -150,6 +150,59 @@ func TestFiberAndMeasurability(t *testing.T) {
 	if got := sp.Outer(partial); !got.Equal(rat.New(1, 8)) {
 		t.Errorf("outer(partial) = %s", got)
 	}
+
+	// EachFiber walks R(S_ic) in run order with time-ordered fibers.
+	next := 0
+	sp.EachFiber(func(r int, fiber []system.Point) {
+		if r != next {
+			t.Errorf("EachFiber visited run %d, want %d", r, next)
+		}
+		next = r + 1
+		for k, p := range fiber {
+			if p.Run != r || p.Time != k+1 {
+				t.Errorf("fiber of run %d: point %d is %v", r, k, p)
+			}
+		}
+	})
+	if next != tree.NumRuns() {
+		t.Errorf("EachFiber stopped at run %d of %d", next, tree.NumRuns())
+	}
+}
+
+// TestFiberOutsideSample checks a space whose sample misses some runs:
+// R(S_ic), EachFiber and Fiber cover only the runs through the sample.
+func TestFiberOutsideSample(t *testing.T) {
+	sys := canon.AsyncCoins(3)
+	tree := sys.Trees()[0]
+	sample := system.NewPointSet(
+		system.Point{Tree: tree, Run: 2, Time: 1},
+		system.Point{Tree: tree, Run: 2, Time: 3},
+		system.Point{Tree: tree, Run: 5, Time: 2},
+	)
+	sp := MustSpace(sample)
+	if got := sp.Runs().Runs(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
+		t.Fatalf("Runs = %v, want [2 5]", got)
+	}
+	var sizes []int
+	sp.EachFiber(func(_ int, fiber []system.Point) { sizes = append(sizes, len(fiber)) })
+	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 1 {
+		t.Errorf("fiber sizes = %v, want [2 1]", sizes)
+	}
+	if sp.Fiber(0).Len() != 0 || sp.Fiber(7).Len() != 0 || sp.Fiber(2).Len() != 2 {
+		t.Errorf("Fiber sizes (0, 7, 2) = (%d, %d, %d), want (0, 0, 2)",
+			sp.Fiber(0).Len(), sp.Fiber(7).Len(), sp.Fiber(2).Len())
+	}
+	if !sp.BaseProb().Equal(rat.New(1, 4)) {
+		t.Errorf("BaseProb = %s, want 1/4", sp.BaseProb())
+	}
+	// One point of run 2's two-point fiber: inner 0, outer 1/2.
+	one := system.NewPointSet(system.Point{Tree: tree, Run: 2, Time: 3})
+	if got := sp.Inner(one); !got.IsZero() {
+		t.Errorf("Inner = %s, want 0", got)
+	}
+	if got := sp.Outer(one); !got.Equal(rat.Half) {
+		t.Errorf("Outer = %s, want 1/2", got)
+	}
 }
 
 func TestConditioning(t *testing.T) {

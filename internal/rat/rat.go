@@ -11,6 +11,7 @@ package rat
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Rat is an immutable rational number. The zero value is 0.
@@ -118,7 +119,7 @@ func (x Rat) Cmp(y Rat) int { return x.big().Cmp(y.big()) }
 // Equal reports whether x == y. Unlike Cmp, it never cross-multiplies:
 // *big.Rat values are always in lowest terms with a positive denominator,
 // so equality is componentwise — allocation-free, which matters on hot
-// paths that compare probabilities (run enumeration, verdict memo keys).
+// paths that compare probabilities.
 func (x Rat) Equal(y Rat) bool {
 	a, b := x.big(), y.big()
 	return a.Num().Cmp(b.Num()) == 0 && a.Denom().Cmp(b.Denom()) == 0
@@ -234,3 +235,73 @@ func (x Rat) Key() string { return x.big().RatString() }
 
 // InUnit reports whether 0 ≤ x ≤ 1.
 func (x Rat) InUnit() bool { return x.Sign() >= 0 && x.LessEq(One) }
+
+// Frac64 returns a non-negative x in lowest terms as num/den with both
+// parts in uint64, and false when x is negative or either part needs more
+// than 64 bits. It does not allocate, so integer kernels can call it per
+// query to move a bound off the big.Rat path.
+func (x Rat) Frac64() (num, den uint64, ok bool) {
+	b := x.big()
+	if b.Sign() < 0 {
+		return 0, 0, false
+	}
+	n := b.Num()
+	if !n.IsUint64() {
+		return 0, 0, false
+	}
+	if b.IsInt() {
+		return n.Uint64(), 1, true
+	}
+	d := b.Denom()
+	if !d.IsUint64() {
+		return 0, 0, false
+	}
+	return n.Uint64(), d.Uint64(), true
+}
+
+// Scale64 puts the rationals over their least common denominator D:
+// xs[k] = weights[k]/D exactly. It returns false when some x is negative
+// or does not fit Frac64, or when D or any weight needs more than maxBits
+// bits (maxBits ≤ 64). Choosing maxBits below 64 leaves headroom: weights
+// whose total is at most D < 2^maxBits can be summed in a uint64 without
+// overflow.
+func Scale64(xs []Rat, maxBits uint) (weights []uint64, den uint64, ok bool) {
+	fits := func(v uint64) bool { return maxBits >= 64 || v>>maxBits == 0 }
+	den = 1
+	for _, x := range xs {
+		_, d, ok := x.Frac64()
+		if !ok {
+			return nil, 0, false
+		}
+		if den%d == 0 {
+			continue
+		}
+		// lcm(den, d) = den · (d / gcd(den, d)), checked for overflow.
+		hi, lcm := bits.Mul64(den, d/gcd64(den, d))
+		if hi != 0 || !fits(lcm) {
+			return nil, 0, false
+		}
+		den = lcm
+	}
+	if !fits(den) {
+		return nil, 0, false
+	}
+	weights = make([]uint64, len(xs))
+	for k, x := range xs {
+		n, d, _ := x.Frac64()
+		hi, w := bits.Mul64(n, den/d)
+		if hi != 0 || !fits(w) {
+			return nil, 0, false
+		}
+		weights[k] = w
+	}
+	return weights, den, true
+}
+
+// gcd64 is Euclid's algorithm on uint64; a and b are not both zero.
+func gcd64(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}

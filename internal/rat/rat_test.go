@@ -388,3 +388,73 @@ func BenchmarkPow(b *testing.B) {
 		_ = Pow(Half, 64)
 	}
 }
+
+func TestFrac64(t *testing.T) {
+	max := new(big.Int).SetUint64(^uint64(0))
+	over := new(big.Int).Add(max, big.NewInt(1))
+	tests := []struct {
+		name     string
+		x        Rat
+		num, den uint64
+		ok       bool
+	}{
+		{"zero value", Rat{}, 0, 1, true},
+		{"integer", FromInt(7), 7, 1, true},
+		{"lowest terms", New(6, 8), 3, 4, true},
+		{"max numerator", FromBig(new(big.Rat).SetInt(max)), ^uint64(0), 1, true},
+		{"max denominator", FromBig(new(big.Rat).SetFrac(big.NewInt(1), max)), 1, ^uint64(0), true},
+		{"numerator over", FromBig(new(big.Rat).SetInt(over)), 0, 0, false},
+		{"denominator over", FromBig(new(big.Rat).SetFrac(big.NewInt(1), over)), 0, 0, false},
+		{"negative", New(-1, 2), 0, 0, false},
+	}
+	for _, tc := range tests {
+		num, den, ok := tc.x.Frac64()
+		if ok != tc.ok || num != tc.num || den != tc.den {
+			t.Errorf("%s: Frac64(%s) = %d/%d, %v; want %d/%d, %v",
+				tc.name, tc.x, num, den, ok, tc.num, tc.den, tc.ok)
+		}
+	}
+	for _, x := range []Rat{New(3, 7), FromInt(4), {}} {
+		if n := testing.AllocsPerRun(100, func() { x.Frac64() }); n != 0 {
+			t.Errorf("Frac64(%s) allocates %v times, want 0", x, n)
+		}
+	}
+}
+
+func TestScale64(t *testing.T) {
+	pow2 := func(k uint) Rat {
+		return FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), k)))
+	}
+	w, den, ok := Scale64([]Rat{New(1, 2), New(1, 3), New(1, 6)}, 62)
+	if !ok || den != 6 || w[0] != 3 || w[1] != 2 || w[2] != 1 {
+		t.Fatalf("Scale64(1/2, 1/3, 1/6) = %v over %d, %v; want [3 2 1] over 6", w, den, ok)
+	}
+	// 2^62 − 1 = 3 · 715827883 · 2147483647 is the largest 62-bit
+	// denominator; 2^62 needs 63 bits.
+	edge := FromBig(new(big.Rat).SetFrac(big.NewInt(1), big.NewInt(1<<62-1)))
+	if w, den, ok := Scale64([]Rat{edge, One.Sub(edge)}, 62); !ok || den != 1<<62-1 || w[0] != 1 || w[1] != 1<<62-2 {
+		t.Errorf("Scale64 at 2^62−1 = %v over %d, %v", w, den, ok)
+	}
+	if _, _, ok := Scale64([]Rat{pow2(61), pow2(62)}, 62); ok {
+		t.Error("Scale64 accepted a common denominator of 2^62 under maxBits 62")
+	}
+	if w, den, ok := Scale64([]Rat{pow2(62)}, 63); !ok || den != 1<<62 || w[0] != 1 {
+		t.Errorf("Scale64(2^-62, 63 bits) = %v over %d, %v", w, den, ok)
+	}
+	// The lcm, not the product: 1/(2^31·3) and 1/(2^31·5) share 2^31.
+	a := FromBig(new(big.Rat).SetFrac64(1, 3<<31))
+	b := FromBig(new(big.Rat).SetFrac64(1, 5<<31))
+	if _, den, ok := Scale64([]Rat{a, b}, 62); !ok || den != 15<<31 {
+		t.Errorf("Scale64 lcm = %d, %v; want %d", den, ok, uint64(15)<<31)
+	}
+	// A weight can overflow even when the denominator fits: 2 over 1.
+	if _, _, ok := Scale64([]Rat{FromInt(2)}, 1); ok {
+		t.Error("Scale64 accepted the 2-bit weight 2 under maxBits 1")
+	}
+	if _, _, ok := Scale64([]Rat{New(-1, 2)}, 62); ok {
+		t.Error("Scale64 accepted a negative rational")
+	}
+	if w, den, ok := Scale64(nil, 62); !ok || den != 1 || len(w) != 0 {
+		t.Errorf("Scale64(nil) = %v over %d, %v", w, den, ok)
+	}
+}

@@ -133,19 +133,6 @@ func (s RunSet) Iterate(visit func(r int)) {
 	}
 }
 
-// Key returns the raw bit pattern as a string, usable as a compact map key
-// for memoizing per-run-set computations (probability sums, verdicts).
-// Distinct patterns over the same universe have distinct keys.
-func (s RunSet) Key() string {
-	buf := make([]byte, len(s.bits)*8)
-	for i, w := range s.bits {
-		for j := 0; j < 8; j++ {
-			buf[i*8+j] = byte(w >> (8 * j))
-		}
-	}
-	return string(buf)
-}
-
 // Runs returns the runs in the set in increasing order.
 func (s RunSet) Runs() []int {
 	out := make([]int, 0, s.Len())

@@ -127,13 +127,19 @@ type Tree struct {
 	runProbs []rat.Rat  // probability of each run
 	depth    int        // maximum node time
 
-	// uniform is set when every run has the same probability (a broom of
-	// equiprobable branches, the shape scale-tier systems use). Prob then
-	// reduces a run-set sum to one popcount and one multiplication instead
-	// of |set| exact-rational additions.
-	uniform     bool
-	uniformProb rat.Rat
+	// weights[r]/weightDen is runProbs[r] over the runs' least common
+	// denominator, set when that denominator fits in weightBits bits (nil
+	// otherwise). The weights sum to weightDen, so no sum over a run subset
+	// can overflow a uint64, and Prob and the probability kernels add
+	// integers instead of big.Rats.
+	weights   []uint64
+	weightDen uint64
 }
+
+// weightBits bounds the common denominator of a tree's integer run
+// weights. Two bits of headroom below 64 keep every subset sum in range
+// with room to spare for callers that add a few such sums.
+const weightBits = 62
 
 // NumNodes returns the number of nodes in the tree.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
@@ -175,18 +181,22 @@ func (t *Tree) RunsThroughNode(id NodeID) RunSet {
 	return rs
 }
 
+// RunWeights returns the run probabilities as integers over a common
+// denominator, μ_A(r) = weights[r]/den, and false when that denominator
+// needs more than 62 bits. The weights sum to den, so any subset sum fits
+// in a uint64. The slice is shared and must not be modified.
+func (t *Tree) RunWeights() (weights []uint64, den uint64, ok bool) {
+	return t.weights, t.weightDen, t.weights != nil
+}
+
 // Prob returns the probability of a set of runs: μ_A(R) = Σ_{r∈R} μ_A(r).
-// Over a finite tree every run set is measurable.
+// Over a finite tree every run set is measurable. With integer run
+// weights the sum is a uint64 addition per run and one Rat at the end.
 func (t *Tree) Prob(rs RunSet) rat.Rat {
-	if t.uniform {
-		n := rs.Len()
-		switch n {
-		case 0:
-			return rat.Zero
-		case 1:
-			return t.uniformProb
-		}
-		return rat.FromInt(int64(n)).Mul(t.uniformProb)
+	if t.weights != nil {
+		var w uint64
+		rs.Iterate(func(r int) { w += t.weights[r] })
+		return rat.New(int64(w), int64(t.weightDen))
 	}
 	acc := rat.Zero
 	rs.Iterate(func(r int) {
@@ -288,8 +298,7 @@ func (t *Tree) enumerateRuns() {
 		} else {
 			for _, e := range n.Edges {
 				// Probability-1 edges (deterministic chains) keep the
-				// parent's Rat value instead of allocating a product; in a
-				// broom-shaped tree every run then shares one value.
+				// parent's Rat value instead of allocating a product.
 				if e.Prob.IsOne() {
 					walk(e.Child, prob)
 				} else {
@@ -300,18 +309,5 @@ func (t *Tree) enumerateRuns() {
 		path = path[:len(path)-1]
 	}
 	walk(0, rat.One)
-	// Detect uniform run distributions for Prob's fast path. Runs that
-	// inherited the parent's value through the probability-1 shortcut above
-	// share one Rat, so the identity compare settles the common broom shape
-	// without touching big.Rat.
-	if len(t.runProbs) > 0 {
-		t.uniform = true
-		t.uniformProb = t.runProbs[0]
-		for _, p := range t.runProbs[1:] {
-			if p != t.uniformProb && !p.Equal(t.uniformProb) {
-				t.uniform = false
-				break
-			}
-		}
-	}
+	t.weights, t.weightDen, _ = rat.Scale64(t.runProbs, weightBits)
 }

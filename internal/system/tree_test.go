@@ -129,6 +129,42 @@ func TestDeepTreeProbabilitiesMultiply(t *testing.T) {
 	if !tree.Prob(tree.AllRuns()).IsOne() {
 		t.Error("run probabilities do not sum to 1")
 	}
+	w, den, ok := tree.RunWeights()
+	if !ok || den != 8 || len(w) != 4 || w[0] != 2 || w[1] != 2 || w[2] != 1 || w[3] != 3 {
+		t.Errorf("RunWeights = %v over %d, %v; want [2 2 1 3] over 8", w, den, ok)
+	}
+}
+
+// TestRunWeightsOverflowFallsBack builds a chain of five branchings whose
+// labels have distinct prime denominators near 2^16: every run probability
+// has the ~80-bit product as its denominator, so the tree has no integer
+// weights and Prob must still be exact.
+func TestRunWeightsOverflowFallsBack(t *testing.T) {
+	primes := []int64{65521, 65519, 65497, 65479, 65449}
+	tb := NewTree("primes", gs("s", "a"))
+	cur := NodeID(0)
+	for k, p := range primes {
+		name := string(rune('a' + k))
+		tb.Child(cur, rat.New(p-1, p), gs(name+"0", "a"))
+		cur = tb.Child(cur, rat.New(1, p), gs(name+"1", "a"))
+	}
+	tree := tb.MustBuild()
+	if _, _, ok := tree.RunWeights(); ok {
+		t.Fatal("RunWeights reported integer weights over a >62-bit denominator")
+	}
+	last := tree.NumRuns() - 1
+	want := rat.One
+	for _, p := range primes {
+		want = want.Mul(rat.New(1, p))
+	}
+	rs := NewRunSet(tree.NumRuns())
+	rs.Add(last)
+	if got := tree.Prob(rs); !got.Equal(want) {
+		t.Errorf("Prob(last run) = %s, want %s", got, want)
+	}
+	if !tree.Prob(tree.AllRuns()).IsOne() {
+		t.Error("run probabilities do not sum to 1 without integer weights")
+	}
 }
 
 func TestRunsThroughNode(t *testing.T) {

@@ -46,6 +46,16 @@ KPA_SCALE_TIER=100k KPA_SCALE_WORKERS=2 go test -run '^$' -bench 'Scale' -bencht
 # byte-identical warm answers must hold before a release, independent of
 # whatever subset the full -race run happened to exercise above.
 go test -race -count=1 -run 'Snapshot|Restore|WarmRestart' ./internal/snapshot ./internal/service ./cmd/kpad
+# Smoke the end-to-end oracle: kpabench drives a real kpad over a
+# 16384-point system with unequal run weights and checks every verdict
+# against its own independent model checker. Two short runs, one per
+# workload; the build and its output stay in the git-ignored .bench_build/.
+for workload in hit miss; do
+	result="$(bash kpabench/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+	echo "$result"
+	echo "$result" | grep -q '"correct":true'
+	echo "$result" | grep -q '"failed":0[,}]'
+done
 # Smoke the warm-restart load benchmark: one tiny cold/warm cycle against
 # a real kpad (floor off — the 5x gate only means something on the scale
 # tiers; `make loadtest` runs the real thing).
