@@ -1,6 +1,6 @@
 # Development entry points; CI should run `make verify`.
 
-.PHONY: build test lint verify bench scale-bench chaos search-bench loadtest
+.PHONY: build test lint verify fuzz bench scale-bench chaos search-bench loadtest
 
 build:
 	go build ./...
@@ -23,6 +23,14 @@ lint:
 # query service's pooling contract).
 verify:
 	./scripts/verify.sh
+
+# Coverage-guided fuzzing of the trust boundaries that have targets: the
+# formula parser and the upload decoder behind /v1/systems, 30 s each.
+# Plain `go test` replays their seed corpora; a crasher found here goes
+# under the package's testdata/fuzz/<Target>/ once fixed.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/logic
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/encode
 
 # The fault-injection chaos suite under the race detector: seeded faults
 # (latency, errors, panics) against the serving stack, asserting the

@@ -18,8 +18,10 @@ import (
 // `go test -bench=Ablation` quantifies what the choice buys.
 
 // --- keyed space caching: one probability space per information cell ---
-// The post assignment carries a SampleKey; stripping it forces the
-// evaluator to rebuild (and re-measure) a space per point.
+// core.Post hands the evaluator its sample spaces as a partition, one
+// block per information cell cut at tree boundaries. The unkeyed copy has
+// neither that partition form nor a SampleKey, so the evaluator asks
+// ProbAssignment.Space at every point and builds a space per point.
 
 func unkeyedPost(sys *system.System) core.SampleAssignment {
 	return core.NewAssignment("post-unkeyed", func(i system.AgentID, c system.Point) system.PointSet {

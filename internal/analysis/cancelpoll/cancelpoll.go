@@ -13,9 +13,9 @@
 // call to a function that itself polls, discovered by a fixpoint over
 // the package call graph (synchronous edges only; a go'd call polls on
 // the wrong goroutine) and carried across packages as PollsCancel facts
-// (parStop.stop in internal/logic polls; system.KnowExtension, which
-// calls its stop parameter, polls; so the helpers between a loop and
-// the hook are transparent).
+// (parStop.stop in internal/logic polls; system.Partition's
+// KnowExtension and Spread, which call their stop parameter, poll; so
+// the helpers between a loop and the hook are transparent).
 //
 // Two loop shapes are checked, and only inside functions that hold a
 // cancel capability — a hook-typed parameter or local, or a receiver

@@ -55,11 +55,13 @@ type KeyedAssignment interface {
 }
 
 // funcAssignment adapts a function into a SampleAssignment with an optional
-// sample key.
+// sample key and an optional partition form over the system sys.
 type funcAssignment struct {
-	name string
-	fn   func(system.AgentID, system.Point) system.PointSet
-	key  func(system.AgentID, system.Point) (string, bool)
+	name   string
+	fn     func(system.AgentID, system.Point) system.PointSet
+	key    func(system.AgentID, system.Point) (string, bool)
+	sys    *system.System
+	blocks func(x *system.Index, i system.AgentID, workers int) *system.Partition
 }
 
 var _ KeyedAssignment = funcAssignment{}
@@ -77,6 +79,13 @@ func (a funcAssignment) SampleKey(i system.AgentID, c system.Point) (string, boo
 	return a.key(i, c)
 }
 
+func (a funcAssignment) Blocks(x *system.Index, i system.AgentID, workers int) *system.Partition {
+	if a.blocks == nil || x.System() != a.sys {
+		return nil
+	}
+	return a.blocks(x, i, workers)
+}
+
 // NewAssignment wraps a function as a SampleAssignment.
 func NewAssignment(name string, fn func(system.AgentID, system.Point) system.PointSet) SampleAssignment {
 	return funcAssignment{name: name, fn: fn}
@@ -92,62 +101,121 @@ func NewKeyedAssignment(
 	return funcAssignment{name: name, fn: fn, key: key}
 }
 
+// PartitionAssignment is an optional extension of SampleAssignment whose
+// sample spaces are the blocks of one partition per agent: S_ic is exactly
+// c's block. The dense engine asks for it first and reads S_ic off the
+// block's member list, with no PointSet, Space or key string.
+type PartitionAssignment interface {
+	SampleAssignment
+	// Blocks returns agent i's partition of x's points, or nil when there
+	// is none or x does not index the system the assignment is bound to.
+	Blocks(x *system.Index, i system.AgentID, workers int) *system.Partition
+}
+
+// blockKey names a canonical assignment's block by its tree and up to two
+// cells, a node or a time: no strings to hash.
+type blockKey struct {
+	tree *system.Tree
+	a, b int32
+}
+
 // Post returns S^post for the system: S_ic = Tree_ic, the points of c's tree
 // the agent considers possible. This is the assignment of [FZ88a] in the
 // synchronous case; it corresponds to betting against an opponent with
 // exactly your own knowledge, and to a decision theorist's posterior.
+// Blocks: (tree, cell_i).
 func Post(sys *system.System) SampleAssignment {
-	return NewKeyedAssignment("post",
-		func(i system.AgentID, c system.Point) system.PointSet {
+	return funcAssignment{
+		name: "post",
+		fn: func(i system.AgentID, c system.Point) system.PointSet {
 			return sys.KInTree(i, c)
 		},
-		func(i system.AgentID, c system.Point) (string, bool) {
+		key: func(i system.AgentID, c system.Point) (string, bool) {
 			// Tree_ic is determined by c's tree and i's local state.
 			return c.Tree.Adversary + "\x00" + string(c.Local(i)), true
-		})
+		},
+		sys: sys,
+		blocks: func(x *system.Index, i system.AgentID, workers int) *system.Partition {
+			cells := x.Cells(i, workers)
+			if len(sys.Trees()) == 1 {
+				return cells // nothing to cut
+			}
+			return system.PartitionBy(x, workers, func(id int) blockKey {
+				return blockKey{tree: x.PointAt(id).Tree, a: int32(cells.BlockOf(id))}
+			})
+		},
+	}
 }
 
 // Opponent returns S^j for the system: S_ic = Tree_ic ∩ Tree_jc, the joint
 // knowledge of p_i and its betting opponent p_j. Note S^i = S^post.
+// Blocks: (tree, cell_i, cell_j).
 func Opponent(sys *system.System, j system.AgentID) SampleAssignment {
-	return NewKeyedAssignment("opp(p"+strconv.Itoa(int(j)+1)+")",
-		func(i system.AgentID, c system.Point) system.PointSet {
+	return funcAssignment{
+		name: "opp(p" + strconv.Itoa(int(j)+1) + ")",
+		fn: func(i system.AgentID, c system.Point) system.PointSet {
 			return sys.KInTree(i, c).Intersect(sys.KInTree(j, c))
 		},
-		func(i system.AgentID, c system.Point) (string, bool) {
+		key: func(i system.AgentID, c system.Point) (string, bool) {
 			return c.Tree.Adversary + "\x00" + string(c.Local(i)) + "\x00" + string(c.Local(j)), true
-		})
+		},
+		sys: sys,
+		blocks: func(x *system.Index, i system.AgentID, workers int) *system.Partition {
+			ci, cj := x.Cells(i, workers), x.Cells(j, workers)
+			return system.PartitionBy(x, workers, func(id int) blockKey {
+				return blockKey{x.PointAt(id).Tree, int32(ci.BlockOf(id)), int32(cj.BlockOf(id))}
+			})
+		},
+	}
 }
 
 // Future returns S^fut for the system: S_ic = Pref_ic, all points with the
 // same global state as c — the assignment of [HMT88] and [LS82],
 // corresponding to an opponent with complete knowledge of the past. Events
 // decided before c have probability 0 or 1; future events keep nontrivial
-// probabilities.
+// probabilities. Blocks: (tree, node).
 func Future(sys *system.System) SampleAssignment {
-	return NewKeyedAssignment("fut",
-		func(_ system.AgentID, c system.Point) system.PointSet {
+	return funcAssignment{
+		name: "fut",
+		fn: func(_ system.AgentID, c system.Point) system.PointSet {
 			node := c.Tree.Run(c.Run)[c.Time]
 			return system.NewPointSet(sys.PointsOnNode(c.Tree, node)...)
 		},
-		func(_ system.AgentID, c system.Point) (string, bool) {
+		key: func(_ system.AgentID, c system.Point) (string, bool) {
 			// Pref_ic is determined by the node (global state).
 			return c.Tree.Adversary + "\x00#" + strconv.Itoa(int(c.Tree.Run(c.Run)[c.Time])), true
-		})
+		},
+		sys: sys,
+		blocks: func(x *system.Index, _ system.AgentID, workers int) *system.Partition {
+			return system.PartitionBy(x, workers, func(id int) blockKey {
+				p := x.PointAt(id)
+				return blockKey{tree: p.Tree, a: int32(p.Tree.Run(p.Run)[p.Time])}
+			})
+		},
+	}
 }
 
 // Prior returns S^prior for the system: S_ic = All_ic, every point of c's
 // tree at c's time. The induced space simulates the a-priori probability on
 // the runs; the assignment is inconsistent (S_ic ⊄ K_i(c) in general) —
-// using it, an agent ignores everything it has learned.
+// using it, an agent ignores everything it has learned. Blocks: (tree, time).
 func Prior(sys *system.System) SampleAssignment {
-	return NewKeyedAssignment("prior",
-		func(_ system.AgentID, c system.Point) system.PointSet {
+	return funcAssignment{
+		name: "prior",
+		fn: func(_ system.AgentID, c system.Point) system.PointSet {
 			return system.NewPointSet(sys.PointsAtTime(c.Tree, c.Time)...)
 		},
-		func(_ system.AgentID, c system.Point) (string, bool) {
+		key: func(_ system.AgentID, c system.Point) (string, bool) {
 			return c.Tree.Adversary + "\x00@" + strconv.Itoa(c.Time), true
-		})
+		},
+		sys: sys,
+		blocks: func(x *system.Index, _ system.AgentID, workers int) *system.Partition {
+			return system.PartitionBy(x, workers, func(id int) blockKey {
+				p := x.PointAt(id)
+				return blockKey{tree: p.Tree, a: int32(p.Time)}
+			})
+		},
+	}
 }
 
 // --- assignment properties (Section 6) ---

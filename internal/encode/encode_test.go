@@ -62,30 +62,32 @@ func TestDecodeCoin(t *testing.T) {
 	}
 }
 
+// decodeErrorDocs are documents Decode must reject.
+var decodeErrorDocs = []struct {
+	name string
+	doc  string
+}{
+	{"not json", `{`},
+	{"unknown field", `{"agents": 1, "bogus": 1, "trees": []}`},
+	{"no trees", `{"agents": 1, "trees": []}`},
+	{"no adversary", `{"agents": 1, "trees": [{"root": {"env":"e","locals":["a"]}}]}`},
+	{"bad probability", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+	   "children":[{"prob":"x","node":{"env":"f","locals":["a"]}}]}}]}`},
+	{"probs not 1", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+	   "children":[{"prob":"1/3","node":{"env":"f","locals":["b"]}}]}}]}`},
+	{"arity mismatch", `{"agents": 2, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`},
+	{"two matchers", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+	   "props": {"p": {"envEquals":"e","envContains":"e"}}}`},
+	{"no matcher", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+	   "props": {"p": {}}}`},
+	{"bad prop agent", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+	   "props": {"p": {"local":{"agent":5,"equals":"x"}}}}`},
+	{"local needs matcher", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+	   "props": {"p": {"local":{"agent":1}}}}`},
+}
+
 func TestDecodeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-	}{
-		{"not json", `{`},
-		{"unknown field", `{"agents": 1, "bogus": 1, "trees": []}`},
-		{"no trees", `{"agents": 1, "trees": []}`},
-		{"no adversary", `{"agents": 1, "trees": [{"root": {"env":"e","locals":["a"]}}]}`},
-		{"bad probability", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-		   "children":[{"prob":"x","node":{"env":"f","locals":["a"]}}]}}]}`},
-		{"probs not 1", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-		   "children":[{"prob":"1/3","node":{"env":"f","locals":["b"]}}]}}]}`},
-		{"arity mismatch", `{"agents": 2, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`},
-		{"two matchers", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-		   "props": {"p": {"envEquals":"e","envContains":"e"}}}`},
-		{"no matcher", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-		   "props": {"p": {}}}`},
-		{"bad prop agent", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-		   "props": {"p": {"local":{"agent":5,"equals":"x"}}}}`},
-		{"local needs matcher", `{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-		   "props": {"p": {"local":{"agent":1}}}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeErrorDocs {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, _, err := Decode([]byte(tc.doc)); err == nil {
 				t.Errorf("Decode accepted %s", tc.name)
@@ -94,18 +96,20 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// propMatcherDoc defines one proposition per matcher kind.
+const propMatcherDoc = `{
+  "agents": 1,
+  "trees": [{"adversary":"t","root":{"env":"start-x","locals":["a"],
+    "children":[{"prob":"1","node":{"env":"end-y","locals":["b"]}}]}}],
+  "props": {
+    "contains": {"envContains": "nd-"},
+    "suffix": {"envHasSuffix": "-y"},
+    "localContains": {"local": {"agent": 1, "contains": "b"}}
+  }
+}`
+
 func TestPropMatchers(t *testing.T) {
-	doc := `{
-	  "agents": 1,
-	  "trees": [{"adversary":"t","root":{"env":"start-x","locals":["a"],
-	    "children":[{"prob":"1","node":{"env":"end-y","locals":["b"]}}]}}],
-	  "props": {
-	    "contains": {"envContains": "nd-"},
-	    "suffix": {"envHasSuffix": "-y"},
-	    "localContains": {"local": {"agent": 1, "contains": "b"}}
-	  }
-	}`
-	sys, props, err := Decode([]byte(doc))
+	sys, props, err := Decode([]byte(propMatcherDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,58 +215,7 @@ func TestMarshalIsStable(t *testing.T) {
 // modes a kpad client is most likely to hit, so the HTTP surface stays
 // debuggable: the substring must name what is wrong, not just fail.
 func TestDecodeErrorMessages(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{
-			"malformed probability",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-			  "children":[{"prob":"one half","node":{"env":"f","locals":["a"]}}]}}]}`,
-			`bad probability "one half"`,
-		},
-		{
-			"children sum below 1",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-			  "children":[{"prob":"1/3","node":{"env":"f","locals":["a"]}}]}}]}`,
-			"sum",
-		},
-		{
-			"children sum above 1",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-			  "children":[{"prob":"2/3","node":{"env":"f","locals":["a"]}},
-			              {"prob":"2/3","node":{"env":"g","locals":["a"]}}]}}]}`,
-			"sum",
-		},
-		{
-			"negative probability",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
-			  "children":[{"prob":"-1/2","node":{"env":"f","locals":["a"]}},
-			              {"prob":"3/2","node":{"env":"g","locals":["a"]}}]}}]}`,
-			"probability",
-		},
-		{
-			"unknown prop matcher",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-			  "props": {"p": {"envMatches": "e"}}}`,
-			"unknown field",
-		},
-		{
-			"negate without matcher",
-			`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
-			  "props": {"p": {"negate": true}}}`,
-			"exactly one matcher",
-		},
-		{
-			"duplicate adversary",
-			`{"agents": 1, "trees": [
-			  {"adversary":"t","root":{"env":"e1","locals":["a"]}},
-			  {"adversary":"t","root":{"env":"e2","locals":["a"]}}]}`,
-			"t",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeErrorMessageDocs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := Decode([]byte(tc.doc))
 			if err == nil {
@@ -273,4 +226,58 @@ func TestDecodeErrorMessages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// decodeErrorMessageDocs pairs documents Decode must reject with a
+// substring its error must contain.
+var decodeErrorMessageDocs = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{
+		"malformed probability",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"one half","node":{"env":"f","locals":["a"]}}]}}]}`,
+		`bad probability "one half"`,
+	},
+	{
+		"children sum below 1",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"1/3","node":{"env":"f","locals":["a"]}}]}}]}`,
+		"sum",
+	},
+	{
+		"children sum above 1",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"2/3","node":{"env":"f","locals":["a"]}},
+		              {"prob":"2/3","node":{"env":"g","locals":["a"]}}]}}]}`,
+		"sum",
+	},
+	{
+		"negative probability",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"-1/2","node":{"env":"f","locals":["a"]}},
+		              {"prob":"3/2","node":{"env":"g","locals":["a"]}}]}}]}`,
+		"probability",
+	},
+	{
+		"unknown prop matcher",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+		  "props": {"p": {"envMatches": "e"}}}`,
+		"unknown field",
+	},
+	{
+		"negate without matcher",
+		`{"agents": 1, "trees": [{"adversary":"t","root":{"env":"e","locals":["a"]}}],
+		  "props": {"p": {"negate": true}}}`,
+		"exactly one matcher",
+	},
+	{
+		"duplicate adversary",
+		`{"agents": 1, "trees": [
+		  {"adversary":"t","root":{"env":"e1","locals":["a"]}},
+		  {"adversary":"t","root":{"env":"e2","locals":["a"]}}]}`,
+		"t",
+	},
 }

@@ -52,10 +52,10 @@ func TestScaleSystemShape(t *testing.T) {
 	// later time step.
 	idx := sys.Index()
 	for i := 0; i < cfg.NumAgents; i++ {
-		cells := idx.Cells(system.AgentID(i))
+		cells := idx.Cells(system.AgentID(i), 1)
 		want := 1 + (cfg.RunLen-1)*cfg.Buckets
-		if cells.NumCells() != want {
-			t.Fatalf("agent %d has %d cells, want %d", i, cells.NumCells(), want)
+		if cells.NumBlocks() != want {
+			t.Fatalf("agent %d has %d cells, want %d", i, cells.NumBlocks(), want)
 		}
 	}
 	// Agents observe different buckets: agent 0 distinguishes runs 0 and 1

@@ -148,7 +148,7 @@ func BenchmarkScaleIndexBuild(b *testing.B) {
 		}
 		idx := sys.BuildIndex(scaleFix.workers)
 		for _, a := range scaleFix.group {
-			idx.CellsPar(a, scaleFix.workers)
+			idx.Cells(a, scaleFix.workers)
 		}
 	}
 	b.StopTimer()
@@ -156,13 +156,20 @@ func BenchmarkScaleIndexBuild(b *testing.B) {
 }
 
 // BenchmarkScaleSpaceBuild measures the other one-time cost of a session
-// that asks Pr queries: every agent's probability-space table — the spaces
-// themselves plus the integer kernel's run table — built by a fresh
-// evaluator and assignment per iteration over the shared, already indexed
-// system.
+// that asks Pr queries: every agent's probability-space table — the
+// assignment's partition plus the probability kernels' run table — built
+// by a fresh evaluator and assignment per iteration over the shared,
+// already indexed system. Every agent's cells are built before the timer
+// starts: they are BenchmarkScaleIndexBuild's one-time cost, which the
+// post partition reads, and would otherwise be charged to the first
+// iteration.
 func BenchmarkScaleSpaceBuild(b *testing.B) {
 	scaleSetup(b)
 	scaleEvaluator(b)
+	idx := scaleFix.sys.Index()
+	for _, a := range scaleFix.group {
+		idx.Cells(a, scaleFix.workers)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -179,10 +186,16 @@ func BenchmarkScaleSpaceBuild(b *testing.B) {
 	reportPeakRSS(b)
 }
 
-// BenchmarkScaleKnowledge is one K_i sweep: cell partition subset checks
-// plus the sharded point fill.
+// BenchmarkScaleKnowledge is one K_i sweep: a member walk per information
+// cell plus the sharded point fill.
 func BenchmarkScaleKnowledge(b *testing.B) {
 	scaleBenchFormula(b, K(0, Prop("p")))
+}
+
+// BenchmarkScaleKnowledgeAllPass is the K_i sweep's worst case: every cell
+// passes, so every member of every cell is walked.
+func BenchmarkScaleKnowledgeAllPass(b *testing.B) {
+	scaleBenchFormula(b, K(0, True))
 }
 
 // BenchmarkScaleCommon is the C_G fixpoint, the headline sharded loop.

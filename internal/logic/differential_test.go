@@ -81,8 +81,9 @@ func randomFormula(rng *rand.Rand, depth, nprops, nagents int) Formula {
 // must agree point-for-point with the retained naive ReferenceEvaluator.
 // Half the configurations are asynchronous, so agents without a clock have
 // multi-point run fibers where inner and outer measure differ, and every
-// system is checked under all four canonical assignments (post, fut,
-// prior, opp) — 60 systems × 4 assignments × 5 formulas.
+// system is checked under the four canonical assignments (post, fut,
+// prior, opp) and two that take the engine's per-point path (see
+// sampleAssignments) — 60 systems × 6 assignments × 5 formulas.
 func TestDifferentialDenseVsReference(t *testing.T) {
 	const (
 		numSystems     = 60

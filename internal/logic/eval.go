@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"kpa/internal/core"
 	"kpa/internal/measure"
@@ -32,9 +31,9 @@ var (
 //
 // Internally the evaluator runs on the system's dense point index
 // (system.Index): subformula extensions are DenseSet bitsets combined by
-// word-wise arithmetic, K_i uses the index's cached information-cell
-// partition ("cell ⊆ extension" is one AND-NOT sweep per cell), and Pr_i
-// resolves each point's probability space once into a per-agent table that
+// word-wise arithmetic, K_i walks the members of each information cell in
+// the index's cached cell partition, and Pr_i resolves the assignment's
+// sample spaces once into a per-agent partition and run table that
 // every later probability query — in particular every iteration of the
 // E_G^α/C_G^α fixpoints — reuses. The exported API still speaks PointSet;
 // conversion happens only at this boundary and is memoized.
@@ -86,25 +85,21 @@ type Evaluator struct {
 	metrics *EngineMetrics
 }
 
-// spaceIndex is one agent's probability-space table in dense form: spaces
-// holds the distinct *measure.Space values in order of first occurrence by
-// dense point ID, and byID maps each dense ID to its space's position in
-// spaces. Keyed assignments share one space across each information cell, so
-// len(spaces) is the number of cells — tiny next to the point count — and
-// per-space work (probability verdicts) parallelizes over spaces while
-// per-point work (verdict fan-out) parallelizes over 64-aligned ID ranges.
+// spaceIndex is one agent's probability-space table in dense form. Block s
+// of part holds the points whose space is s, so per-space work (verdicts)
+// parallelizes over spaces and per-point work (Partition.Spread) over
+// 64-aligned ID ranges.
 //
-// The rest is the integer kernel's table in compressed-row form. Space s
-// owns the local runs runOff[s] ≤ k < runOff[s+1], one per run of R(S_ic);
-// local run k has the integer weight weight[k] (system.Tree.RunWeights)
-// and the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense IDs of the
-// sample points on it. base[s] is the weight of all of R(S_ic), so space
-// s assigns a set of runs of weight w the conditional probability
-// w/base[s]. base[s] == 0 marks a space whose tree has no integer
-// weights; its verdicts take the exact-rational path.
+// The rest is the probability kernels' table in compressed-row form.
+// Space s owns the rows runOff[s] ≤ k < runOff[s+1], one per run of
+// R(S_ic): row k is the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense IDs
+// of the sample points on its run, and weight[k] is that run's integer
+// weight (system.Tree.RunWeights). base[s] is the weight of all of
+// R(S_ic), so space s assigns a set of runs of weight w the conditional
+// probability w/base[s]. base[s] == 0 marks a space whose tree has no
+// integer weights, or that has no rows; its verdicts take the exact path.
 type spaceIndex struct {
-	spaces []*measure.Space
-	byID   []int32
+	part *system.Partition
 
 	runOff []int
 	weight []uint64
@@ -222,7 +217,7 @@ func (e *Evaluator) CounterExamples(f Formula) ([]system.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ext.Complement().PointSet().Sorted(), nil
+	return ext.Complement(1).PointSet().Sorted(), nil
 }
 
 // Fact converts a formula to a system.Fact (its extension as a predicate).
@@ -552,36 +547,33 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 
 // intersectPar, unionPar, complementPar run one set-algebra combine on the
 // evaluator's budget: a region is opened for the duration of the sweep, and
-// the *Par variants themselves fall back to serial below parMinWords, so
-// small systems take the exact pre-parallel path.
+// the DenseSet operations themselves stay serial below their word
+// threshold, so small systems take the exact pre-parallel path.
 func (e *Evaluator) intersectPar(a, b *system.DenseSet) *system.DenseSet {
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
-	return a.IntersectPar(b, workers)
+	return a.Intersect(b, workers)
 }
 
 func (e *Evaluator) unionPar(a, b *system.DenseSet) *system.DenseSet {
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
-	return a.UnionPar(b, workers)
+	return a.Union(b, workers)
 }
 
 func (e *Evaluator) complementPar(a *system.DenseSet) *system.DenseSet {
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
-	return a.ComplementPar(workers)
+	return a.Complement(workers)
 }
 
-// knowExtension computes {c : K_i(c) ⊆ ext} through the index's cell-
-// partition kernel: one word-wise subset test per information cell, then
-// one sweep over the dense IDs writing the bits of passing cells. Both
-// phases shard across the evaluator's workers (system.CellPartition.
-// KnowExtension); the partition itself is cached on the system's index and
-// its first construction shards too.
+// knowExtension computes {c : K_i(c) ⊆ ext} with the member-walk kernel
+// over the index's cached cell partition (system.Partition.KnowExtension),
+// sharded across the evaluator's workers.
 func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
-	cells := e.idx.CellsPar(i, workers)
+	cells := e.idx.Cells(i, workers)
 	ps, stop := e.stopFn()
 	out := cells.KnowExtension(ext, workers, stop)
 	if err := ps.Err(); err != nil {
@@ -591,166 +583,130 @@ func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*syst
 }
 
 // spaceIndexFor returns (building on first use) agent i's dense space
-// table. The keyed path shards like CellsPar: each worker numbers the
-// distinct sample keys of its 64-aligned ID range privately (phase 1), the
-// shard numberings are merged in shard order — reproducing the serial
-// first-occurrence order — and one space is constructed per distinct key
-// (phase 2, serial: ProbAssignment.Space mutates its caches), and the
-// shard-local numbers are remapped in place (phase 3). Non-keyed
-// assignments fall back to one serial Space call per point.
+// table. A core.PartitionAssignment's blocks are the sample spaces
+// themselves; any other assignment takes perPointSpaces.
 func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	if sx, ok := e.spaceIdx[i]; ok {
 		return sx, nil
 	}
-	n := e.idx.NumPoints()
-	sx := &spaceIndex{byID: make([]int32, n)}
-	keyed, _ := e.prob.SampleAssignment().(core.KeyedAssignment)
-	built := false
-	if keyed != nil {
-		// One region spans all three phases: phase 3 reuses phase 1's
-		// worker count, so ParRange reproduces the shard boundaries and
-		// each ID's shard-local number is remapped through its own
-		// shard's table.
-		workers, release := e.parWorkers(n)
-		defer release()
-		ps, stop := e.stopFn()
-		type shardKeys struct {
-			byKey map[string]int32
-			keys  []string
-			rep   []int // representative dense ID per local key
-		}
-		var (
-			perShard []shardKeys
-			mu       sync.Mutex
-			unkeyed  bool
-		)
-		system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-			sk := shardKeys{byKey: make(map[string]int32)}
-			for id := lo; id < hi; id++ {
-				if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-					return
-				}
-				key, ok := keyed.SampleKey(i, e.idx.PointAt(id))
-				if !ok {
-					mu.Lock()
-					unkeyed = true
-					mu.Unlock()
-					return
-				}
-				k, seen := sk.byKey[key]
-				if !seen {
-					k = int32(len(sk.keys))
-					sk.byKey[key] = k
-					sk.keys = append(sk.keys, key)
-					sk.rep = append(sk.rep, id)
-				}
-				sx.byID[id] = k // shard-local numbering, remapped below
-			}
-			mu.Lock()
-			for len(perShard) <= shard {
-				perShard = append(perShard, shardKeys{})
-			}
-			perShard[shard] = sk
-			mu.Unlock()
-		})
-		if err := ps.Err(); err != nil {
-			return nil, err
-		}
-		if !unkeyed {
-			global := make(map[string]int32)
-			remap := make([][]int32, len(perShard))
-			for s, sk := range perShard {
-				remap[s] = make([]int32, len(sk.keys))
-				for k, key := range sk.keys {
-					g, ok := global[key]
-					if !ok {
-						g = int32(len(sx.spaces))
-						global[key] = g
-						sp, err := e.prob.Space(i, e.idx.PointAt(sk.rep[k]))
-						if err != nil {
-							return nil, fmt.Errorf("Pr%d at %v: %w", i+1, e.idx.PointAt(sk.rep[k]), err)
-						}
-						sx.spaces = append(sx.spaces, sp)
-					}
-					remap[s][k] = g
-				}
-			}
-			system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-				tab := remap[shard]
-				for id := lo; id < hi; id++ {
-					if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-						return
-					}
-					sx.byID[id] = tab[sx.byID[id]]
-				}
-			})
-			if err := ps.Err(); err != nil {
-				return nil, err
-			}
-			built = true
-		}
+	sx := &spaceIndex{}
+	if pa, ok := e.prob.SampleAssignment().(core.PartitionAssignment); ok {
+		workers, release := e.parWorkers(e.idx.NumPoints())
+		sx.part = pa.Blocks(e.idx, i, workers)
+		release()
 	}
-	if !built {
-		pos := make(map[*measure.Space]int32)
-		for id := 0; id < n; id++ {
-			if id&(cancelStride-1) == 0 && id > 0 {
-				if err := e.checkCancel(); err != nil {
-					return nil, err
-				}
-			}
-			c := e.idx.PointAt(id)
-			sp, err := e.prob.Space(i, c)
-			if err != nil {
-				return nil, fmt.Errorf("Pr%d at %v: %w", i+1, c, err)
-			}
-			k, ok := pos[sp]
-			if !ok {
-				k = int32(len(sx.spaces))
-				pos[sp] = k
-				sx.spaces = append(sx.spaces, sp)
-			}
-			sx.byID[id] = k
-		}
+	var err error
+	if sx.part != nil {
+		err = e.addRows(sx, sx.part.Members)
+	} else {
+		err = e.perPointSpaces(sx, i)
 	}
-	if err := e.buildRunTable(sx); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	e.spaceIdx[i] = sx
 	return sx, nil
 }
 
-// buildRunTable fills the integer kernel's compressed-row table of sx from
-// its spaces, in space order. A space whose tree has no integer run
-// weights gets no rows and base 0, and so does one whose tree is not in
-// the indexed system (a sample-space assignment that breaks REQ1): the
-// exact path's membership test treats such points as outside every
-// extension.
-func (e *Evaluator) buildRunTable(sx *spaceIndex) error {
-	sx.runOff = make([]int, 1, len(sx.spaces)+1)
-	sx.base = make([]uint64, len(sx.spaces))
-	sx.fibOff = []int{0}
-	for s, sp := range sx.spaces {
+// perPointSpaces fills sx from one serial ProbAssignment.Space call per
+// point, grouping the points by the space object they get, and each
+// block's rows from its space's fibers. A space whose tree is not in the
+// index (a sample that breaks REQ1) gets no rows, so it measures 0.
+func (e *Evaluator) perPointSpaces(sx *spaceIndex, i system.AgentID) error {
+	spaceOf := make([]*measure.Space, e.idx.NumPoints())
+	for id := range spaceOf {
+		if id&(cancelStride-1) == 0 && id > 0 {
+			if err := e.checkCancel(); err != nil {
+				return err
+			}
+		}
+		c := e.idx.PointAt(id)
+		sp, err := e.prob.Space(i, c)
+		if err != nil {
+			return fmt.Errorf("Pr%d at %v: %w", i+1, c, err)
+		}
+		spaceOf[id] = sp
+	}
+	sx.part = system.PartitionBy(e.idx, 1, func(id int) *measure.Space { return spaceOf[id] })
+	var sample []int32
+	return e.addRows(sx, func(s int) []int32 {
+		sample = sample[:0]
+		spaceOf[sx.part.Members(s)[0]].EachFiber(func(_ int, fiber []system.Point) {
+			for _, p := range fiber {
+				if id, ok := e.idx.ID(p); ok {
+					sample = append(sample, int32(id))
+				}
+			}
+		})
+		return sample
+	})
+}
+
+// addRows is the one row builder: it fills sx's compressed-row table from
+// sample(s), space s's sample as increasing dense IDs, split at run
+// boundaries into one row per fiber. Rows of a tree without integer
+// weights weigh 0. A first pass sizes the table, so filling never regrows.
+func (e *Evaluator) addRows(sx *spaceIndex, sample func(s int) []int32) error {
+	numSpaces := sx.part.NumBlocks()
+	numIDs, numRows := 0, 0
+	for s := 0; s < numSpaces; s++ {
+		ids := sample(s)
+		numIDs += len(ids)
+		for lo := 0; lo < len(ids); lo = e.runEnd(ids, lo) {
+			numRows++
+		}
+	}
+	sx.runOff = make([]int, 1, numSpaces+1)
+	sx.base = make([]uint64, numSpaces)
+	sx.fibOff = make([]int, 1, numRows+1)
+	sx.fibIDs = make([]int32, 0, numIDs)
+	sx.weight = make([]uint64, 0, numRows)
+	for s := 0; s < numSpaces; s++ {
 		if s&15 == 0 {
 			if err := e.checkCancel(); err != nil {
 				return err
 			}
 		}
-		w, _, weighted := sp.Tree().RunWeights()
-		_, indexed := e.idx.ID(system.Point{Tree: sp.Tree()})
-		if weighted && indexed {
-			sp.EachFiber(func(r int, fiber []system.Point) {
-				for _, p := range fiber {
-					id, _ := e.idx.ID(p) // every point of an indexed tree has an ID
-					sx.fibIDs = append(sx.fibIDs, int32(id))
-				}
-				sx.fibOff = append(sx.fibOff, len(sx.fibIDs))
-				sx.weight = append(sx.weight, w[r])
-				sx.base[s] += w[r]
-			})
+		ids := sample(s)
+		for lo := 0; lo < len(ids); {
+			hi := e.runEnd(ids, lo)
+			var w uint64
+			p := e.idx.PointAt(int(ids[lo]))
+			if weights, _, ok := p.Tree.RunWeights(); ok {
+				w = weights[p.Run]
+			}
+			sx.fibIDs = append(sx.fibIDs, ids[lo:hi]...)
+			sx.fibOff = append(sx.fibOff, len(sx.fibIDs))
+			sx.weight = append(sx.weight, w)
+			sx.base[s] += w
+			lo = hi
 		}
 		sx.runOff = append(sx.runOff, len(sx.weight))
 	}
 	return nil
+}
+
+// runEnd returns the end of the fiber starting at ids[lo]: runs are
+// contiguous ID ranges.
+func (e *Evaluator) runEnd(ids []int32, lo int) int {
+	p := e.idx.PointAt(int(ids[lo]))
+	end := int(ids[lo]) - p.Time + p.Tree.RunLen(p.Run) // one past the run's last ID
+	hi := lo + 1
+	for hi < len(ids) && int(ids[hi]) < end {
+		hi++
+	}
+	return hi
+}
+
+// rowCounts reports whether row k's run counts toward the inner measure of
+// ext (geq: its fiber lies inside ext) or the outer one (!geq: it meets ext).
+func (sx *spaceIndex) rowCounts(k int, ext *system.DenseSet, geq bool) bool {
+	for _, id := range sx.fibIDs[sx.fibOff[k]:sx.fibOff[k+1]] {
+		if ext.Contains(int(id)) != geq {
+			return !geq
+		}
+	}
+	return geq
 }
 
 // intVerdict decides space s's verdict on the integer kernel: Pr ≥ num/den
@@ -761,15 +717,7 @@ func (e *Evaluator) buildRunTable(sx *spaceIndex) error {
 func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, geq bool) bool {
 	var w uint64
 	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
-		fiber := sx.fibIDs[sx.fibOff[k]:sx.fibOff[k+1]]
-		counts := geq // inner: every point in ext; outer: some point
-		for _, id := range fiber {
-			if ext.Contains(int(id)) != geq {
-				counts = !geq
-				break
-			}
-		}
-		if counts {
+		if sx.rowCounts(k, ext, geq) {
 			w += sx.weight[k]
 		}
 	}
@@ -782,16 +730,36 @@ func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, g
 	return greater == geq
 }
 
+// exactVerdict is intVerdict in exact rationals, summing Tree.RunProb over
+// the same rows. A space with no rows measures every set as 0.
+func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet, bound rat.Rat, geq bool) bool {
+	w, base := rat.Zero, rat.Zero
+	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
+		p := x.PointAt(int(sx.fibIDs[sx.fibOff[k]]))
+		pr := p.Tree.RunProb(p.Run)
+		base = base.Add(pr)
+		if sx.rowCounts(k, ext, geq) {
+			w = w.Add(pr)
+		}
+	}
+	if !base.IsZero() {
+		w = w.Div(base)
+	}
+	if geq {
+		return w.GreaterEq(bound)
+	}
+	return w.LessEq(bound)
+}
+
 // prExtension computes {c : inner measure of S_ic ∩ ext ≥ α} (geq) or
 // {c : outer measure ≤ α} (leq) in two sharded phases: one measure verdict
-// per distinct space (phase A, parallel over spaces — keyed assignments
-// have one space per information cell), then one sweep over the dense IDs
-// fanning each verdict out to the points sharing the space (phase B,
+// per space (phase A, parallel over spaces), then the space partition's
+// fan-out of the verdicts to the points (phase B, Partition.Spread,
 // parallel over 64-aligned ID ranges). Phase A decides a space on the
 // integer kernel (intVerdict) when its tree has integer run weights and
-// the bound fits uint64 parts, and on the exact-rational InnerFunc/
-// OuterFunc otherwise. Either way a verdict costs a walk over the space's
-// own fibers, so nothing is memoized across calls.
+// the bound fits uint64 parts, and on the exact-rational exactVerdict
+// otherwise. Either way a verdict costs a walk over the space's own rows,
+// so nothing is memoized across calls.
 func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
 	if e.prob == nil {
 		return nil, ErrNoProbability
@@ -801,39 +769,23 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 		return nil, err
 	}
 	num, den, intBound := bound.Frac64()
-	verdicts := make([]bool, len(sx.spaces))
+	verdicts := make([]bool, len(sx.base))
 	workers, release := e.parWorkers(e.idx.NumPoints())
 	defer release()
 	ps, stop := e.stopFn()
-	system.ParRange(len(sx.spaces), 1, workers, func(_, lo, hi int) {
+	system.ParRange(len(verdicts), 1, workers, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			if stop != nil && si&15 == 0 && stop() {
 				return
 			}
-			switch sp := sx.spaces[si]; {
-			case intBound && sx.base[si] != 0:
+			if intBound && sx.base[si] != 0 {
 				verdicts[si] = sx.intVerdict(si, ext, num, den, geq)
-			case geq:
-				verdicts[si] = sp.InnerFunc(ext.ContainsPoint).GreaterEq(bound)
-			default:
-				verdicts[si] = sp.OuterFunc(ext.ContainsPoint).LessEq(bound)
+			} else {
+				verdicts[si] = sx.exactVerdict(e.idx, si, ext, bound, geq)
 			}
 		}
 	})
-	if err := ps.Err(); err != nil {
-		return nil, err
-	}
-	out := e.idx.NewDense()
-	system.ParRange(len(sx.byID), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-				return
-			}
-			if verdicts[sx.byID[id]] {
-				out.Add(id)
-			}
-		}
-	})
+	out := sx.part.Spread(verdicts, workers, stop)
 	if err := ps.Err(); err != nil {
 		return nil, err
 	}

@@ -55,15 +55,23 @@ func primeTreeSystem(t *testing.T) *system.System {
 	return sys
 }
 
-// sampleAssignments returns the four canonical assignments the probability
-// tests sweep: post, fut, prior and the opponent assignment against the
-// last agent.
+// sampleAssignments returns the assignments the probability tests sweep:
+// the four canonical ones (post, fut, prior and the opponent assignment
+// against the last agent), which the engine reads as partitions, and two
+// that take its per-point path — a keyed copy of post, whose points share
+// spaces through the key cache, and a non-uniform unkeyed assignment,
+// S_ic = {d ∈ Tree_ic : d.Run ≥ c.Run}, whose spaces overlap.
 func sampleAssignments(sys *system.System) []core.SampleAssignment {
+	post := core.Post(sys)
 	return []core.SampleAssignment{
-		core.Post(sys),
+		post,
 		core.Future(sys),
 		core.Prior(sys),
 		core.Opponent(sys, system.AgentID(sys.NumAgents()-1)),
+		core.NewKeyedAssignment("post-keyed", post.Sample, post.(core.KeyedAssignment).SampleKey),
+		core.NewAssignment("post-tail", func(i system.AgentID, c system.Point) system.PointSet {
+			return sys.KInTree(i, c).Filter(func(d system.Point) bool { return d.Run >= c.Run })
+		}),
 	}
 }
 
@@ -178,7 +186,7 @@ func TestPrGeqAllocsConstant(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d spaces: %v allocs per PrGeq sweep", len(sx.spaces), n)
+		t.Logf("%d spaces: %v allocs per PrGeq sweep", len(sx.base), n)
 		counts = append(counts, n)
 	}
 	if counts[0] != counts[1] {

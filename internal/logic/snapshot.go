@@ -14,11 +14,11 @@ import (
 // right key across processes: formula nodes are hash-consed per
 // process, so re-parsing the canonical String() form on import yields
 // the node identity the memo is keyed by. The per-agent space tables
-// (spaces and the integer kernel's run table) and the cached
-// proposition extensions are deliberately not exported: they are a
-// function of the system, assignment and proposition table alone, hold
-// process-local pointers (measure spaces), and a restored evaluator
-// rebuilds them on first use.
+// (the space partition and the probability kernels' run table) and the
+// cached proposition extensions are deliberately not exported: they are
+// a function of the system, assignment and proposition table alone, and
+// a restored evaluator rebuilds them on first use — for the canonical
+// assignments straight from the restored cell partitions.
 
 // MemoExport is one memoized formula extension in durable form.
 type MemoExport struct {

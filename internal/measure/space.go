@@ -198,32 +198,32 @@ func (s *Space) Prob(set system.PointSet) (rat.Rat, error) {
 	if !s.IsMeasurable(set) {
 		return rat.Rat{}, fmt.Errorf("%w: %d points", ErrNotMeasurable, set.Len())
 	}
-	return s.OuterFunc(set.Contains), nil
+	return s.outerFunc(set.Contains), nil
 }
 
 // Inner returns the inner measure (μ_ic)_*(set): the best lower bound on the
 // probability of the set, sup{μ(T) : T ⊆ set, T ∈ X_ic}.
 func (s *Space) Inner(set system.PointSet) rat.Rat {
-	return s.InnerFunc(set.Contains)
+	return s.innerFunc(set.Contains)
 }
 
-// InnerFunc is Inner with the set given as a membership predicate, so
-// callers holding a non-PointSet representation (a DenseSet, a Fact) can
-// query without materializing a map. The largest measurable subset is the
-// projection of the runs whose entire fiber satisfies the predicate.
-func (s *Space) InnerFunc(contains func(system.Point) bool) rat.Rat {
+// innerFunc is Inner with the set given as a membership predicate, so a
+// Fact can be queried without materializing a map. The largest measurable
+// subset is the projection of the runs whose entire fiber satisfies the
+// predicate.
+func (s *Space) innerFunc(contains func(system.Point) bool) rat.Rat {
 	return s.runProb(func(k int) bool { return s.inside(k, contains) }).Div(s.base)
 }
 
 // Outer returns the outer measure (μ_ic)*(set): the best upper bound,
 // inf{μ(T) : T ⊇ set, T ∈ X_ic}.
 func (s *Space) Outer(set system.PointSet) rat.Rat {
-	return s.OuterFunc(set.Contains)
+	return s.outerFunc(set.Contains)
 }
 
-// OuterFunc is Outer with the set given as a membership predicate: the
+// outerFunc is Outer with the set given as a membership predicate: the
 // conditioned probability of R(set ∩ S_ic), the runs whose fiber meets it.
-func (s *Space) OuterFunc(contains func(system.Point) bool) rat.Rat {
+func (s *Space) outerFunc(contains func(system.Point) bool) rat.Rat {
 	return s.runProb(func(k int) bool { return s.hits(k, contains) }).Div(s.base)
 }
 
@@ -234,17 +234,17 @@ func (s *Space) ProbFact(phi system.Fact) (rat.Rat, error) {
 	if !s.isMeasurableFunc(phi.Holds) {
 		return rat.Rat{}, fmt.Errorf("%w: fact %s", ErrNotMeasurable, phi)
 	}
-	return s.OuterFunc(phi.Holds), nil
+	return s.outerFunc(phi.Holds), nil
 }
 
 // InnerFact returns the inner measure of S_ic(φ).
 func (s *Space) InnerFact(phi system.Fact) rat.Rat {
-	return s.InnerFunc(phi.Holds)
+	return s.innerFunc(phi.Holds)
 }
 
 // OuterFact returns the outer measure of S_ic(φ).
 func (s *Space) OuterFact(phi system.Fact) rat.Rat {
-	return s.OuterFunc(phi.Holds)
+	return s.outerFunc(phi.Holds)
 }
 
 // IsFactMeasurable reports whether S_ic(φ) ∈ X_ic.

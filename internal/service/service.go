@@ -468,7 +468,7 @@ func (s *Service) evaluate(w *worker, sess *session, canonical, assignName strin
 		v.CounterTotal = total - holds
 		// FirstN walks only as far as the bound, and the dense-ID order is
 		// the same (tree, run, time) order Sorted produced.
-		for _, p := range ext.Complement().FirstN(s.cfg.MaxCounterexamples) {
+		for _, p := range ext.Complement(1).FirstN(s.cfg.MaxCounterexamples) {
 			v.CounterExamples = append(v.CounterExamples, fmt.Sprintf("%v %s", p, p.State()))
 		}
 	}

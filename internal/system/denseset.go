@@ -111,23 +111,49 @@ func (s *DenseSet) Clone() *DenseSet {
 	return c
 }
 
-// Union returns s ∪ t as a fresh set.
-func (s *DenseSet) Union(t *DenseSet) *DenseSet {
+// parMinWords is the backing-word count below which Union, Intersect and
+// Complement sweep serially whatever their worker count: splitting a few
+// thousand words across goroutines costs more than the sweep itself, so
+// small systems pay zero overhead. 32768 words cover 2^21 points.
+// Variable, not constant, so tests can force the parallel path on small
+// fixtures.
+var parMinWords = 1 << 15
+
+// Union returns s ∪ t as a fresh set. From parMinWords words up, the word
+// sweep is split across up to workers goroutines (see ParRange); below
+// that, or with workers ≤ 1, it is one serial loop.
+func (s *DenseSet) Union(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
-	u := s.Clone()
-	for i := range u.bits {
-		u.bits[i] |= t.bits[i]
+	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
+	if workers <= 1 || len(s.bits) < parMinWords {
+		for i := range u.bits {
+			u.bits[i] = s.bits[i] | t.bits[i]
+		}
+		return u
 	}
+	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u.bits[i] = s.bits[i] | t.bits[i]
+		}
+	})
 	return u
 }
 
-// Intersect returns s ∩ t as a fresh set.
-func (s *DenseSet) Intersect(t *DenseSet) *DenseSet {
+// Intersect returns s ∩ t as a fresh set, sharded like Union.
+func (s *DenseSet) Intersect(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
-	u := s.Clone()
-	for i := range u.bits {
-		u.bits[i] &= t.bits[i]
+	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
+	if workers <= 1 || len(s.bits) < parMinWords {
+		for i := range u.bits {
+			u.bits[i] = s.bits[i] & t.bits[i]
+		}
+		return u
 	}
+	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u.bits[i] = s.bits[i] & t.bits[i]
+		}
+	})
 	return u
 }
 
@@ -141,11 +167,20 @@ func (s *DenseSet) Minus(t *DenseSet) *DenseSet {
 	return u
 }
 
-// Complement returns the complement of s within the index's universe.
-func (s *DenseSet) Complement() *DenseSet {
+// Complement returns the complement of s within the index's universe as
+// a fresh set, sharded like Union.
+func (s *DenseSet) Complement(workers int) *DenseSet {
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	for i := range u.bits {
-		u.bits[i] = ^s.bits[i]
+	if workers <= 1 || len(s.bits) < parMinWords {
+		for i := range u.bits {
+			u.bits[i] = ^s.bits[i]
+		}
+	} else {
+		ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				u.bits[i] = ^s.bits[i]
+			}
+		})
 	}
 	u.clearTail()
 	return u
@@ -166,72 +201,6 @@ func (s *DenseSet) IntersectWith(t *DenseSet) {
 	for i := range s.bits {
 		s.bits[i] &= t.bits[i]
 	}
-}
-
-// parMinWords is the backing-word count below which the *Par set-algebra
-// variants fall back to their serial counterparts: splitting a few thousand
-// words across goroutines costs more than the sweep itself, so small
-// systems pay zero overhead. 32768 words cover 2^21 points. Variable, not
-// constant, so tests can force the parallel path on small fixtures.
-var parMinWords = 1 << 15
-
-// UnionPar is Union with the word sweep split across up to workers
-// goroutines (see ParRange). Below parMinWords, or with workers ≤ 1, it is
-// exactly Union.
-func (s *DenseSet) UnionPar(t *DenseSet, workers int) *DenseSet {
-	if workers <= 1 || len(s.bits) < parMinWords {
-		return s.Union(t)
-	}
-	s.check(t)
-	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = s.bits[i] | t.bits[i]
-		}
-	})
-	return u
-}
-
-// IntersectPar is Intersect with a work-split word sweep; see UnionPar.
-func (s *DenseSet) IntersectPar(t *DenseSet, workers int) *DenseSet {
-	if workers <= 1 || len(s.bits) < parMinWords {
-		return s.Intersect(t)
-	}
-	s.check(t)
-	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = s.bits[i] & t.bits[i]
-		}
-	})
-	return u
-}
-
-// ComplementPar is Complement with a work-split word sweep; see UnionPar.
-func (s *DenseSet) ComplementPar(workers int) *DenseSet {
-	if workers <= 1 || len(s.bits) < parMinWords {
-		return s.Complement()
-	}
-	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = ^s.bits[i]
-		}
-	})
-	u.clearTail()
-	return u
-}
-
-// SubsetOf reports whether every point of s is in t — one AND-NOT per word,
-// the test the cell-partition evaluator runs per information cell.
-func (s *DenseSet) SubsetOf(t *DenseSet) bool {
-	s.check(t)
-	for i := range s.bits {
-		if s.bits[i]&^t.bits[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether s and t contain exactly the same points.

@@ -24,7 +24,7 @@ type Index struct {
 	runStart [][]int
 
 	mu    sync.Mutex
-	cells []*CellPartition // guarded by mu; per agent, built lazily
+	cells []*Partition // guarded by mu; per agent, built lazily
 }
 
 // Index returns the system's point index, building it on first use. The
@@ -73,7 +73,7 @@ func (s *System) BuildIndex(workers int) *Index {
 			}
 		})
 		idx.words = (total + 63) / 64
-		idx.cells = make([]*CellPartition, s.numAgents)
+		idx.cells = make([]*Partition, s.numAgents)
 		s.index = idx
 		s.indexBuilt.Store(true)
 	})
@@ -129,149 +129,16 @@ func (x *Index) EachRun(visit func(t *Tree, run, start, n int)) {
 	}
 }
 
-// CellPartition is the partition of a system's points into one agent's
-// information cells (the equivalence classes of ∼_i): Masks holds one
-// DenseSet per cell, and CellOf maps each dense point ID to its cell.
-// Knowledge of agent i is constant on each cell, which is what lets
-// K_i-extension computation run cell-by-cell instead of point-by-point.
-type CellPartition struct {
-	masks  []*DenseSet
-	cellOf []int32
-	idx    *Index
-}
-
-// NumCells returns the number of information cells.
-func (c *CellPartition) NumCells() int { return len(c.masks) }
-
-// Mask returns cell k as a DenseSet. The returned set is shared and must
-// not be modified.
-func (c *CellPartition) Mask(k int) *DenseSet { return c.masks[k] }
-
-// CellOf returns the cell index of the point with dense ID id.
-func (c *CellPartition) CellOf(id int) int { return int(c.cellOf[id]) }
-
-// KnowExtension computes {c : cell(c) ⊆ ext}, the dense extension of K_i —
-// the kernel behind the evaluator's knowledge operator. It runs in two
-// sharded phases over up to workers goroutines: first one subset test per
-// cell (reads only), then one pass over the dense IDs writing the result
-// bits of passing cells. ID shards are 64-aligned, so distinct shards write
-// distinct backing words of the shared result — the sharded-mutation
-// pattern the denseown analyzer's fixtures pin down.
-//
-// stop, when non-nil, is polled between strides of both phases; returning
-// true abandons the sweep early (the partial result must be discarded).
-// With workers ≤ 1 both phases run on the calling goroutine.
-func (c *CellPartition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
-	good := make([]bool, len(c.masks))
-	ParRange(len(c.masks), 1, workers, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			if stop != nil && k&15 == 0 && stop() {
-				return
-			}
-			good[k] = c.masks[k].SubsetOf(ext)
-		}
-	})
-	out := c.idx.NewDense()
-	if stop != nil && stop() {
-		return out
-	}
-	ParRange(len(c.cellOf), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&4095 == 0 && stop() {
-				return
-			}
-			if good[c.cellOf[id]] {
-				// Direct word write: the 64-aligned shard owns this word.
-				out.bits[id/64] |= 1 << (id % 64)
-			}
-		}
-	})
-	return out
-}
-
-// Cells returns agent i's information-cell partition, building and caching
-// it on first use. Safe for concurrent use; the returned partition is
-// immutable.
-func (x *Index) Cells(i AgentID) *CellPartition { return x.CellsPar(i, 1) }
-
-// CellsPar is Cells with the construction sharded across up to workers
-// goroutines. The result is identical to the serial build — cells are
-// numbered in order of first occurrence by dense ID — because the shards'
-// local first-occurrence numberings are merged in shard order before the
-// final parallel mask fill. Subsequent calls return the cached partition.
-func (x *Index) CellsPar(i AgentID, workers int) *CellPartition {
+// Cells returns agent i's information cells, the points grouped by i's
+// local state, built on first use by PartitionBy across up to workers
+// goroutines and cached. Safe for concurrent use.
+func (x *Index) Cells(i AgentID, workers int) *Partition {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if c := x.cells[i]; c != nil {
 		return c
 	}
-	n := len(x.points)
-	c := &CellPartition{cellOf: make([]int32, n), idx: x}
-
-	// Phase 1: each shard numbers the locals of its ID range in first-
-	// occurrence order, privately.
-	type shardCells struct {
-		byLocal map[LocalState]int32
-		locals  []LocalState // shard-local number → local state
-	}
-	var perShard []shardCells
-	var mu sync.Mutex
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
-		sc := shardCells{byLocal: make(map[LocalState]int32)}
-		for id := lo; id < hi; id++ {
-			l := x.points[id].Local(i)
-			k, ok := sc.byLocal[l]
-			if !ok {
-				k = int32(len(sc.locals))
-				sc.byLocal[l] = k
-				sc.locals = append(sc.locals, l)
-			}
-			c.cellOf[id] = k // shard-local numbering, remapped in phase 3
-		}
-		mu.Lock()
-		for len(perShard) <= shard {
-			perShard = append(perShard, shardCells{})
-		}
-		perShard[shard] = sc
-		mu.Unlock()
-	})
-
-	// Phase 2 (serial): merge the shard numberings in shard order, which
-	// reproduces the global first-occurrence order, then remap each shard's
-	// range. remap[shard][localNum] is the global cell number.
-	global := make(map[LocalState]int32)
-	var order []LocalState
-	remap := make([][]int32, len(perShard))
-	for s, sc := range perShard {
-		remap[s] = make([]int32, len(sc.locals))
-		for k, l := range sc.locals {
-			g, ok := global[l]
-			if !ok {
-				g = int32(len(order))
-				global[l] = g
-				order = append(order, l)
-			}
-			remap[s][k] = g
-		}
-	}
-	c.masks = make([]*DenseSet, len(order))
-	for k := range c.masks {
-		c.masks[k] = x.NewDense()
-	}
-
-	// Phase 3: remap the cell table and fill the masks, sharded over the
-	// same 64-aligned ranges. ParRange reproduces the phase-1 shard
-	// boundaries for equal n/align/workers, so each ID's shard-local number
-	// is remapped through its own shard's table; the mask writes are direct
-	// word updates on 64-aligned ranges, hence race-free.
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
-		tab := remap[shard]
-		for id := lo; id < hi; id++ {
-			g := tab[c.cellOf[id]]
-			c.cellOf[id] = g
-			c.masks[g].bits[id/64] |= 1 << (id % 64)
-		}
-	})
+	c := PartitionBy(x, workers, func(id int) LocalState { return x.points[id].Local(i) })
 	x.cells[i] = c
 	return c
 }

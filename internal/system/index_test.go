@@ -1,6 +1,7 @@
 package system
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,42 +94,42 @@ func TestIndexRunRangesContiguous(t *testing.T) {
 	}
 }
 
-func TestCellPartition(t *testing.T) {
-	sys := twoTreeSystem(t)
-	idx := sys.Index()
+// checkCells checks p against a reference that does not use partitions:
+// the points grouped by agent's local state, groups in order of first
+// occurrence by dense ID, each listing its IDs in increasing order.
+func checkCells(t *testing.T, label string, idx *Index, agent AgentID, p *Partition) {
+	t.Helper()
+	var want [][]int32
+	group := make(map[LocalState]int)
+	for id := 0; id < idx.NumPoints(); id++ {
+		l := idx.PointAt(id).Local(agent)
+		g, ok := group[l]
+		if !ok {
+			g = len(want)
+			group[l] = g
+			want = append(want, nil)
+		}
+		want[g] = append(want[g], int32(id))
+	}
+	if p.NumBlocks() != len(want) {
+		t.Fatalf("%s agent %d: %d cells, want %d", label, agent, p.NumBlocks(), len(want))
+	}
+	for k, members := range want {
+		if !slices.Equal(p.Members(k), members) {
+			t.Fatalf("%s agent %d: cell %d has members %v, want %v", label, agent, k, p.Members(k), members)
+		}
+		for _, id := range members {
+			if p.BlockOf(int(id)) != k {
+				t.Fatalf("%s agent %d: BlockOf(%d) = %d, want %d", label, agent, id, p.BlockOf(int(id)), k)
+			}
+		}
+	}
+}
 
+func TestCellPartition(t *testing.T) {
+	idx := twoTreeSystem(t).Index()
 	for _, agent := range []AgentID{0, 1} {
-		cells := idx.Cells(agent)
-		// Masks partition the full point set.
-		union := idx.NewDense()
-		for k := 0; k < cells.NumCells(); k++ {
-			mask := cells.Mask(k)
-			if mask.IsEmpty() {
-				t.Fatalf("agent %d: empty cell %d", agent, k)
-			}
-			if !union.Intersect(mask).IsEmpty() {
-				t.Fatalf("agent %d: cell %d overlaps earlier cells", agent, k)
-			}
-			union.UnionWith(mask)
-		}
-		if !union.Equal(idx.FullDense()) {
-			t.Fatalf("agent %d: cells do not cover the point set", agent)
-		}
-		// CellOf agrees with the masks and with local-state equality.
-		for id := 0; id < idx.NumPoints(); id++ {
-			k := cells.CellOf(id)
-			if !cells.Mask(int(k)).Contains(id) {
-				t.Fatalf("agent %d: point %d not in its own cell %d", agent, id, k)
-			}
-		}
-		for a := 0; a < idx.NumPoints(); a++ {
-			for b := 0; b < idx.NumPoints(); b++ {
-				same := idx.PointAt(a).Local(agent) == idx.PointAt(b).Local(agent)
-				if same != (cells.CellOf(a) == cells.CellOf(b)) {
-					t.Fatalf("agent %d: cell relation disagrees with ~ at (%d,%d)", agent, a, b)
-				}
-			}
-		}
+		checkCells(t, "twoTree", idx, agent, idx.Cells(agent, 1))
 	}
 }
 
@@ -156,28 +157,28 @@ func TestDenseSetAlgebra(t *testing.T) {
 			}
 		}
 	}
-	check("union", a.Union(b), func(id int) bool { return id%2 == 0 || id%3 == 0 })
-	check("intersect", a.Intersect(b), func(id int) bool { return id%6 == 0 })
+	check("union", a.Union(b, 1), func(id int) bool { return id%2 == 0 || id%3 == 0 })
+	check("intersect", a.Intersect(b, 1), func(id int) bool { return id%6 == 0 })
 	check("minus", a.Minus(b), func(id int) bool { return id%2 == 0 && id%3 != 0 })
-	check("complement", a.Complement(), func(id int) bool { return id%2 != 0 })
+	check("complement", a.Complement(1), func(id int) bool { return id%2 != 0 })
 
 	// Allocating ops left their operands alone.
 	check("a unchanged", a, func(id int) bool { return id%2 == 0 })
 	check("b unchanged", b, func(id int) bool { return id%3 == 0 })
 
-	if !a.Intersect(b).SubsetOf(a) || !a.SubsetOf(a.Union(b)) {
-		t.Error("SubsetOf violates lattice laws")
+	if !a.Intersect(b, 1).Minus(a).IsEmpty() || !a.Minus(a.Union(b, 1)).IsEmpty() {
+		t.Error("Intersect, Union and Minus violate lattice laws")
 	}
-	if a.SubsetOf(b) {
-		t.Error("a ⊆ b should be false")
+	if a.Minus(b).IsEmpty() {
+		t.Error("a \\ b should be non-empty")
 	}
 
 	// Complement must not set tail bits past NumPoints: complementing twice
 	// and unioning with the complement must reproduce a and the full set.
-	if !a.Complement().Complement().Equal(a) {
+	if !a.Complement(1).Complement(1).Equal(a) {
 		t.Error("double complement differs (tail bits leaked)")
 	}
-	full := a.Union(a.Complement())
+	full := a.Union(a.Complement(1), 1)
 	if !full.Equal(idx.FullDense()) || full.Len() != n {
 		t.Errorf("a ∪ ¬a has %d elements, want %d", full.Len(), n)
 	}
@@ -222,11 +223,13 @@ func TestDenseSetIterateAndConvert(t *testing.T) {
 }
 
 // TestIndexConcurrent exercises the lazy builders from many goroutines: all
-// must observe the same index and partitions. Run under -race.
+// must observe the same index and partitions, and the partitions must be
+// the cells. Run under -race.
 func TestIndexConcurrent(t *testing.T) {
 	sys := twoTreeSystem(t)
 	var wg sync.WaitGroup
 	indexes := make([]*Index, 16)
+	cells := make([][2]*Partition, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -234,17 +237,21 @@ func TestIndexConcurrent(t *testing.T) {
 			idx := sys.Index()
 			indexes[g] = idx
 			for _, agent := range []AgentID{0, 1} {
-				cells := idx.Cells(agent)
-				for k := 0; k < cells.NumCells(); k++ {
-					cells.Mask(k).Len()
+				c := idx.Cells(agent, 1+g%3)
+				for k := 0; k < c.NumBlocks(); k++ {
+					_ = len(c.Members(k))
 				}
+				cells[g][agent] = c
 			}
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < 16; g++ {
-		if indexes[g] != indexes[0] {
-			t.Fatal("goroutines observed distinct indexes")
+		if indexes[g] != indexes[0] || cells[g] != cells[0] {
+			t.Fatal("goroutines observed distinct indexes or partitions")
 		}
+	}
+	for _, agent := range []AgentID{0, 1} {
+		checkCells(t, "concurrent", indexes[0], agent, cells[0][agent])
 	}
 }

@@ -74,7 +74,7 @@ func TestParRangePartitions(t *testing.T) {
 			}
 		}
 		// Determinism: a second invocation must reproduce the boundaries —
-		// CellsPar's phase 3 depends on matching phase 1's shards exactly.
+		// PartitionBy's phase 3 depends on matching phase 1's shards exactly.
 		ParRange(c.n, c.align, c.workers, func(shard, lo, hi int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -180,14 +180,14 @@ func TestDenseAlgebraParMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 4, 7} {
-		if got, want := a.UnionPar(b, workers), a.Union(b); !got.Equal(want) {
-			t.Fatalf("UnionPar(%d) differs from Union", workers)
+		if got, want := a.Union(b, workers), a.Union(b, 1); !got.Equal(want) {
+			t.Fatalf("Union(%d) differs from Union(1)", workers)
 		}
-		if got, want := a.IntersectPar(b, workers), a.Intersect(b); !got.Equal(want) {
-			t.Fatalf("IntersectPar(%d) differs from Intersect", workers)
+		if got, want := a.Intersect(b, workers), a.Intersect(b, 1); !got.Equal(want) {
+			t.Fatalf("Intersect(%d) differs from Intersect(1)", workers)
 		}
-		if got, want := a.ComplementPar(workers), a.Complement(); !got.Equal(want) {
-			t.Fatalf("ComplementPar(%d) differs from Complement", workers)
+		if got, want := a.Complement(workers), a.Complement(1); !got.Equal(want) {
+			t.Fatalf("Complement(%d) differs from Complement(1)", workers)
 		}
 	}
 }
@@ -228,57 +228,57 @@ func TestBuildIndexParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCellsParMatchesSerial checks that the cell numbering does not depend
+// on the worker count: serial and sharded builds both match the points
+// grouped by local state.
 func TestCellsParMatchesSerial(t *testing.T) {
-	serialSys := broomSystem(t, 3, 40, 6, 4)
-	parSys := broomSystem(t, 3, 40, 6, 4)
-	sIdx, pIdx := serialSys.Index(), parSys.Index()
-	for i := 0; i < 3; i++ {
-		sc := sIdx.Cells(AgentID(i))
-		pc := pIdx.CellsPar(AgentID(i), 4)
-		if sc.NumCells() != pc.NumCells() {
-			t.Fatalf("agent %d: serial %d cells, parallel %d", i, sc.NumCells(), pc.NumCells())
-		}
-		for id := 0; id < sIdx.NumPoints(); id++ {
-			if sc.CellOf(id) != pc.CellOf(id) {
-				t.Fatalf("agent %d: CellOf(%d) serial %d, parallel %d",
-					i, id, sc.CellOf(id), pc.CellOf(id))
-			}
-		}
-		for k := 0; k < sc.NumCells(); k++ {
-			if sc.Mask(k).Key() != pc.Mask(k).Key() {
-				t.Fatalf("agent %d: mask %d differs between serial and parallel build", i, k)
-			}
+	for _, workers := range []int{1, 4} {
+		idx := broomSystem(t, 3, 40, 6, 4).Index()
+		for i := 0; i < 3; i++ {
+			checkCells(t, fmt.Sprintf("workers=%d", workers), idx, AgentID(i), idx.Cells(AgentID(i), workers))
 		}
 	}
 }
 
+// TestKnowExtensionKernel checks the member-walk K kernel against a
+// per-point K check: c passes exactly when every point sharing c's local
+// state is in ext.
 func TestKnowExtensionKernel(t *testing.T) {
 	sys := broomSystem(t, 2, 40, 6, 4)
 	idx := sys.Index()
-	cells := idx.Cells(0)
-
-	// ext: an arbitrary but cell-misaligned set.
-	ext := idx.NewDense()
-	for id := 0; id < idx.NumPoints(); id++ {
-		if id%7 != 0 {
-			ext.Add(id)
+	n := idx.NumPoints()
+	for _, density := range []int{1, 7, 1 << 30} {
+		// ext: every point but one in density, cell-misaligned; the
+		// largest density leaves ext full, so every cell passes.
+		ext := idx.NewDense()
+		for id := 0; id < n; id++ {
+			if id%density != 0 || density == 1<<30 {
+				ext.Add(id)
+			}
 		}
-	}
-	// Reference: union of the masks of cells entirely inside ext.
-	want := idx.NewDense()
-	for k := 0; k < cells.NumCells(); k++ {
-		if cells.Mask(k).SubsetOf(ext) {
-			want.UnionWith(cells.Mask(k))
-		}
-	}
-	for _, workers := range []int{1, 3, 8} {
-		got := cells.KnowExtension(ext, workers, nil)
-		if !got.Equal(want) {
-			t.Fatalf("KnowExtension(workers=%d) differs from cell-by-cell reference", workers)
+		for _, agent := range []AgentID{0, 1} {
+			want := idx.NewDense()
+			for c := 0; c < n; c++ {
+				knows := true
+				for d := 0; d < n && knows; d++ {
+					if idx.PointAt(d).Local(agent) == idx.PointAt(c).Local(agent) && !ext.Contains(d) {
+						knows = false
+					}
+				}
+				if knows {
+					want.Add(c)
+				}
+			}
+			cells := idx.Cells(agent, 1)
+			for _, workers := range []int{1, 3, 8} {
+				if got := cells.KnowExtension(ext, workers, nil); !got.Equal(want) {
+					t.Fatalf("density %d agent %d: KnowExtension(workers=%d) differs from the per-point K check", density, agent, workers)
+				}
+			}
 		}
 	}
 	// A stop that fires immediately abandons the sweep.
-	stopped := cells.KnowExtension(ext, 4, func() bool { return true })
+	stopped := idx.Cells(0, 1).KnowExtension(idx.FullDense(), 4, func() bool { return true })
 	if !stopped.IsEmpty() {
 		t.Fatal("KnowExtension with firing stop returned a non-empty set")
 	}

@@ -1,0 +1,154 @@
+package system
+
+import "slices"
+
+// Partition is a partition of an index's points into blocks numbered in
+// order of first occurrence by dense ID, in compressed-row form: the one
+// layout for information cells (Index.Cells) and the sample spaces of the
+// canonical assignments (core.PartitionAssignment). It is immutable.
+type Partition struct {
+	idx     *Index
+	blockOf []int32 // dense ID → block
+	off     []int32 // block k's members are ids[off[k]:off[k+1]]
+	ids     []int32
+}
+
+// NumBlocks returns the number of blocks.
+func (p *Partition) NumBlocks() int { return len(p.off) - 1 }
+
+// BlockOf returns the block of the point with dense ID id.
+func (p *Partition) BlockOf(id int) int { return int(p.blockOf[id]) }
+
+// Members returns the dense IDs of block k in increasing order. The
+// returned slice is shared and must not be modified.
+func (p *Partition) Members(k int) []int32 {
+	lo, hi := p.off[k], p.off[k+1]
+	return p.ids[lo:hi:hi]
+}
+
+// Table returns the number of blocks and a copy of the dense-ID → block
+// table, the partition's plain-data form.
+func (p *Partition) Table() (numBlocks int, blockOf []int32) {
+	return p.NumBlocks(), slices.Clone(p.blockOf)
+}
+
+// PartitionBy partitions x's points by key(id), numbering blocks in order
+// of first occurrence whatever the worker count: each of up to workers
+// goroutines numbers the keys of its 64-aligned ID range (phase 1), a
+// serial merge in shard order reproduces the global order (phase 2), and
+// each shard remaps its range (phase 3). key must be safe for concurrent
+// calls.
+func PartitionBy[K comparable](x *Index, workers int, key func(id int) K) *Partition {
+	n := len(x.points)
+	blockOf := make([]int32, n)
+	perShard := make([][]K, max(workers, 1)) // shard → its keys, in first-occurrence order
+	ParRange(n, 64, workers, func(shard, lo, hi int) {
+		byKey := make(map[K]int32)
+		var keys []K
+		for id := lo; id < hi; id++ {
+			k := key(id)
+			b, ok := byKey[k]
+			if !ok {
+				b = int32(len(keys))
+				byKey[k] = b
+				keys = append(keys, k)
+			}
+			blockOf[id] = b // shard-local numbering, remapped in phase 3
+		}
+		perShard[shard] = keys
+	})
+	if len(perShard) == 1 {
+		return newPartition(x, len(perShard[0]), blockOf) // already global
+	}
+	global := make(map[K]int32)
+	remap := make([][]int32, len(perShard))
+	for s, keys := range perShard {
+		remap[s] = make([]int32, len(keys))
+		for j, k := range keys {
+			g, ok := global[k]
+			if !ok {
+				g = int32(len(global))
+				global[k] = g
+			}
+			remap[s][j] = g
+		}
+	}
+	// ParRange reproduces the phase-1 shard boundaries for equal n, align
+	// and workers, so each ID is remapped through its own shard's table.
+	ParRange(n, 64, workers, func(shard, lo, hi int) {
+		tab := remap[shard]
+		for id := lo; id < hi; id++ {
+			blockOf[id] = tab[blockOf[id]]
+		}
+	})
+	return newPartition(x, len(global), blockOf)
+}
+
+// newPartition adopts blockOf and lays out the member lists in increasing
+// ID order with one counting sort.
+func newPartition(x *Index, numBlocks int, blockOf []int32) *Partition {
+	off := make([]int32, numBlocks+1)
+	for _, b := range blockOf {
+		off[b+1]++
+	}
+	for k := 0; k < numBlocks; k++ {
+		off[k+1] += off[k]
+	}
+	next := slices.Clone(off[:numBlocks])
+	ids := make([]int32, len(blockOf))
+	for id, b := range blockOf {
+		ids[next[b]] = int32(id)
+		next[b]++
+	}
+	return &Partition{idx: x, blockOf: blockOf, off: off, ids: ids}
+}
+
+// KnowExtension computes {c : block(c) ⊆ ext}, over an agent's cells the
+// dense extension of K_i. A block's member walk stops at the first member
+// outside ext; the verdicts then fan out through Spread. Both phases shard
+// across up to workers goroutines. stop, when non-nil, is polled between
+// strides of both; returning true abandons the sweep early (the partial
+// result must be discarded).
+func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
+	pass := make([]bool, p.NumBlocks())
+	ParRange(len(pass), 1, workers, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if stop != nil && k&15 == 0 && stop() {
+				return
+			}
+			pass[k] = true
+			for _, id := range p.ids[p.off[k]:p.off[k+1]] {
+				if !ext.Contains(int(id)) {
+					pass[k] = false
+					break
+				}
+			}
+		}
+	})
+	return p.Spread(pass, workers, stop)
+}
+
+// Spread returns {c : pass[block(c)]}: the one fan-out from per-block
+// verdicts to point bits, shared by the K_i and Pr_i kernels. The sweep
+// over the dense IDs shards across up to workers goroutines on 64-aligned
+// ranges, so distinct shards write distinct backing words of the result.
+// stop, when non-nil, is polled before the sweep and every 4096 IDs;
+// returning true abandons it (the partial result must be discarded).
+func (p *Partition) Spread(pass []bool, workers int, stop func() bool) *DenseSet {
+	out := p.idx.NewDense()
+	if stop != nil && stop() {
+		return out
+	}
+	ParRange(len(p.blockOf), 64, workers, func(_, lo, hi int) {
+		for id := lo; id < hi; id++ {
+			if stop != nil && id&4095 == 0 && stop() {
+				return
+			}
+			if pass[p.blockOf[id]] {
+				// Direct word write: the 64-aligned shard owns this word.
+				out.bits[id/64] |= 1 << (id % 64)
+			}
+		}
+	})
+	return out
+}

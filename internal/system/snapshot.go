@@ -1,6 +1,9 @@
 package system
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the system-side surface of the snapshot layer: exporting
 // the expensive derived state (cell partitions, dense-set bit words) in
@@ -40,22 +43,13 @@ func (x *Index) DenseOfBits(words []uint64) (*DenseSet, error) {
 // already been built, and nil otherwise — a peek that, unlike Cells,
 // never triggers construction. Snapshot writers use it to persist only
 // the partitions a workload actually paid for.
-func (x *Index) CellsBuilt(i AgentID) *CellPartition {
+func (x *Index) CellsBuilt(i AgentID) *Partition {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if int(i) < 0 || int(i) >= len(x.cells) {
 		return nil
 	}
 	return x.cells[i]
-}
-
-// Table returns the partition in plain-data form: the number of cells
-// and a copy of the dense-ID → cell table, cells numbered in order of
-// first occurrence by ID (the numbering Cells produces).
-func (c *CellPartition) Table() (numCells int, cellOf []int32) {
-	out := make([]int32, len(c.cellOf))
-	copy(out, c.cellOf)
-	return len(c.masks), out
 }
 
 // AdoptCells installs a previously exported cell table as agent i's
@@ -65,7 +59,7 @@ func (c *CellPartition) Table() (numCells int, cellOf []int32) {
 //
 //   - one entry per dense point, every value in [0, numCells)
 //   - cells numbered in first-occurrence order with no empty cells
-//     (so an adopted partition is bit-identical to a built one)
+//     (so an adopted partition is identical to a built one)
 //   - every point's local state equals its cell representative's, and
 //     distinct cells have distinct representatives — the table really
 //     is the ∼_i partition, not just a well-formed coloring
@@ -115,15 +109,7 @@ func (x *Index) AdoptCells(i AgentID, numCells int, cellOf []int32) error {
 		seen[l] = int32(k)
 	}
 
-	c := &CellPartition{cellOf: make([]int32, n), idx: x}
-	copy(c.cellOf, cellOf)
-	c.masks = make([]*DenseSet, numCells)
-	for k := range c.masks {
-		c.masks[k] = x.NewDense()
-	}
-	for id, k := range c.cellOf {
-		c.masks[k].bits[id/64] |= 1 << (id % 64)
-	}
+	c := newPartition(x, numCells, slices.Clone(cellOf))
 
 	x.mu.Lock()
 	defer x.mu.Unlock()

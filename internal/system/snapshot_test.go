@@ -45,7 +45,7 @@ func TestCellsBuiltPeeks(t *testing.T) {
 	if idx.CellsBuilt(0) != nil {
 		t.Fatal("CellsBuilt returned a partition before any build")
 	}
-	built := idx.Cells(0)
+	built := idx.Cells(0, 1)
 	if idx.CellsBuilt(0) != built {
 		t.Fatal("CellsBuilt did not return the built partition")
 	}
@@ -59,13 +59,12 @@ func TestCellsBuiltPeeks(t *testing.T) {
 
 // TestAdoptCellsRoundTrip exports each agent's partition from one copy
 // of a system and adopts it into a freshly built twin, requiring the
-// adopted partition to be bit-identical to a native build.
+// adopted partition, member lists included, to be the cells.
 func TestAdoptCellsRoundTrip(t *testing.T) {
 	src := broomSystem(t, 3, 40, 6, 4).Index()
 	dst := broomSystem(t, 3, 40, 6, 4).Index()
-	ref := broomSystem(t, 3, 40, 6, 4).Index()
 	for i := 0; i < 3; i++ {
-		numCells, cellOf := src.Cells(AgentID(i)).Table()
+		numCells, cellOf := src.Cells(AgentID(i), 1).Table()
 		if err := dst.AdoptCells(AgentID(i), numCells, cellOf); err != nil {
 			t.Fatalf("agent %d: AdoptCells: %v", i, err)
 		}
@@ -73,20 +72,7 @@ func TestAdoptCellsRoundTrip(t *testing.T) {
 		if got == nil {
 			t.Fatalf("agent %d: adoption did not publish a partition", i)
 		}
-		want := ref.Cells(AgentID(i))
-		if got.NumCells() != want.NumCells() {
-			t.Fatalf("agent %d: adopted %d cells, built %d", i, got.NumCells(), want.NumCells())
-		}
-		for id := 0; id < dst.NumPoints(); id++ {
-			if got.CellOf(id) != want.CellOf(id) {
-				t.Fatalf("agent %d: CellOf(%d) adopted %d, built %d", i, id, got.CellOf(id), want.CellOf(id))
-			}
-		}
-		for k := 0; k < got.NumCells(); k++ {
-			if got.Mask(k).Key() != want.Mask(k).Key() {
-				t.Fatalf("agent %d: mask %d differs between adopted and built", i, k)
-			}
-		}
+		checkCells(t, "adopted", dst, AgentID(i), got)
 	}
 }
 
@@ -94,7 +80,7 @@ func TestAdoptCellsRoundTrip(t *testing.T) {
 // keeps the built one (they are provably identical).
 func TestAdoptCellsKeepsExisting(t *testing.T) {
 	idx := broomSystem(t, 2, 12, 5, 3).Index()
-	built := idx.Cells(0)
+	built := idx.Cells(0, 1)
 	numCells, cellOf := built.Table()
 	if err := idx.AdoptCells(0, numCells, cellOf); err != nil {
 		t.Fatalf("AdoptCells: %v", err)
@@ -107,7 +93,7 @@ func TestAdoptCellsKeepsExisting(t *testing.T) {
 func TestAdoptCellsRejectsBadTables(t *testing.T) {
 	mk := func() (int, []int32, *Index) {
 		idx := broomSystem(t, 2, 12, 5, 3).Index()
-		numCells, cellOf := idx.Cells(0).Table()
+		numCells, cellOf := idx.Cells(0, 1).Table()
 		fresh := broomSystem(t, 2, 12, 5, 3).Index()
 		return numCells, cellOf, fresh
 	}
@@ -181,7 +167,7 @@ func TestAdoptCellsRejectsForeignTable(t *testing.T) {
 	if foreign.NumPoints() != target.NumPoints() {
 		t.Fatalf("fixture drift: %d vs %d points", foreign.NumPoints(), target.NumPoints())
 	}
-	numCells, cellOf := foreign.Cells(0).Table()
+	numCells, cellOf := foreign.Cells(0, 1).Table()
 	if err := target.AdoptCells(0, numCells, cellOf); err == nil {
 		t.Fatal("foreign cell table accepted")
 	}

@@ -97,7 +97,7 @@ func MustNew(numAgents int, trees ...*Tree) *System {
 // systems). It skips New's O(nodes) duplicate-state map and defers the
 // map-based point indices until an accessor needs them, which is what makes
 // a 10^7-point system constructible in seconds: the dense engine path
-// (Index, DenseSet, CellPartition) never touches them.
+// (Index, DenseSet, Partition) never touches them.
 //
 // Per-node agent counts and adversary-name uniqueness are still validated.
 // Passing trees with duplicated global states breaks PointsWithState and

@@ -27,8 +27,9 @@ OUT="${BENCH_OUT:-BENCH_SCALE.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-# Iterations per tier: enough to amortize the one-time space build the
-# first iteration pays, cheap enough that the 10^7 tier stays tractable.
+# Iterations per tier. Every benchmark builds its one-time tables (cells,
+# space tables) before the timer starts, so no iteration pays them; the
+# counts only trade noise against wall time at each size.
 benchtime_for() {
 	case "$1" in
 	100k) echo 3x ;;
@@ -37,11 +38,11 @@ benchtime_for() {
 	esac
 }
 
-# Benchmark set per tier. The C_G^α fixpoint's cold iteration builds the
-# per-agent probability space tables, which at 10^7 points is an
-# hour-scale single-core computation, so the 10m tier runs the index,
-# knowledge and C_G benchmarks by default; override with
-# KPA_SCALE_BENCH_REGEX to include it deliberately.
+# Benchmark set per tier. At 10^7 points the space tables take seconds to
+# build, but the C_G^α row peaks at 4.1–4.7 GB of resident memory (w1,
+# 2-CPU host), so the 10m tier runs the index, knowledge and C_G benchmarks
+# by default; override with KPA_SCALE_BENCH_REGEX to include it
+# deliberately on a host with the memory to spare.
 bench_for() {
 	case "$1" in
 	10m) echo "${KPA_SCALE_BENCH_REGEX:-ScaleIndexBuild|ScaleKnowledge|ScaleCommon\$}" ;;
