@@ -25,12 +25,15 @@ verify:
 	./scripts/verify.sh
 
 # Coverage-guided fuzzing of the trust boundaries that have targets: the
-# formula parser and the upload decoder behind /v1/systems, 30 s each.
-# Plain `go test` replays their seed corpora; a crasher found here goes
-# under the package's testdata/fuzz/<Target>/ once fixed.
+# formula parser, the upload decoder behind /v1/systems, the snapshot
+# decoder and the search-checkpoint decoder, 30 s each. Plain `go test`
+# replays their seed corpora; a crasher found here goes under the
+# package's testdata/fuzz/<Target>/ once fixed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/logic
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/encode
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot
+	go test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s ./internal/search
 
 # The fault-injection chaos suite under the race detector: seeded faults
 # (latency, errors, panics) against the serving stack, asserting the

@@ -30,11 +30,13 @@
 // each request runs under a timeout. SIGINT/SIGTERM flip /readyz to 503,
 // then drain in-flight requests before exiting.
 //
-// With -snapshot-dir the daemon persists each loaded session — dense index,
-// per-agent cell partitions, evaluator memos and cached verdicts — and
-// restores them at boot, serving cache-warm from the first request; a
-// SIGTERM during restore aborts cleanly and a corrupt snapshot degrades to
-// a cold load. With -search-dir it also re-discovers unfinished search-job
+// With -snapshot-dir the daemon persists each loaded session — the
+// system's identity, its names and its cached verdicts — and restores
+// them at boot: it rebuilds and hash-checks the system, builds its dense
+// index and every agent's cells, and only then reports ready, serving
+// cache-warm from the first request. A SIGTERM during restore aborts
+// cleanly, and a corrupt or older-version snapshot degrades to a cold
+// load. With -search-dir it also re-discovers unfinished search-job
 // checkpoints at boot and resumes them under their original IDs.
 package main
 
@@ -141,8 +143,8 @@ func run(args []string) error {
 				log.Printf("snapshot restore aborted: %v", err)
 				return
 			}
-			log.Printf("restored %d session(s): %d verdicts, %d memo entries, %d bytes",
-				rep.Sessions, rep.Verdicts, rep.MemoEntries, rep.Bytes)
+			log.Printf("restored %d session(s) from %d snapshot bytes: %d cached verdicts, index and cells rebuilt",
+				rep.Sessions, rep.Bytes, rep.Verdicts)
 			for _, c := range rep.Corrupt {
 				log.Printf("snapshot rejected (cold load instead): %s", c)
 			}

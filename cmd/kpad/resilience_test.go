@@ -138,7 +138,6 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 		svc := service.New(service.Config{
 			MaxInFlight: 1,
 			QueueWait:   5 * time.Millisecond,
-			RetryAfter:  2 * time.Second,
 			Seams: &service.Seams{BeforeEval: func(string) error {
 				once.Do(func() { close(started) })
 				<-release
@@ -165,8 +164,8 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d, want 503", resp.StatusCode)
 		}
-		if got := resp.Header.Get("Retry-After"); got != "2" {
-			t.Fatalf("Retry-After %q, want %q (configured 2s)", got, "2")
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("Retry-After %q, want %q (the service's fixed 1s hint)", got, "1")
 		}
 		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Kind != "overloaded" {

@@ -278,6 +278,11 @@ func (p *parser) parseUnary() (Formula, error) {
 				if lo.Greater(hi) {
 					return nil, fmt.Errorf("logic: empty interval [%s,%s]", lo, hi)
 				}
+				if hi.Greater(rat.One) {
+					// 1−β would be a negative bound, which no
+					// probability formula can state.
+					return nil, fmt.Errorf("logic: interval [%s,%s] reaches past probability 1", lo, hi)
+				}
 				sub, err := p.parseUnary()
 				if err != nil {
 					return nil, err

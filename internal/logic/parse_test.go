@@ -144,6 +144,7 @@ func TestParseIntervalOperator(t *testing.T) {
 	// Errors.
 	for _, bad := range []string{
 		"K1^[2/3,1/3] p", // empty interval
+		"K1^[0,2] p",     // upper bound past 1
 		"K1^[1/3] p",
 		"K1^[1/3,2/3 p",
 		"K1^[,1] p",

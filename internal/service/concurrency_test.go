@@ -12,7 +12,7 @@ import (
 // Run under -race (scripts/verify.sh does) to validate the pooling
 // contract: evaluators are never shared between two in-flight requests.
 func TestConcurrentMixedRequests(t *testing.T) {
-	svc := New(Config{MaxIdle: 4, BatchParallelism: 4})
+	svc := New(Config{})
 	ctx := context.Background()
 
 	// A pool of formulas with known verdicts, mixing cache hits, misses,

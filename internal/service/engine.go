@@ -30,14 +30,16 @@ func newEngine(par int) *engine {
 	}
 }
 
-// buildIndex materializes the system's point index with as many workers as
-// the budget currently allows, drawing the extra ones from the shared gate
-// so concurrent builds and evaluations still respect the global bound. The
-// index is once-guarded, so only the first caller per system pays.
-func (e *engine) buildIndex(sys *system.System) {
+// withWorkers runs fn with as many workers as the budget currently allows,
+// drawing the extra ones from the shared gate so concurrent builds and
+// evaluations still respect the global bound. It is the one place the
+// service draws from the gate outside an evaluator: a pool's cold checkout
+// builds the point index with it, and a snapshot restore builds the index
+// and every agent's cells.
+func (e *engine) withWorkers(fn func(workers int)) {
 	extra := e.gate.TryAcquire(e.par - 1)
 	defer e.gate.Release(extra)
-	sys.BuildIndex(1 + extra)
+	fn(1 + extra)
 }
 
 // wire attaches the engine to a freshly built evaluator.

@@ -52,7 +52,6 @@ type evalPool struct {
 	eng    *engine
 
 	memoCap int
-	maxIdle int
 
 	mu        sync.Mutex
 	idle      []*worker // guarded by mu
@@ -62,14 +61,13 @@ type evalPool struct {
 	discarded uint64    // guarded by mu; poisoned workers dropped instead of repooled
 }
 
-func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap, maxIdle int, eng *engine) *evalPool {
+func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap int, eng *engine) *evalPool {
 	return &evalPool{
 		sys:     sys,
 		sample:  sample,
 		props:   props,
 		eng:     eng,
 		memoCap: memoCap,
-		maxIdle: maxIdle,
 	}
 }
 
@@ -88,15 +86,12 @@ func (p *evalPool) get() *worker {
 	// Build outside the lock: constructing the ProbAssignment is cheap but
 	// there is no reason to serialize concurrent cold checkouts. The index
 	// build comes first so the session's one-time point index is sharded
-	// under the engine budget instead of built serially inside NewEvaluator.
-	if p.eng != nil {
-		p.eng.buildIndex(p.sys)
-	}
+	// under the engine budget instead of built serially inside NewEvaluator;
+	// the index is once-guarded, so only the first caller per system pays.
+	p.eng.withWorkers(func(workers int) { p.sys.BuildIndex(workers) })
 	prob := core.NewProbAssignment(p.sys, p.sample)
 	ev := logic.NewEvaluator(p.sys, prob, p.props)
-	if p.eng != nil {
-		p.eng.wire(ev)
-	}
+	p.eng.wire(ev)
 	return &worker{
 		eval:   ev,
 		parsed: make(map[string]logic.Formula),
@@ -129,47 +124,9 @@ func (p *evalPool) put(w *worker) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.idle) < p.maxIdle {
+	if len(p.idle) < maxIdle {
 		p.idle = append(p.idle, w)
 	}
-}
-
-// exportMemo exports the memo of one idle worker in durable form (empty
-// when the pool has no idle worker — nothing warm to persist). The
-// worker is checked out for the duration of the export, so concurrent
-// requests are never blocked behind the bit copies, and the pool's
-// created/reused counters are untouched: an export is not a checkout a
-// client observed.
-func (p *evalPool) exportMemo() []logic.MemoExport {
-	p.mu.Lock()
-	n := len(p.idle)
-	if n == 0 {
-		p.mu.Unlock()
-		return nil
-	}
-	w := p.idle[n-1]
-	p.idle = p.idle[:n-1]
-	p.mu.Unlock()
-	out := w.eval.ExportMemo()
-	p.mu.Lock()
-	if len(p.idle) < p.maxIdle {
-		p.idle = append(p.idle, w)
-	}
-	p.mu.Unlock()
-	return out
-}
-
-// seedWorker builds one worker, imports previously exported memo
-// entries into it, and parks it idle, so the first post-restore request
-// checks out an already-warm evaluator. Returns how many entries were
-// imported; a malformed entry aborts the import, and the partially
-// warmed worker is still pooled — every imported entry was individually
-// validated.
-func (p *evalPool) seedWorker(entries []logic.MemoExport) (int, error) {
-	w := p.get()
-	n, err := w.eval.ImportMemo(entries)
-	p.put(w)
-	return n, err
 }
 
 // PoolStats is a point-in-time snapshot of one evaluator pool's counters.

@@ -197,7 +197,6 @@ func TestOverloadSheds(t *testing.T) {
 	svc := New(Config{
 		MaxInFlight: 1,
 		QueueWait:   10 * time.Millisecond,
-		RetryAfter:  3 * time.Second,
 		Seams: &Seams{BeforeEval: func(string) error {
 			select {
 			case started <- struct{}{}:
@@ -221,8 +220,8 @@ func TestOverloadSheds(t *testing.T) {
 	if KindOf(err) != KindOverloaded {
 		t.Fatalf("second check error = %v (kind %s), want overloaded", err, KindOf(err))
 	}
-	if RetryAfterOf(err) != 3*time.Second {
-		t.Fatalf("RetryAfterOf = %v, want the configured 3s", RetryAfterOf(err))
+	if RetryAfterOf(err) != time.Second {
+		t.Fatalf("RetryAfterOf = %v, want the fixed 1s hint", RetryAfterOf(err))
 	}
 	if st := svc.Stats().Resilience; st.Sheds != 1 {
 		t.Fatalf("sheds = %d, want 1", st.Sheds)

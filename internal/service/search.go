@@ -262,7 +262,7 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 		return SearchStatus{}, &Error{
 			Kind:       KindOverloaded,
 			Msg:        fmt.Sprintf("service: all %d search-job slots busy", s.cfg.MaxSearchJobs),
-			RetryAfter: s.cfg.RetryAfter,
+			RetryAfter: retryAfter,
 		}
 	}
 	s.searchSeq++
@@ -308,7 +308,7 @@ func (s *Service) admitSearch() error {
 		return &Error{
 			Kind:       KindOverloaded,
 			Msg:        fmt.Sprintf("service: all %d evaluation slots busy for %v", s.cfg.MaxInFlight, s.cfg.QueueWait),
-			RetryAfter: s.cfg.RetryAfter,
+			RetryAfter: retryAfter,
 		}
 	}
 }
@@ -497,21 +497,20 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 
 // searchFact evaluates φ's extension on a pooled worker and freezes it as
 // a fact: the engine never touches an evaluator afterwards.
-func (s *Service) searchFact(spec *searchSpec) (system.Fact, error) {
-	if err := s.cfg.Seams.poolGet(); err != nil {
-		return nil, err
-	}
-	w := spec.pool.get()
-	defer spec.pool.put(w)
-	f, err := w.formula(spec.canonical)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	ext, err := w.eval.Extension(f)
-	if err != nil {
-		return nil, s.classifyEvalErr(err)
-	}
-	return system.NewFact(spec.canonical, ext.Contains), nil
+func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
+	err = s.withWorker(spec.pool, spec.canonical, func(w *worker) error {
+		f, err := w.formula(spec.canonical)
+		if err != nil {
+			return badRequest(err)
+		}
+		ext, err := w.eval.Extension(f)
+		if err != nil {
+			return s.classifyEvalErr(err)
+		}
+		phi = system.NewFact(spec.canonical, ext.Contains)
+		return nil
+	})
+	return phi, err
 }
 
 // finishSearch publishes the job's terminal state exactly once.

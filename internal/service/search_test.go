@@ -1,9 +1,11 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -665,5 +667,61 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 	}
 	if fin.State != SearchCanceled || fin.Result != nil {
 		t.Fatalf("drained job: state=%s result=%v", fin.State, fin.Result)
+	}
+}
+
+// TestSearchFactPanicPoisonsWorker injects a panic into the evaluation of
+// a search job's φ: the job must fail with a typed KindPanic error, the
+// worker it ran on must be discarded rather than repooled, and the next
+// check on the same pool must get a newly created worker and a correct
+// verdict.
+func TestSearchFactPanicPoisonsWorker(t *testing.T) {
+	svc := New(Config{Seams: &Seams{BeforeEval: func(formula string) error {
+		if formula == "phi" {
+			panic("injected panic evaluating the search fact")
+		}
+		return nil
+	}}})
+	uploadCoupled(t, svc, 6, 3)
+	st, err := svc.StartSearch(smallSearchReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitSearch(t, svc, st.ID); fin.State != SearchFailed {
+		t.Fatalf("state = %s (err=%q), want failed", fin.State, fin.Error)
+	}
+	svc.searchMu.Lock()
+	job := svc.searches[st.ID]
+	svc.searchMu.Unlock()
+	job.mu.Lock()
+	jobErr := job.err
+	job.mu.Unlock()
+	if KindOf(jobErr) != KindPanic {
+		t.Fatalf("job error = %v (kind %s), want panic", jobErr, KindOf(jobErr))
+	}
+
+	req := CheckRequest{System: "coupled", Formula: "!phi"}
+	got, err := svc.Check(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Check after the poisoned search: %v", err)
+	}
+	oracle := New(Config{})
+	uploadCoupled(t, oracle, 6, 3)
+	want, err := oracle.Check(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdict after the poisoned search:\n got %+v\nwant %+v", got, want)
+	}
+	stats := svc.Stats()
+	if len(stats.Pools) != 1 {
+		t.Fatalf("have %d pools, want the one post pool: %+v", len(stats.Pools), stats.Pools)
+	}
+	if p := stats.Pools[0]; p.Discarded != 1 || p.Created != 2 || p.Reused != 0 {
+		t.Fatalf("pool after the poisoned search: %+v, want 1 discarded, 2 created, 0 reused", p)
+	}
+	if stats.Resilience.Panics != 1 {
+		t.Fatalf("panics = %d, want 1", stats.Resilience.Panics)
 	}
 }

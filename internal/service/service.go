@@ -23,21 +23,10 @@ import (
 type Config struct {
 	// CacheSize bounds the verdict cache (entries). Default 4096.
 	CacheSize int
-	// MaxIdle bounds the idle evaluators kept per (system, assignment)
-	// pool. Default 8.
-	MaxIdle int
 	// MemoCap is the memoized-extension budget, in 64-bit bitset words
 	// (formulas memoized × words per extension), above which a returned
 	// evaluator's memo is dropped. Default 4096.
 	MemoCap int
-	// MaxCounterexamples bounds the counterexamples reported per verdict.
-	// Default 20.
-	MaxCounterexamples int
-	// MaxBatch bounds the formulas accepted by one Batch call. Default 256.
-	MaxBatch int
-	// BatchParallelism bounds the evaluator goroutines one Batch call fans
-	// out to. Default 8.
-	BatchParallelism int
 	// Parallelism is the dense engine's parallelism budget: the maximum
 	// number of goroutines (the caller included) one evaluation's sharded
 	// kernels may fan out to. The budget composes with admission control
@@ -55,9 +44,6 @@ type Config struct {
 	// evaluation slot before it is shed with a KindOverloaded error.
 	// Default 250ms.
 	QueueWait time.Duration
-	// RetryAfter is the retry hint attached to shed requests (kpad turns
-	// it into a Retry-After header). Default 1s.
-	RetryAfter time.Duration
 	// SearchWorkers bounds the branch-and-bound workers per search job
 	// (the job's first worker holds a blocking evaluation slot; the rest
 	// are taken opportunistically). Default 4.
@@ -72,9 +58,10 @@ type Config struct {
 	// disables persistence (in-memory resume of canceled jobs still works).
 	SearchCheckpointDir string
 	// SnapshotDir, when set, makes sessions durable: a background writer
-	// persists each loaded system's snapshot (identity, cell partitions,
-	// warm memos, cached verdicts) as <dir>/<canon-hash>.kpasnap, and
-	// RestoreSnapshots rebuilds them at boot. Empty disables durability.
+	// persists each loaded system's snapshot (identity, names and cached
+	// verdicts) as <dir>/<canon-hash>.kpasnap, and RestoreSnapshots
+	// rebuilds them at boot — system, index and cells recomputed, verdicts
+	// adopted. Empty disables durability.
 	// Services with a SnapshotDir own a background goroutine — stop it
 	// with Close.
 	SnapshotDir string
@@ -85,24 +72,29 @@ type Config struct {
 	Seams *Seams
 }
 
+// Fixed serving limits.
+const (
+	// maxIdle bounds the idle evaluators kept per (system, assignment)
+	// pool.
+	maxIdle = 8
+	// maxCounterexamples bounds the counterexamples reported per verdict.
+	maxCounterexamples = 20
+	// maxBatch bounds the formulas accepted by one Batch call.
+	maxBatch = 256
+	// batchParallelism bounds the evaluator goroutines one Batch call fans
+	// out to.
+	batchParallelism = 8
+	// retryAfter is the retry hint attached to shed requests (kpad turns
+	// it into a Retry-After header).
+	retryAfter = time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
-	if c.MaxIdle <= 0 {
-		c.MaxIdle = 8
-	}
 	if c.MemoCap <= 0 {
 		c.MemoCap = 4096
-	}
-	if c.MaxCounterexamples <= 0 {
-		c.MaxCounterexamples = 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.BatchParallelism <= 0 {
-		c.BatchParallelism = 8
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 1
@@ -112,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = 250 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.SearchWorkers <= 0 {
 		c.SearchWorkers = 4
@@ -352,14 +341,42 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, canon
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	if err := s.cfg.Seams.poolGet(); err != nil {
+	err = s.withWorker(pool, canonical, func(w *worker) error {
+		w.eval.SetCancel(func() error {
+			if c.canceled() {
+				return context.Canceled
+			}
+			return nil
+		})
+		defer w.eval.SetCancel(nil)
+		start := time.Now()
+		var err error
+		v, err = s.evaluate(w, sess, canonical, assignName)
+		s.evals.Add(1)
+		s.evalNanos.Add(uint64(time.Since(start).Nanoseconds()))
+		if err != nil {
+			return s.classifyEvalErr(err)
+		}
+		return nil
+	})
+	if err != nil {
 		return Verdict{}, err
+	}
+	return v, nil
+}
+
+// withWorker is the one checkout path for pooled workers: it runs the
+// pool-get seam, checks a worker out of pool, runs the eval seam with the
+// canonical formula, and hands the worker to fn. A panic in the eval seam
+// or in fn poisons the worker — the recovery runs before the deferred put,
+// so put discards it instead of handing it to the next request — and
+// returns as a KindPanic error.
+func (s *Service) withWorker(pool *evalPool, canonical string, fn func(w *worker) error) (err error) {
+	if err := s.cfg.Seams.poolGet(); err != nil {
+		return err
 	}
 	w := pool.get()
 	defer pool.put(w)
-	// The inner recovery runs before the deferred put, so a panicking
-	// evaluation poisons the worker and put discards it instead of handing
-	// it to the next request.
 	defer func() {
 		if r := recover(); r != nil {
 			w.poisoned = true
@@ -367,24 +384,10 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, canon
 			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluator panicked checking %q: %v", canonical, r)}
 		}
 	}()
-	w.eval.SetCancel(func() error {
-		if c.canceled() {
-			return context.Canceled
-		}
-		return nil
-	})
-	defer w.eval.SetCancel(nil)
 	if err := s.cfg.Seams.eval(canonical); err != nil {
-		return Verdict{}, err
+		return err
 	}
-	start := time.Now()
-	v, err = s.evaluate(w, sess, canonical, assignName)
-	s.evals.Add(1)
-	s.evalNanos.Add(uint64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		return Verdict{}, s.classifyEvalErr(err)
-	}
-	return v, nil
+	return fn(w)
 }
 
 // admitEval acquires an evaluation slot: immediately when one is free,
@@ -413,7 +416,7 @@ func (s *Service) admitEval(c *flightCall) error {
 		return &Error{
 			Kind:       KindOverloaded,
 			Msg:        fmt.Sprintf("service: all %d evaluation slots busy for %v", s.cfg.MaxInFlight, s.cfg.QueueWait),
-			RetryAfter: s.cfg.RetryAfter,
+			RetryAfter: retryAfter,
 		}
 	}
 }
@@ -468,7 +471,7 @@ func (s *Service) evaluate(w *worker, sess *session, canonical, assignName strin
 		v.CounterTotal = total - holds
 		// FirstN walks only as far as the bound, and the dense-ID order is
 		// the same (tree, run, time) order Sorted produced.
-		for _, p := range ext.Complement(1).FirstN(s.cfg.MaxCounterexamples) {
+		for _, p := range ext.Complement(1).FirstN(maxCounterexamples) {
 			v.CounterExamples = append(v.CounterExamples, fmt.Sprintf("%v %s", p, p.State()))
 		}
 	}
@@ -500,9 +503,9 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) ([]BatchItem, err
 	if len(req.Formulas) == 0 {
 		return nil, &Error{Kind: KindBadRequest, Msg: "service: batch has no formulas"}
 	}
-	if len(req.Formulas) > s.cfg.MaxBatch {
+	if len(req.Formulas) > maxBatch {
 		return nil, &Error{Kind: KindBadRequest,
-			Msg: fmt.Sprintf("service: batch of %d formulas exceeds limit %d", len(req.Formulas), s.cfg.MaxBatch)}
+			Msg: fmt.Sprintf("service: batch of %d formulas exceeds limit %d", len(req.Formulas), maxBatch)}
 	}
 	// Resolve the system and assignment once so a bad request fails whole.
 	sess, err := s.store.get(req.System)
@@ -514,7 +517,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) ([]BatchItem, err
 	}
 
 	items := make([]BatchItem, len(req.Formulas))
-	sem := make(chan struct{}, s.cfg.BatchParallelism)
+	sem := make(chan struct{}, batchParallelism)
 	var wg sync.WaitGroup
 	for i, formula := range req.Formulas {
 		wg.Add(1)

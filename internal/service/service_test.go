@@ -86,16 +86,18 @@ func TestCheckCanonicalFormulaSharing(t *testing.T) {
 }
 
 func TestCheckNotValidCounterexamples(t *testing.T) {
-	svc := New(Config{MaxCounterexamples: 2})
-	v, err := svc.Check(context.Background(), CheckRequest{System: "introcoin", Formula: "heads"})
+	svc := New(Config{})
+	// async:3 has 32 points, all of them counterexamples to false.
+	v, err := svc.Check(context.Background(), CheckRequest{System: "async:3", Formula: "false"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Valid {
-		t.Fatal("'heads' cannot be valid")
+		t.Fatal("'false' cannot be valid")
 	}
-	if v.CounterTotal == 0 || len(v.CounterExamples) != 2 {
-		t.Fatalf("counterexamples not bounded: total=%d listed=%d", v.CounterTotal, len(v.CounterExamples))
+	if v.CounterTotal != 32 || len(v.CounterExamples) != maxCounterexamples {
+		t.Fatalf("counterexamples not bounded: total=%d listed=%d, want 32 and %d",
+			v.CounterTotal, len(v.CounterExamples), maxCounterexamples)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"kpa/internal/canon"
 	"kpa/internal/encode"
-	"kpa/internal/logic"
 	"kpa/internal/registry"
 	"kpa/internal/snapshot"
 	"kpa/internal/system"
@@ -40,7 +39,6 @@ type snapshotter struct {
 	writeNanos       atomic.Uint64
 	restoredSessions atomic.Uint64
 	restoredVerdicts atomic.Uint64
-	restoredMemos    atomic.Uint64
 	restoredBytes    atomic.Uint64
 	loadNanos        atomic.Uint64
 	corruptFiles     atomic.Uint64
@@ -120,10 +118,11 @@ func (s *Service) SnapshotNow() (int, error) {
 	return written, firstErr
 }
 
-// writeSessionSnapshot exports one session's durable state, skips the
-// write if the encoded bytes match the last file written for this hash
-// (deterministic encoding makes the comparison exact), and otherwise
-// writes temp-then-rename through the snapshot seams.
+// writeSessionSnapshot exports one session's durable state — its
+// identity, names and slice of the verdict cache — skips the write if the
+// encoded bytes match the last file written for this hash (deterministic
+// encoding makes the comparison exact), and otherwise writes
+// temp-then-rename through the snapshot seams.
 func (s *Service) writeSessionSnapshot(sess *session) (wrote bool, err error) {
 	snap := &snapshot.Session{
 		Hash:   sess.hash,
@@ -133,24 +132,6 @@ func (s *Service) writeSessionSnapshot(sess *session) (wrote bool, err error) {
 	}
 	if sess.source == "registry" {
 		snap.Registry = sess.name
-	}
-	if idx := sess.sys.IndexIfBuilt(); idx != nil {
-		for i := 0; i < sess.sys.NumAgents(); i++ {
-			if cp := idx.CellsBuilt(system.AgentID(i)); cp != nil {
-				numCells, cellOf := cp.Table()
-				snap.Cells = append(snap.Cells, snapshot.CellTable{Agent: i, NumCells: numCells, CellOf: cellOf})
-			}
-		}
-	}
-	keys, pools := sess.poolsSnapshot()
-	for i, p := range pools {
-		if entries := p.exportMemo(); len(entries) > 0 {
-			mt := snapshot.MemoTable{Assign: keys[i]}
-			for _, e := range entries {
-				mt.Entries = append(mt.Entries, snapshot.MemoEntry{Formula: e.Formula, Bits: e.Bits})
-			}
-			snap.Memos = append(snap.Memos, mt)
-		}
 	}
 	for _, cv := range s.cache.exportFor(sess.hash) {
 		snap.Verdicts = append(snap.Verdicts, snapshot.Verdict{
@@ -213,10 +194,8 @@ func (s *Service) Close() error {
 type RestoreReport struct {
 	// Sessions is the number of sessions fully restored and published.
 	Sessions int
-	// Verdicts and MemoEntries count the cache entries and memoized
-	// extensions adopted.
-	Verdicts    int
-	MemoEntries int
+	// Verdicts counts the cache entries adopted.
+	Verdicts int
 	// Bytes is the total size of the snapshot files read successfully.
 	Bytes int64
 	// Corrupt lists per-file failures ("file: error"), each of which fell
@@ -226,14 +205,15 @@ type RestoreReport struct {
 
 // RestoreSnapshots scans the snapshot directory and rebuilds every
 // session it can: the system (from its registry name or retained upload
-// document, verified against the snapshot's canon hash), its dense
-// index, the persisted cell partitions, one warm evaluator per memoized
-// assignment, and the session's verdict-cache slice. A session is
-// published to the store only after it is fully built, so cancelling
-// the context mid-restore (SIGTERM during boot) never leaves a partial
-// session visible — already-completed sessions stay, the in-progress
-// one is dropped. Corrupt or stale files are counted, reported, and
-// skipped: the daemon then simply loads those systems cold on demand.
+// document, verified against the snapshot's canon hash), its dense index
+// and every agent's information cells — built under the engine budget,
+// the same work a cold load does — and the session's verdict-cache
+// slice. A session is published to the store only after it is fully
+// built, so cancelling the context mid-restore (SIGTERM during boot)
+// never leaves a partial session visible — already-completed sessions
+// stay, the in-progress one is dropped. Corrupt or stale files are
+// counted, reported, and skipped: the daemon then simply loads those
+// systems cold on demand.
 func (s *Service) RestoreSnapshots(ctx context.Context) (RestoreReport, error) {
 	var rep RestoreReport
 	if s.snap == nil {
@@ -257,7 +237,7 @@ func (s *Service) RestoreSnapshots(ctx context.Context) (RestoreReport, error) {
 		}
 		path := filepath.Join(s.snap.dir, name)
 		start := time.Now()
-		n, v, m, err := s.restoreFile(ctx, path)
+		n, v, err := s.restoreFile(ctx, path)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancelled mid-restore: not a corrupt file.
@@ -271,34 +251,32 @@ func (s *Service) RestoreSnapshots(ctx context.Context) (RestoreReport, error) {
 		s.snap.loadNanos.Add(uint64(time.Since(start).Nanoseconds()))
 		s.snap.restoredSessions.Add(1)
 		s.snap.restoredVerdicts.Add(uint64(v))
-		s.snap.restoredMemos.Add(uint64(m))
 		s.snap.restoredBytes.Add(uint64(n))
 		rep.Sessions++
 		rep.Verdicts += v
-		rep.MemoEntries += m
 		rep.Bytes += int64(n)
 	}
 	return rep, nil
 }
 
 // restoreFile restores one snapshot file, returning the bytes read and
-// the verdict/memo-entry counts adopted. Any error means nothing of
-// this file was published.
-func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts, memos int, err error) {
+// the number of verdicts adopted. Any error means nothing of this file
+// was published.
+func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts int, err error) {
 	if err := s.cfg.Seams.snapshotLoad(path); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	snap, err := snapshot.Decode(data)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 
 	// Rebuild the system from its durable identity and verify it hashes
-	// to the snapshot's key before trusting any derived table.
+	// to the snapshot's key before adopting any verdict.
 	var (
 		sys   *system.System
 		props map[string]system.Fact
@@ -307,31 +285,32 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 	if snap.Source == "registry" {
 		entry, err := registry.Lookup(snap.Registry)
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("registry system %q: %w", snap.Registry, err)
+			return 0, 0, fmt.Errorf("registry system %q: %w", snap.Registry, err)
 		}
 		sys, props, desc = entry.Sys, entry.Props, entry.Description
 	} else {
 		var derr error
 		sys, props, derr = encode.Decode(snap.Doc)
 		if derr != nil {
-			return 0, 0, 0, fmt.Errorf("uploaded document: %w", derr)
+			return 0, 0, fmt.Errorf("uploaded document: %w", derr)
 		}
 		desc = fmt.Sprintf("uploaded system (%d trees, %d points)", len(sys.Trees()), sys.NumPoints())
 	}
 	if h := canon.Hash(sys); h != snap.Hash {
-		return 0, 0, 0, fmt.Errorf("rebuilt system hashes to %s, snapshot is keyed %s", h[:12], snap.Hash[:12])
+		return 0, 0, fmt.Errorf("rebuilt system hashes to %s, snapshot is keyed %s", h[:12], snap.Hash[:12])
 	}
 	if len(snap.Names) == 0 {
-		return 0, 0, 0, fmt.Errorf("snapshot carries no names")
+		return 0, 0, fmt.Errorf("snapshot carries no names")
 	}
 
-	s.engine.buildIndex(sys)
-	idx := sys.Index()
-	for _, ct := range snap.Cells {
-		if err := idx.AdoptCells(system.AgentID(ct.Agent), ct.NumCells, ct.CellOf); err != nil {
-			return 0, 0, 0, err
+	// Build what the first uncached check would otherwise pay for: the
+	// dense index and every agent's cells, the same work a cold load does.
+	s.engine.withWorkers(func(workers int) {
+		idx := sys.BuildIndex(workers)
+		for i := 0; i < sys.NumAgents(); i++ {
+			idx.Cells(system.AgentID(i), workers)
 		}
-	}
+	})
 
 	sess := &session{
 		name:   snap.Names[0],
@@ -343,25 +322,9 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		doc:    snap.Doc,
 		pools:  make(map[string]*evalPool),
 	}
-	for _, mt := range snap.Memos {
-		pool, err := sess.pool(mt.Assign, s.cfg, s.engine)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("assignment %q: %w", mt.Assign, err)
-		}
-		entries := make([]logic.MemoExport, 0, len(mt.Entries))
-		for _, e := range mt.Entries {
-			entries = append(entries, logic.MemoExport{Formula: e.Formula, Bits: e.Bits})
-		}
-		n, err := pool.seedWorker(entries)
-		memos += n
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("assignment %q memo: %w", mt.Assign, err)
-		}
-	}
-
 	// Publish only now, fully built — and never after cancellation.
 	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	for _, name := range snap.Names {
 		s.store.intern(name, sess)
@@ -381,7 +344,7 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		})
 		verdicts++
 	}
-	return len(data), verdicts, memos, nil
+	return len(data), verdicts, nil
 }
 
 // SnapshotStats is the "snapshot" block of /v1/stats: the durability
@@ -399,13 +362,12 @@ type SnapshotStats struct {
 	Skips         uint64 `json:"skips"`
 	// WriteNanos is the summed wall-clock time of successful writes.
 	WriteNanos uint64 `json:"writeNanos"`
-	// RestoredSessions/Verdicts/MemoEntries/Bytes describe what the boot
-	// restore adopted; LoadNanos is the summed restore wall-clock.
-	RestoredSessions    uint64 `json:"restoredSessions"`
-	RestoredVerdicts    uint64 `json:"restoredVerdicts"`
-	RestoredMemoEntries uint64 `json:"restoredMemoEntries"`
-	RestoredBytes       uint64 `json:"restoredBytes"`
-	LoadNanos           uint64 `json:"loadNanos"`
+	// RestoredSessions/Verdicts/Bytes describe what the boot restore
+	// adopted; LoadNanos is the summed restore wall-clock.
+	RestoredSessions uint64 `json:"restoredSessions"`
+	RestoredVerdicts uint64 `json:"restoredVerdicts"`
+	RestoredBytes    uint64 `json:"restoredBytes"`
+	LoadNanos        uint64 `json:"loadNanos"`
 	// CorruptFiles counts snapshot files rejected (typed decode errors,
 	// hash mismatches) and skipped in favor of a cold load.
 	CorruptFiles uint64 `json:"corruptFiles"`
@@ -421,18 +383,17 @@ func (s *Service) snapshotStats() SnapshotStats {
 	lastErr := s.snap.lastErr
 	s.snap.mu.Unlock()
 	return SnapshotStats{
-		Enabled:             true,
-		Dir:                 s.snap.dir,
-		Writes:              s.snap.writes.Load(),
-		WriteFailures:       s.snap.writeFailures.Load(),
-		Skips:               s.snap.skips.Load(),
-		WriteNanos:          s.snap.writeNanos.Load(),
-		RestoredSessions:    s.snap.restoredSessions.Load(),
-		RestoredVerdicts:    s.snap.restoredVerdicts.Load(),
-		RestoredMemoEntries: s.snap.restoredMemos.Load(),
-		RestoredBytes:       s.snap.restoredBytes.Load(),
-		LoadNanos:           s.snap.loadNanos.Load(),
-		CorruptFiles:        s.snap.corruptFiles.Load(),
-		LastError:           lastErr,
+		Enabled:          true,
+		Dir:              s.snap.dir,
+		Writes:           s.snap.writes.Load(),
+		WriteFailures:    s.snap.writeFailures.Load(),
+		Skips:            s.snap.skips.Load(),
+		WriteNanos:       s.snap.writeNanos.Load(),
+		RestoredSessions: s.snap.restoredSessions.Load(),
+		RestoredVerdicts: s.snap.restoredVerdicts.Load(),
+		RestoredBytes:    s.snap.restoredBytes.Load(),
+		LoadNanos:        s.snap.loadNanos.Load(),
+		CorruptFiles:     s.snap.corruptFiles.Load(),
+		LastError:        lastErr,
 	}
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -71,7 +73,7 @@ func TestSnapshotWarmRestartRoundTrip(t *testing.T) {
 	if len(rep.Corrupt) != 0 {
 		t.Fatalf("unexpected corrupt files: %v", rep.Corrupt)
 	}
-	if rep.Verdicts == 0 || rep.MemoEntries == 0 || rep.Bytes == 0 {
+	if rep.Verdicts == 0 || rep.Bytes == 0 {
 		t.Fatalf("restore adopted nothing: %+v", rep)
 	}
 
@@ -258,4 +260,68 @@ func TestSnapshotBackgroundWriter(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("background writer produced no complete snapshot set")
+}
+
+// TestRestoreRejectsVersion1Snapshot: files in the previous format
+// version (here current files re-stamped as version 1, footer
+// recomputed) are counted corrupt and never published, and the systems
+// they describe then load cold on demand with verdicts byte-identical to
+// an uninterrupted oracle.
+func TestRestoreRejectsVersion1Snapshot(t *testing.T) {
+	queries := chaosReplayQueries()
+	oracle := chaosOracle(t, queries)
+	dir := t.TempDir()
+	svc1 := New(snapConfig(dir))
+	if _, err := svc1.Upload("mycoin", introDoc(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := svc1.Check(context.Background(), q); err != nil {
+			t.Fatalf("warm-up Check(%+v): %v", q, err)
+		}
+	}
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+snapshot.Ext))
+	if len(files) == 0 {
+		t.Fatal("no snapshot files written")
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(data[6:8], 1)
+		sum := crc32.Checksum(data[:len(data)-4], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc2 := New(snapConfig(dir))
+	defer svc2.Close()
+	rep, err := svc2.RestoreSnapshots(context.Background())
+	if err != nil {
+		t.Fatalf("RestoreSnapshots must not fail the boot: %v", err)
+	}
+	if rep.Sessions != 0 || len(rep.Corrupt) != len(files) {
+		t.Fatalf("restore report %+v, want 0 sessions and %d rejected files", rep, len(files))
+	}
+	for _, c := range rep.Corrupt {
+		if !strings.Contains(c, snapshot.ErrVersion.Error()) {
+			t.Fatalf("rejected file %q does not carry ErrVersion", c)
+		}
+	}
+	if st := svc2.Stats().Snapshot; st.CorruptFiles != uint64(len(files)) || st.RestoredSessions != 0 {
+		t.Fatalf("snapshot stats: %+v", st)
+	}
+	if n := len(svc2.Systems()); n != 0 {
+		t.Fatalf("rejected snapshots published %d systems", n)
+	}
+	if _, err := svc2.Upload("mycoin", introDoc(t)); err != nil {
+		t.Fatal(err)
+	}
+	chaosReplayAndCompare(t, svc2, queries, oracle)
 }

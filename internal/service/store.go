@@ -54,30 +54,9 @@ func (s *session) pool(assignName string, cfg Config, eng *engine) (*evalPool, e
 	if p, ok := s.pools[key]; ok {
 		return p, nil
 	}
-	p = newEvalPool(s.sys, sa, s.props, cfg.MemoCap, cfg.MaxIdle, eng)
+	p = newEvalPool(s.sys, sa, s.props, cfg.MemoCap, eng)
 	s.pools[key] = p
 	return p, nil
-}
-
-// poolsSnapshot returns the session's pools with their canonical
-// assignment keys, sorted by key, for the snapshot writer.
-func (s *session) poolsSnapshot() (keys []string, pools []*evalPool) {
-	type kp struct {
-		k string
-		p *evalPool
-	}
-	s.mu.RLock()
-	items := make([]kp, 0, len(s.pools))
-	for k, p := range s.pools {
-		items = append(items, kp{k, p})
-	}
-	s.mu.RUnlock()
-	sort.Slice(items, func(i, j int) bool { return items[i].k < items[j].k })
-	for _, it := range items {
-		keys = append(keys, it.k)
-		pools = append(pools, it.p)
-	}
-	return keys, pools
 }
 
 func (s *session) poolStats() []PoolStats {

@@ -1,18 +1,19 @@
 // Package snapshot defines the durable on-disk format for a loaded
-// session of the serving stack: the system's identity (a registry name or
-// the uploaded encode document), the names it is loaded under, the
-// expensive derived state worth persisting — per-agent information-cell
-// tables and warm evaluator memos — and the session's slice of the
-// verdict cache. internal/service writes one snapshot file per distinct
-// system (keyed by canonical content hash, canon.Hash) and restores them
-// at boot, so a restarted daemon serves cache-warm from the first
-// request instead of rebuilding every index and re-evaluating every
-// formula.
+// session of the serving stack. A snapshot keeps only what a restart
+// cannot recompute: the system's identity (its canonical content hash
+// and a registry name or the uploaded encode document), the names it is
+// loaded under, and the session's slice of the verdict cache. Everything
+// else the evaluator derives — the dense index, the ∼_i information
+// cells, the sample spaces of the assignments — is a function of the
+// system alone, so a restore rebuilds it. internal/service writes one
+// snapshot file per distinct system (keyed by canonical content hash,
+// canon.Hash) and restores them at boot, so a restarted daemon serves
+// every verdict it had already paid for from the first request.
 //
 // The format is binary, versioned and checksummed:
 //
 //	offset 0   magic   "KPSNAP" (6 bytes)
-//	offset 6   version uint16 little-endian (currently 1)
+//	offset 6   version uint16 little-endian (currently 2)
 //	offset 8   payload length uint64 little-endian
 //	offset 16  payload (see Session)
 //	tail       CRC-32C (Castagnoli) of everything before it, uint32 LE
@@ -36,9 +37,9 @@ import (
 )
 
 // Version is the current format version. Decode rejects every other
-// version: derived tables (cell numbering, memo bit layout) are trusted
-// byte-for-byte, so cross-version reinterpretation is never safe.
-const Version = 1
+// version with ErrVersion rather than guess at another layout, so a file
+// written by a different build degrades to a cold load.
+const Version = 2
 
 // Ext is the snapshot file extension.
 const Ext = ".kpasnap"
@@ -72,7 +73,7 @@ var (
 type Session struct {
 	// Hash is the system's canonical content hash (canon.Hash), the
 	// snapshot's key. Restores verify the rebuilt system hashes to
-	// exactly this value before trusting any derived table.
+	// exactly this value before adopting any verdict.
 	Hash string
 	// Source is "registry" or "upload".
 	Source string
@@ -83,24 +84,8 @@ type Session struct {
 	Registry string
 	// Doc is the original uploaded encode document (Source "upload").
 	Doc []byte
-	// Cells holds the per-agent information-cell tables that were built
-	// when the snapshot was written (agents whose partition was never
-	// needed are absent).
-	Cells []CellTable
 	// Verdicts is the session's slice of the verdict cache.
 	Verdicts []Verdict
-	// Memos holds one warm evaluator memo per assignment that had one.
-	Memos []MemoTable
-}
-
-// CellTable is one agent's information-cell partition in dense form:
-// CellOf[id] is the cell number of dense point ID id, with cells
-// numbered in order of first occurrence by ID (the numbering
-// system.Index.Cells produces).
-type CellTable struct {
-	Agent    int
-	NumCells int
-	CellOf   []int32
 }
 
 // Verdict is one cached verdict, keyed within the session by
@@ -113,20 +98,6 @@ type Verdict struct {
 	Points          int
 	CounterTotal    int
 	CounterExamples []string
-}
-
-// MemoTable is one assignment's warm evaluator memo: the memoized dense
-// extensions, each as the canonical formula text plus the extension's
-// backing bitset words.
-type MemoTable struct {
-	Assign  string
-	Entries []MemoEntry
-}
-
-// MemoEntry is one memoized formula extension.
-type MemoEntry struct {
-	Formula string
-	Bits    []uint64
 }
 
 var magic = [6]byte{'K', 'P', 'S', 'N', 'A', 'P'}
@@ -147,15 +118,6 @@ func Encode(s *Session) []byte {
 	}
 	p.str(s.Registry)
 	p.bytes(s.Doc)
-	p.uvarint(uint64(len(s.Cells)))
-	for _, c := range s.Cells {
-		p.uvarint(uint64(c.Agent))
-		p.uvarint(uint64(c.NumCells))
-		p.uvarint(uint64(len(c.CellOf)))
-		for _, v := range c.CellOf {
-			p.u32(uint32(v))
-		}
-	}
 	p.uvarint(uint64(len(s.Verdicts)))
 	for _, v := range s.Verdicts {
 		p.str(v.Assign)
@@ -167,18 +129,6 @@ func Encode(s *Session) []byte {
 		p.uvarint(uint64(len(v.CounterExamples)))
 		for _, ce := range v.CounterExamples {
 			p.str(ce)
-		}
-	}
-	p.uvarint(uint64(len(s.Memos)))
-	for _, m := range s.Memos {
-		p.str(m.Assign)
-		p.uvarint(uint64(len(m.Entries)))
-		for _, e := range m.Entries {
-			p.str(e.Formula)
-			p.uvarint(uint64(len(e.Bits)))
-			for _, w := range e.Bits {
-				p.u64(w)
-			}
 		}
 	}
 
@@ -229,23 +179,6 @@ func Decode(data []byte) (*Session, error) {
 	}
 	s.Registry = r.str()
 	s.Doc = r.bytes()
-	nCells := r.count(6) // agent, numCells, len + ≥0 table bytes
-	for i := uint64(0); i < nCells && r.err == nil; i++ {
-		var c CellTable
-		c.Agent = int(r.uvarint())
-		c.NumCells = int(r.uvarint())
-		n := r.count(4)
-		c.CellOf = make([]int32, 0, n)
-		for j := uint64(0); j < n && r.err == nil; j++ {
-			v := int32(r.u32())
-			if r.err == nil && (v < 0 || int(v) >= c.NumCells) {
-				return nil, fmt.Errorf("%w: cell table for agent %d maps ID %d to cell %d of %d",
-					ErrCorrupt, c.Agent, j, v, c.NumCells)
-			}
-			c.CellOf = append(c.CellOf, v)
-		}
-		s.Cells = append(s.Cells, c)
-	}
 	nVerdicts := r.count(7)
 	for i := uint64(0); i < nVerdicts && r.err == nil; i++ {
 		var v Verdict
@@ -260,23 +193,6 @@ func Decode(data []byte) (*Session, error) {
 			v.CounterExamples = append(v.CounterExamples, r.str())
 		}
 		s.Verdicts = append(s.Verdicts, v)
-	}
-	nMemos := r.count(2)
-	for i := uint64(0); i < nMemos && r.err == nil; i++ {
-		var m MemoTable
-		m.Assign = r.str()
-		nEntries := r.count(2)
-		for j := uint64(0); j < nEntries && r.err == nil; j++ {
-			var e MemoEntry
-			e.Formula = r.str()
-			nWords := r.count(8)
-			e.Bits = make([]uint64, 0, nWords)
-			for k := uint64(0); k < nWords && r.err == nil; k++ {
-				e.Bits = append(e.Bits, r.u64())
-			}
-			m.Entries = append(m.Entries, e)
-		}
-		s.Memos = append(s.Memos, m)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -296,8 +212,6 @@ type payloadWriter struct {
 }
 
 func (p *payloadWriter) uvarint(v uint64) { p.buf = binary.AppendUvarint(p.buf, v) }
-func (p *payloadWriter) u32(v uint32)     { p.buf = binary.LittleEndian.AppendUint32(p.buf, v) }
-func (p *payloadWriter) u64(v uint64)     { p.buf = binary.LittleEndian.AppendUint64(p.buf, v) }
 func (p *payloadWriter) bytes(b []byte) {
 	p.uvarint(uint64(len(b)))
 	p.buf = append(p.buf, b...)
@@ -393,22 +307,6 @@ func (r *payloadReader) bytes() []byte {
 	out := make([]byte, n)
 	copy(out, r.take(int(n)))
 	return out
-}
-
-func (r *payloadReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *payloadReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 func (r *payloadReader) bool() bool {

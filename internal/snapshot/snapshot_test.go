@@ -8,42 +8,36 @@ import (
 	"testing"
 )
 
-// sampleSession builds a session exercising every field of the wire
-// model, sized well past 4KiB so the truncation sweep in corrupt_test.go
-// has many boundaries to cut at.
+// sampleSize is the encoded size of sampleSession. It is the size of the
+// version-1 sample, so the truncation and bit-flip sweeps in
+// corrupt_test.go cut and flip the same offsets across the format change.
+const sampleSize = 17759
+
+// sampleSession builds an upload session exercising every field of the
+// wire model but Registry (TestRoundTripMinimal covers that one), sized
+// well past 4KiB so the truncation sweep in corrupt_test.go has many
+// boundaries to cut at. As in a real upload's snapshot, the document is
+// the bulk of the payload.
 func sampleSession() *Session {
 	s := &Session{
-		Hash:     "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
-		Source:   "registry",
-		Names:    []string{"introcoin", "warm-alias"},
-		Registry: "introcoin",
-	}
-	cellOf := make([]int32, 4096)
-	for i := range cellOf {
-		cellOf[i] = int32(i % 97)
-	}
-	s.Cells = []CellTable{
-		{Agent: 0, NumCells: 97, CellOf: cellOf},
-		{Agent: 2, NumCells: 1, CellOf: make([]int32, 128)},
-	}
-	s.Verdicts = []Verdict{
-		{
-			Assign: "post", Formula: "(K 1 (prop heads))", Valid: false,
-			HoldsAt: 12, Points: 24, CounterTotal: 12,
-			CounterExamples: []string{"t0/r1@0", "t0/r1@1"},
+		Hash:   "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+		Source: "upload",
+		Names:  []string{"mycoin", "warm-alias"},
+		Verdicts: []Verdict{
+			{
+				Assign: "post", Formula: "(K 1 (prop heads))", Valid: false,
+				HoldsAt: 12, Points: 24, CounterTotal: 12,
+				CounterExamples: []string{"t0/r1@0", "t0/r1@1"},
+			},
+			{Assign: "fut", Formula: "(pr>= 1 1/2 (prop heads))", Valid: true, HoldsAt: 24, Points: 24},
 		},
-		{Assign: "fut", Formula: "(pr>= 1 1/2 (prop heads))", Valid: true, HoldsAt: 24, Points: 24},
 	}
-	bits := make([]uint64, 64)
-	for i := range bits {
-		bits[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	s.Memos = []MemoTable{
-		{Assign: "post", Entries: []MemoEntry{
-			{Formula: "(prop heads)", Bits: bits},
-			{Formula: "(not (prop heads))", Bits: bits[:8]},
-		}},
-		{Assign: "prior", Entries: []MemoEntry{{Formula: "(prop heads)", Bits: bits[:1]}}},
+	// Fill the document up to sampleSize: its length varint takes 3 bytes
+	// where the empty document's took 1.
+	const pattern = `{"agents":2,"trees":[]} `
+	s.Doc = make([]byte, sampleSize-len(Encode(s))-2)
+	for i := range s.Doc {
+		s.Doc[i] = pattern[i%len(pattern)]
 	}
 	return s
 }
@@ -51,8 +45,8 @@ func sampleSession() *Session {
 func TestRoundTrip(t *testing.T) {
 	want := sampleSession()
 	data := Encode(want)
-	if len(data) < 4096 {
-		t.Fatalf("sample snapshot is %d bytes; corruption sweep needs > 4096", len(data))
+	if len(data) != sampleSize {
+		t.Fatalf("sample snapshot is %d bytes, want %d", len(data), sampleSize)
 	}
 	got, err := Decode(data)
 	if err != nil {
@@ -65,10 +59,10 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripMinimal(t *testing.T) {
 	want := &Session{
-		Hash:   "deadbeef",
-		Source: "upload",
-		Names:  []string{"mine"},
-		Doc:    []byte(`{"trees":[]}`),
+		Hash:     "deadbeef",
+		Source:   "registry",
+		Names:    []string{"introcoin"},
+		Registry: "introcoin",
 	}
 	got, err := Decode(Encode(want))
 	if err != nil {

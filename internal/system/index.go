@@ -75,19 +75,7 @@ func (s *System) BuildIndex(workers int) *Index {
 		idx.words = (total + 63) / 64
 		idx.cells = make([]*Partition, s.numAgents)
 		s.index = idx
-		s.indexBuilt.Store(true)
 	})
-	return s.index
-}
-
-// IndexIfBuilt returns the system's point index if some caller has
-// already built it, and nil otherwise — a peek that never triggers the
-// build. Snapshot writers use it to persist derived state only for
-// systems a workload actually touched.
-func (s *System) IndexIfBuilt() *Index {
-	if !s.indexBuilt.Load() {
-		return nil
-	}
 	return s.index
 }
 

@@ -26,12 +26,6 @@ func (p *Partition) Members(k int) []int32 {
 	return p.ids[lo:hi:hi]
 }
 
-// Table returns the number of blocks and a copy of the dense-ID → block
-// table, the partition's plain-data form.
-func (p *Partition) Table() (numBlocks int, blockOf []int32) {
-	return p.NumBlocks(), slices.Clone(p.blockOf)
-}
-
 // PartitionBy partitions x's points by key(id), numbering blocks in order
 // of first occurrence whatever the worker count: each of up to workers
 // goroutines numbers the keys of its 64-aligned ID range (phase 1), a

@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // System is a probabilistic system in the sense of Section 3: a collection
@@ -26,15 +25,14 @@ type System struct {
 	treeByName map[string]*Tree             // adversary name → tree
 	timeIndex  map[*Tree]map[int][]Point    // tree → time → points
 	nodePoints map[*Tree]map[NodeID][]Point // tree → node → points on it
-	synchOnce  bool
-	synchVal   bool
 
 	localOnce sync.Once // guards byLocal
 	mapsOnce  sync.Once // guards points, byState, timeIndex, nodePoints
+	synchOnce sync.Once // guards synch
+	synch     bool
 
-	indexOnce  sync.Once
-	index      *Index      // dense point index, built lazily by Index()
-	indexBuilt atomic.Bool // set after index is published; read by IndexIfBuilt
+	indexOnce sync.Once
+	index     *Index // dense point index, built lazily by Index()
 }
 
 // New assembles a system from computation trees. It validates that every
@@ -293,24 +291,14 @@ func (s *System) Knows(i AgentID, c Point, phi Fact) bool {
 // IsSynchronous reports whether the system is synchronous in the sense of
 // [HV89]: whenever an agent has the same local state at (r,k) and (r′,k′),
 // then k = k′. Equivalently, every agent can read the time off its local
-// state. The result is computed once and cached.
+// state. The result is computed once and cached; concurrent callers are
+// safe.
 func (s *System) IsSynchronous() bool {
-	if s.synchOnce {
-		return s.synchVal
-	}
-	s.ensureLocal()
-	s.synchOnce = true
-	s.synchVal = true
-	for i := 0; i < s.numAgents && s.synchVal; i++ {
-		for _, pts := range s.byLocal[i] {
-			for j := 1; j < len(pts); j++ {
-				if pts[j].Time != pts[0].Time {
-					s.synchVal = false
-				}
-			}
-		}
-	}
-	return s.synchVal
+	s.synchOnce.Do(func() {
+		_, _, _, violated := s.SameLocalTimes()
+		s.synch = !violated
+	})
+	return s.synch
 }
 
 // SameLocalTimes reports, for diagnostics, the first synchrony violation:

@@ -2,6 +2,7 @@ package system
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"kpa/internal/rat"
@@ -219,6 +220,36 @@ func TestIsSynchronous(t *testing.T) {
 	// Cached value is stable.
 	if sys.IsSynchronous() {
 		t.Error("cached synchrony changed")
+	}
+}
+
+// TestIsSynchronousConcurrent calls IsSynchronous on one shared system
+// from 8 goroutines at once: a System may be shared freely, so the
+// cached answer must be computed and published race-free (run under
+// -race).
+func TestIsSynchronousConcurrent(t *testing.T) {
+	tb := NewTree("coin", gs("start", "a:t0", "b:idle"))
+	tb.Child(0, rat.Half, gs("h", "a:h", "b:idle"))
+	tb.Child(0, rat.Half, gs("t", "a:t", "b:idle"))
+	for _, tc := range []struct {
+		sys  *System
+		want bool
+	}{{twoAgentCoin(t), true}, {MustNew(2, tb.MustBuild()), false}} {
+		got := make([]bool, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = tc.sys.IsSynchronous()
+			}(g)
+		}
+		wg.Wait()
+		for g, v := range got {
+			if v != tc.want {
+				t.Errorf("goroutine %d: IsSynchronous = %v, want %v", g, v, tc.want)
+			}
+		}
 	}
 }
 
