@@ -3,9 +3,9 @@ package canon
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"hash"
 	"sort"
+	"strconv"
 
 	"kpa/internal/system"
 )
@@ -16,30 +16,75 @@ import (
 // in which the trees were supplied. The hash is the hex-encoded SHA-256 of
 // a deterministic serialization, suitable for keying caches and deduping
 // uploaded systems.
+//
+// The serialization is "agents N\n", then per tree in adversary order
+// "tree Q\n" and its nodes in preorder: "n Q", " Q" per local state,
+// " cN\n" with N the edge count, and "e P\n" before each child's subtree,
+// where Q is a Go-quoted string and P the edge probability's String.
 func Hash(sys *system.System) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "agents %d\n", sys.NumAgents())
+	w := hashWriter{h: sha256.New(), buf: make([]byte, 0, hashFlush+4096)}
+	w.buf = append(w.buf, "agents "...)
+	w.buf = strconv.AppendInt(w.buf, int64(sys.NumAgents()), 10)
+	w.buf = append(w.buf, '\n')
 	trees := append([]*system.Tree(nil), sys.Trees()...)
 	sort.Slice(trees, func(i, j int) bool { return trees[i].Adversary < trees[j].Adversary })
 	for _, t := range trees {
-		fmt.Fprintf(h, "tree %q\n", t.Adversary)
-		hashNode(h, t, t.Root().ID)
+		w.buf = append(w.buf, "tree "...)
+		w.buf = strconv.AppendQuote(w.buf, t.Adversary)
+		w.buf = append(w.buf, '\n')
+		w.node(t, t.Root().ID)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
 }
 
-// hashNode writes the subtree rooted at id in preorder. Child order is part
-// of the tree's identity (it is the order runs are numbered in), so it is
+// hashFlush is the buffered stream length at which hashWriter hands its
+// bytes to the hash.
+const hashFlush = 32 << 10
+
+// hashWriter appends the serialization into one reused buffer and flushes
+// it to the hash in large writes.
+type hashWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *hashWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// node writes the subtree rooted at id in preorder. Child order is part of
+// the tree's identity (it is the order runs are numbered in), so it is
 // preserved rather than sorted.
-func hashNode(w io.Writer, t *system.Tree, id system.NodeID) {
+func (w *hashWriter) node(t *system.Tree, id system.NodeID) {
 	n := t.Node(id)
-	fmt.Fprintf(w, "n %q", n.State.Env)
+	w.buf = append(w.buf, "n "...)
+	w.buf = strconv.AppendQuote(w.buf, n.State.Env)
 	for _, l := range n.State.Locals {
-		fmt.Fprintf(w, " %q", string(l))
+		w.buf = append(w.buf, ' ')
+		w.buf = strconv.AppendQuote(w.buf, string(l))
 	}
-	fmt.Fprintf(w, " c%d\n", len(n.Edges))
+	w.buf = append(w.buf, " c"...)
+	w.buf = strconv.AppendInt(w.buf, int64(len(n.Edges)), 10)
+	w.buf = append(w.buf, '\n')
 	for _, e := range n.Edges {
-		fmt.Fprintf(w, "e %s\n", e.Prob)
-		hashNode(w, t, e.Child)
+		w.buf = append(w.buf, "e "...)
+		// The bytes of e.Prob.String(), without allocating when the
+		// probability fits in 64-bit parts.
+		if num, den, ok := e.Prob.Frac64(); ok {
+			w.buf = strconv.AppendUint(w.buf, num, 10)
+			if den != 1 {
+				w.buf = append(w.buf, '/')
+				w.buf = strconv.AppendUint(w.buf, den, 10)
+			}
+		} else {
+			w.buf = append(w.buf, e.Prob.String()...)
+		}
+		w.buf = append(w.buf, '\n')
+		if len(w.buf) >= hashFlush {
+			w.flush()
+		}
+		w.node(t, e.Child)
 	}
 }

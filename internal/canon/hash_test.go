@@ -3,6 +3,7 @@ package canon
 import (
 	"testing"
 
+	"kpa/internal/gen"
 	"kpa/internal/rat"
 	"kpa/internal/system"
 )
@@ -75,5 +76,18 @@ func TestHashSensitiveToProbabilities(t *testing.T) {
 	}
 	if Hash(mk(rat.New(1, 2))) == Hash(mk(rat.New(2, 3))) {
 		t.Fatal("hash insensitive to transition probabilities")
+	}
+}
+
+var hashSink string
+
+// BenchmarkHash hashes a kpabench-shaped system (3 agents, 2,048 runs × 8
+// steps, 14,337 nodes), as every upload and uploaded-snapshot restore does.
+func BenchmarkHash(b *testing.B) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 2048, RunLen: 8, Buckets: 16})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = Hash(sys)
 	}
 }

@@ -26,6 +26,31 @@
 //	    "heads": {"envEquals": "h"}
 //	  }
 //	}
+//
+// Decode scans the document once, in place, building each tree through
+// system.TreeBuilder. It accepts exactly what json.Decoder.Decode with
+// DisallowUnknownFields accepts into a Document, except that a repeated key
+// is an error:
+//
+//   - Keys may come in any order within an object.
+//   - A key selects its field by exact name, else by bytes.EqualFold, as in
+//     encoding/json. A key naming no field fails with unknown field "k",
+//     and a key selecting a field an earlier key of the same object
+//     selected fails with duplicate key "k".
+//   - String escapes, invalid UTF-8 (replaced by U+FFFD) and control
+//     bytes behave as in encoding/json; agents is a JSON number that fits
+//     an int; null leaves a field at its zero value.
+//   - More than 10,000 nested arrays and objects is an error, as in
+//     encoding/json. Each tree level nests three deeper (children array,
+//     edge object, node object), so a leaf can sit at most 3,331 levels
+//     below its root.
+//   - Bytes after the document's closing brace are ignored.
+//   - props is decoded by encoding/json itself (a PropDoc per name).
+//
+// The decoded system must then satisfy system.New: every node has one
+// local state per agent, adversary names are distinct, every internal
+// node's edge probabilities are positive and sum to 1, and no global state
+// appears twice.
 package encode
 
 import (
@@ -33,7 +58,6 @@ import (
 	"fmt"
 	"strings"
 
-	"kpa/internal/rat"
 	"kpa/internal/system"
 )
 
@@ -97,75 +121,6 @@ type LocalMatcher struct {
 	Equals string `json:"equals,omitempty"`
 	// Contains matches local states containing the value.
 	Contains string `json:"contains,omitempty"`
-}
-
-// Decode parses a JSON document and builds the system and its propositions.
-func Decode(data []byte) (*system.System, map[string]system.Fact, error) {
-	var doc Document
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("encode: parse: %w", err)
-	}
-	return Build(doc)
-}
-
-// Build constructs the system and propositions from a parsed document.
-func Build(doc Document) (*system.System, map[string]system.Fact, error) {
-	if len(doc.Trees) == 0 {
-		return nil, nil, fmt.Errorf("encode: no trees")
-	}
-	trees := make([]*system.Tree, 0, len(doc.Trees))
-	for ti, td := range doc.Trees {
-		if td.Adversary == "" {
-			return nil, nil, fmt.Errorf("encode: tree %d has no adversary name", ti)
-		}
-		tb := system.NewTree(td.Adversary, mkState(doc.Agents, td.Root))
-		if err := addChildren(tb, 0, doc.Agents, td.Root); err != nil {
-			return nil, nil, fmt.Errorf("encode: tree %q: %w", td.Adversary, err)
-		}
-		t, err := tb.Build()
-		if err != nil {
-			return nil, nil, fmt.Errorf("encode: tree %q: %w", td.Adversary, err)
-		}
-		trees = append(trees, t)
-	}
-	sys, err := system.New(doc.Agents, trees...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("encode: %w", err)
-	}
-	props := make(map[string]system.Fact, len(doc.Props))
-	for name, pd := range doc.Props {
-		fact, err := pd.Fact(name, doc.Agents)
-		if err != nil {
-			return nil, nil, err
-		}
-		props[name] = fact
-	}
-	return sys, props, nil
-}
-
-func mkState(agents int, nd NodeDoc) system.GlobalState {
-	locals := make([]system.LocalState, len(nd.Locals))
-	for i, l := range nd.Locals {
-		locals[i] = system.LocalState(l)
-	}
-	_ = agents // arity validated by system.New
-	return system.GlobalState{Env: nd.Env, Locals: locals}
-}
-
-func addChildren(tb *system.TreeBuilder, parent system.NodeID, agents int, nd NodeDoc) error {
-	for ci, ed := range nd.Children {
-		p, err := rat.Parse(ed.Prob)
-		if err != nil {
-			return fmt.Errorf("child %d: bad probability %q: %v", ci, ed.Prob, err)
-		}
-		id := tb.Child(parent, p, mkState(agents, ed.Node))
-		if err := addChildren(tb, id, agents, ed.Node); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Fact compiles a proposition definition into a Fact.

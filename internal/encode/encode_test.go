@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -280,4 +281,161 @@ var decodeErrorMessageDocs = []struct {
 		  {"adversary":"t","root":{"env":"e2","locals":["a"]}}]}`,
 		"t",
 	},
+}
+
+// acceptanceDocs pin Decode's acceptance against referenceDecode. want is
+// "" when both accept, "reject" when both reject, and otherwise a
+// substring of Decode's error for a document only the reference accepts
+// (a repeated key, which encoding/json lets the last one win).
+var acceptanceDocs = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{"children before env, node before prob",
+		`{"trees":[{"root":{"children":[{"node":{"locals":["b"],"env":"f"},"prob":"1"}],
+		  "locals":["a"],"env":"e"},"adversary":"t"}],"agents":1}`, ""},
+	{"keys fold by case",
+		`{"AGENTS":1,"Trees":[{"adversary":"t","ROOT":{"Env":"e","LOCALS":["a"]}}]}`, ""},
+	{"key folds by unicode",
+		`{"agent` + "ſ" + `":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`, ""},
+	{"escaped key",
+		`{"agents":1,"trees":[{"adversary":"t","root":{"\u0065nv":"e\né","locals":["a\"b"]}}]}`, ""},
+	{"null fields",
+		`{"agents":2,"props":null,"trees":[{"adversary":"t","root":{"env":null,"locals":["a",null],
+		  "children":null}}]}`, ""},
+	{"null root", `{"agents":1,"trees":[{"adversary":"t","root":null}]}`, "reject"},
+	{"null tree", `{"agents":1,"trees":[null]}`, "reject"},
+	{"null prob", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":null,"node":{"env":"f","locals":["a"]}}]}}]}`, "reject"},
+	{"null node", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"1","node":null}]}}]}`, "reject"},
+	{"edge without node", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"1"}]}}]}`, "reject"},
+	{"null document", `null`, "reject"},
+	{"non-ASCII strings",
+		`{"agents":1,"trees":[{"adversary":"tête","root":{"env":"é","locals":["ü✓"]}}]}`, ""},
+	{"invalid UTF-8",
+		"{\"agents\":1,\"trees\":[{\"adversary\":\"t\xff\",\"root\":{\"env\":\"e\xff\xfe\",\"locals\":[\"a\xc3\"]}}]}", ""},
+	{"control byte in string",
+		"{\"agents\":1,\"trees\":[{\"adversary\":\"t\",\"root\":{\"env\":\"e\x01\",\"locals\":[\"a\"]}}]}", "reject"},
+	{"bad escape", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e\q","locals":["a"]}}]}`, "reject"},
+	{"trailing bytes",
+		`{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]} trailing {[`, ""},
+	{"agents as float", `{"agents":1.0,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`, "reject"},
+	{"agents as string", `{"agents":"1","trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`, "reject"},
+	{"agents leading zero", `{"agents":01,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`, "reject"},
+	{"trailing comma", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a",]}}]}`, "reject"},
+	{"truncated", `{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]`, "reject"},
+	{"env as number", `{"agents":1,"trees":[{"adversary":"t","root":{"env":5,"locals":["a"]}}]}`, "reject"},
+	{"duplicate top key",
+		`{"agents":1,"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]}}]}`,
+		`duplicate key "agents"`},
+	{"env and ENV",
+		`{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","ENV":"f","locals":["a"]}}]}`,
+		`duplicate key "ENV"`},
+	{"repeated root merges in encoding/json",
+		`{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"]},"root":{"env":"f"}}]}`,
+		`duplicate key "root"`},
+	{"repeated prob",
+		`{"agents":1,"trees":[{"adversary":"t","root":{"env":"e","locals":["a"],
+		  "children":[{"prob":"1/2","node":{"env":"f","locals":["a"]},"Prob":"1"}]}}]}`,
+		`duplicate key "Prob"`},
+}
+
+func TestDecodeMatchesReference(t *testing.T) {
+	for _, tc := range acceptanceDocs {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, props, err := Decode([]byte(tc.doc))
+			refSys, refProps, refErr := referenceDecode([]byte(tc.doc))
+			switch tc.want {
+			case "":
+				if err != nil || refErr != nil {
+					t.Fatalf("want both to accept: Decode %v, reference %v", err, refErr)
+				}
+				if diff := sameDecoding(sys, props, refSys, refProps, canon.Hash); diff != "" {
+					t.Fatalf("Decode and the reference disagree: %s", diff)
+				}
+			case "reject":
+				if err == nil || refErr == nil {
+					t.Fatalf("want both to reject: Decode %v, reference %v", err, refErr)
+				}
+			default:
+				if refErr != nil {
+					t.Fatalf("reference rejects: %v", refErr)
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Decode error %v, want one naming %s", err, tc.want)
+				}
+				if duplicateKey([]byte(tc.doc)) == "" {
+					t.Fatal("duplicateKey finds no repeated key")
+				}
+			}
+		})
+	}
+}
+
+// chainDoc is a tree of n single-child nodes, each with locals, above a
+// leaf: the leaf's locals array nests 3n+5 deep.
+func chainDoc(n int) []byte {
+	var b strings.Builder
+	b.WriteString(`{"agents":1,"trees":[{"adversary":"t","root":`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `{"env":"e%d","locals":["a%d"],"children":[{"prob":"1","node":`, i, i)
+	}
+	fmt.Fprintf(&b, `{"env":"e%d","locals":["a%d"]}`, n, n)
+	b.WriteString(strings.Repeat(`}]}`, n))
+	b.WriteString(`}]}`)
+	return []byte(b.String())
+}
+
+// TestDecodeNestingBound: encoding/json's 10,000-level nesting bound caps
+// a chain at 3,331 single-child nodes above its leaf, in both decoders.
+func TestDecodeNestingBound(t *testing.T) {
+	ok := chainDoc(3331)
+	sys, _, err := Decode(ok)
+	if err != nil {
+		t.Fatalf("Decode rejects a 3,331-level chain: %v", err)
+	}
+	if got := sys.Trees()[0].Depth(); got != 3331 {
+		t.Fatalf("chain depth %d, want 3331", got)
+	}
+	if _, _, err := referenceDecode(ok); err != nil {
+		t.Fatalf("reference rejects a 3,331-level chain: %v", err)
+	}
+	deep := chainDoc(3332)
+	if _, _, err := Decode(deep); err == nil || !strings.Contains(err.Error(), "max depth") {
+		t.Fatalf("Decode on a 3,332-level chain: %v, want a max depth error", err)
+	}
+	if _, _, err := referenceDecode(deep); err == nil {
+		t.Fatal("reference accepts a 3,332-level chain")
+	}
+}
+
+// TestDecodeStatesWithNULs: a NUL byte inside a component must not let two
+// different global states share a key (env "a\x00b", local "c" against
+// env "a", local "b\x00c").
+func TestDecodeStatesWithNULs(t *testing.T) {
+	doc := `{"agents":1,"trees":[{"adversary":"t","root":{"env":"a\u0000b","locals":["c"],
+	  "children":[{"prob":"1","node":{"env":"a","locals":["b\u0000c"]}}]}}]}`
+	sys, _, err := Decode([]byte(doc))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	tree := sys.Trees()[0]
+	root := system.Point{Tree: tree, Run: 0, Time: 0}
+	child := system.Point{Tree: tree, Run: 0, Time: 1}
+	for _, p := range []system.Point{root, child} {
+		at := system.AtState(p.State())
+		other := root
+		if p == root {
+			other = child
+		}
+		if !at.Holds(p) || at.Holds(other) {
+			t.Errorf("AtState(%s) does not pick out its own point", p.State())
+		}
+		if pts := sys.PointsWithState(p.State()); len(pts) != 1 || pts[0] != p {
+			t.Errorf("PointsWithState(%s) = %v, want [%v]", p.State(), pts, p)
+		}
+	}
 }

@@ -6,11 +6,19 @@ import (
 	"kpa/internal/canon"
 )
 
-// FuzzDecode feeds the upload decoder arbitrary documents of up to 8 KiB.
-// Decode must never panic, and any system it accepts must survive a
-// round trip: Marshal(Encode(sys)) decodes again to a system with the
-// same canonical hash. Plain `go test` replays the seeds (every document
-// in encode_test.go); `make fuzz` explores further.
+// FuzzDecode feeds the upload decoder arbitrary documents of up to 8 KiB
+// and checks it against referenceDecode, the reflective decoder it
+// replaced:
+//   - a document the reference rejects, Decode rejects;
+//   - a document Decode accepts, the reference accepts with the same
+//     canonical hash, agent count, proposition names and proposition
+//     truth at every point;
+//   - a document only the reference accepts has a repeated key.
+//
+// Decode must never panic, and any system it accepts must survive a round
+// trip: Marshal(Encode(sys)) decodes again to a system with the same
+// canonical hash. Plain `go test` replays the seeds (every document in
+// encode_test.go); `make fuzz` explores further.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(coinDoc))
 	f.Add([]byte(propMatcherDoc))
@@ -20,12 +28,28 @@ func FuzzDecode(f *testing.F) {
 	for _, tc := range decodeErrorMessageDocs {
 		f.Add([]byte(tc.doc))
 	}
+	for _, tc := range acceptanceDocs {
+		f.Add([]byte(tc.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8<<10 {
 			return
 		}
-		sys, _, err := Decode(data)
-		if err != nil {
+		sys, props, err := Decode(data)
+		refSys, refProps, refErr := referenceDecode(data)
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("Decode accepted a document the reference rejects: %v", refErr)
+		case err == nil:
+			if diff := sameDecoding(sys, props, refSys, refProps, canon.Hash); diff != "" {
+				t.Fatalf("Decode and the reference disagree: %s", diff)
+			}
+		case refErr == nil:
+			if duplicateKey(data) == "" {
+				t.Fatalf("Decode rejected a document the reference accepts, with no repeated key: %v", err)
+			}
+			return
+		default:
 			return
 		}
 		out, err := Marshal(Encode(sys))

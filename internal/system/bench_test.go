@@ -33,17 +33,21 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemIndices measures New plus the map layer it used to build
+// eagerly: Points forces the point set and the by-state, by-time and
+// by-node maps, and K forces the local-state index.
 func BenchmarkSystemIndices(b *testing.B) {
 	tree := buildBinaryTree(8)
+	p := Point{Tree: tree, Run: 0, Time: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(1, tree); err != nil {
+		sys, err := New(1, tree)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		// New caches per-tree state inside the system only; rebuild the
-		// tree is not needed, indices are recomputed per New call.
-		b.StartTimer()
+		if sys.Points().Len() != sys.NumPoints() || !sys.K(0, p).Contains(p) {
+			b.Fatal("map layer disagrees with the tree")
+		}
 	}
 }
 

@@ -15,10 +15,8 @@ type System struct {
 	trees     []*Tree
 
 	// The map-based indices are built lazily (localOnce, mapsOnce): a
-	// million-point system served through the dense engine never needs the
-	// full map layer, and building it eagerly would dominate construction.
-	// New builds everything up front to keep its historical behavior;
-	// NewTrusted defers.
+	// system served through the dense engine never needs the map layer,
+	// and building it eagerly would dominate construction.
 	points     PointSet                     // all points, cached
 	byLocal    []map[LocalState][]Point     // agent → local state → points
 	byState    map[string][]Point           // global-state key → points
@@ -35,48 +33,18 @@ type System struct {
 	index     *Index // dense point index, built lazily by Index()
 }
 
-// New assembles a system from computation trees. It validates that every
-// global state has exactly numAgents local states, that adversary names are
-// unique, and — the paper's technical assumption — that no global state
-// appears in two different trees or at two different nodes of one tree.
+// New assembles a system from computation trees. It runs NewTrusted's
+// checks and then the paper's technical assumption: no global state appears
+// in two different trees or at two different nodes of one tree. That check
+// is the only difference between the two constructors.
 func New(numAgents int, trees ...*Tree) (*System, error) {
-	if numAgents < 1 {
-		return nil, fmt.Errorf("system: need at least one agent, got %d", numAgents)
+	s, err := NewTrusted(numAgents, trees...)
+	if err != nil {
+		return nil, err
 	}
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("system: need at least one computation tree")
+	if err := checkUniqueStates(trees); err != nil {
+		return nil, err
 	}
-	s := &System{
-		numAgents:  numAgents,
-		trees:      trees,
-		treeByName: make(map[string]*Tree, len(trees)),
-	}
-	seenStates := make(map[string]string) // state key → adversary of first sighting
-	for _, t := range trees {
-		if _, dup := s.treeByName[t.Adversary]; dup {
-			return nil, fmt.Errorf("system: duplicate adversary name %q", t.Adversary)
-		}
-		s.treeByName[t.Adversary] = t
-		for i := 0; i < t.NumNodes(); i++ {
-			n := t.Node(NodeID(i))
-			if got := n.State.NumAgents(); got != numAgents {
-				return nil, fmt.Errorf("system: tree %q node %d has %d local states, want %d",
-					t.Adversary, n.ID, got, numAgents)
-			}
-			key := n.State.Key()
-			if prev, ok := seenStates[key]; ok {
-				return nil, fmt.Errorf(
-					"system: global state %s appears twice (trees %q and %q); "+
-						"the environment component must encode the adversary and history",
-					n.State, prev, t.Adversary)
-			}
-			seenStates[key] = t.Adversary
-		}
-	}
-	s.countPoints()
-	// Historical behavior: a system from New has every index ready.
-	s.ensureLocal()
-	s.ensureMaps()
 	return s, nil
 }
 
@@ -92,12 +60,12 @@ func MustNew(numAgents int, trees ...*Tree) *System {
 // NewTrusted assembles a system for callers whose construction already
 // guarantees the paper's global-state uniqueness assumption — generators
 // that mint one fresh environment component per node (internal/gen's scale
-// systems). It skips New's O(nodes) duplicate-state map and defers the
-// map-based point indices until an accessor needs them, which is what makes
-// a 10^7-point system constructible in seconds: the dense engine path
+// systems). It validates that every global state has exactly numAgents
+// local states and that adversary names are unique, and differs from New
+// only by skipping the duplicate-state check. Both defer the map-based
+// point indices until an accessor needs them: the dense engine path
 // (Index, DenseSet, Partition) never touches them.
 //
-// Per-node agent counts and adversary-name uniqueness are still validated.
 // Passing trees with duplicated global states breaks PointsWithState and
 // the Future assignment; that is the caller's contract to keep.
 func NewTrusted(numAgents int, trees ...*Tree) (*System, error) {
@@ -127,6 +95,43 @@ func NewTrusted(numAgents int, trees ...*Tree) (*System, error) {
 	}
 	s.countPoints()
 	return s, nil
+}
+
+// checkUniqueStates reports a global state that appears at two nodes. It
+// keys nodes by their environment component, a string they already hold;
+// only nodes that share an environment are told apart by their full state
+// keys, so the check stays linear however many nodes share one.
+func checkUniqueStates(trees []*Tree) error {
+	type sighting struct{ tree, node int }
+	n := 0
+	for _, t := range trees {
+		n += t.NumNodes()
+	}
+	byEnv := make(map[string]sighting, n)
+	var byKey map[string]sighting
+	for ti, t := range trees {
+		for i := range t.nodes {
+			st := &t.nodes[i].State
+			first, shared := byEnv[st.Env]
+			if !shared {
+				byEnv[st.Env] = sighting{ti, i}
+				continue
+			}
+			if byKey == nil {
+				byKey = make(map[string]sighting)
+			}
+			byKey[trees[first.tree].nodes[first.node].State.Key()] = first
+			key := st.Key()
+			if prev, dup := byKey[key]; dup {
+				return fmt.Errorf(
+					"system: global state %s appears twice (trees %q and %q); "+
+						"the environment component must encode the adversary and history",
+					*st, trees[prev.tree].Adversary, t.Adversary)
+			}
+			byKey[key] = sighting{ti, i}
+		}
+	}
+	return nil
 }
 
 func (s *System) countPoints() {

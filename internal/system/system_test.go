@@ -56,6 +56,24 @@ func TestNewValidation(t *testing.T) {
 			t.Error("accepted duplicated global state (violates the technical assumption)")
 		}
 	})
+	t.Run("shared environment", func(t *testing.T) {
+		// Three children share the root's env; the third repeats the
+		// second's locals, which is the duplicate.
+		tb := NewTree("t", gs("e", "r"))
+		tb.Child(0, rat.New(1, 3), gs("e", "a"))
+		tb.Child(0, rat.New(1, 3), gs("e", "b"))
+		tb.Child(0, rat.New(1, 3), gs("e", "a"))
+		_, err := New(1, tb.MustBuild())
+		if err == nil || !strings.Contains(err.Error(), "(env=e, p1=a) appears twice") {
+			t.Errorf("New = %v, want the repeated (e, a) state reported", err)
+		}
+		tb = NewTree("t", gs("e", "r"))
+		tb.Child(0, rat.Half, gs("e", "a"))
+		tb.Child(0, rat.Half, gs("e", "b"))
+		if _, err := New(1, tb.MustBuild()); err != nil {
+			t.Errorf("New rejects distinct states sharing an env: %v", err)
+		}
+	})
 }
 
 func TestPointsEnumeration(t *testing.T) {

@@ -19,6 +19,7 @@ package system
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"kpa/internal/rat"
@@ -53,15 +54,24 @@ func (g GlobalState) Local(i AgentID) LocalState { return g.Locals[i] }
 func (g GlobalState) NumAgents() int { return len(g.Locals) }
 
 // Key returns a canonical string encoding of the global state, usable as a
-// map key. Distinct global states have distinct keys.
+// map key. Distinct global states have distinct keys: each component is
+// written as its byte length, a colon and its bytes, so no choice of bytes
+// inside a component can shift a boundary.
 func (g GlobalState) Key() string {
-	var b strings.Builder
-	b.WriteString(g.Env)
+	n := len(g.Env)
 	for _, l := range g.Locals {
-		b.WriteByte(0)
-		b.WriteString(string(l))
+		n += len(l)
 	}
-	return b.String()
+	b := make([]byte, 0, n+4*(len(g.Locals)+1))
+	b = strconv.AppendInt(b, int64(len(g.Env)), 10)
+	b = append(b, ':')
+	b = append(b, g.Env...)
+	for _, l := range g.Locals {
+		b = strconv.AppendInt(b, int64(len(l)), 10)
+		b = append(b, ':')
+		b = append(b, l...)
+	}
+	return string(b)
 }
 
 // Equal reports whether g and h are the same global state.
@@ -257,13 +267,17 @@ func (b *TreeBuilder) Build() (*Tree, error) {
 		if len(n.Edges) == 0 {
 			continue
 		}
-		sum := rat.Zero
-		for _, e := range n.Edges {
+		var sum rat.Rat
+		for k, e := range n.Edges {
 			if e.Prob.Sign() <= 0 {
 				return nil, fmt.Errorf("tree %q: node %d has non-positive transition probability %s",
 					t.Adversary, n.ID, e.Prob)
 			}
-			sum = sum.Add(e.Prob)
+			if k == 0 {
+				sum = e.Prob // a single edge, the common case, sums without allocating
+			} else {
+				sum = sum.Add(e.Prob)
+			}
 		}
 		if !sum.IsOne() {
 			return nil, fmt.Errorf("tree %q: node %d transition probabilities sum to %s, want 1",
