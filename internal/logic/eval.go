@@ -87,14 +87,15 @@ type Evaluator struct {
 
 // spaceIndex is one agent's probability-space table in dense form. Block s
 // of part holds the points whose space is s, so per-space work (verdicts)
-// parallelizes over spaces and per-point work (Partition.Spread) over
-// 64-aligned ID ranges.
+// parallelizes over spaces and the fan-out to points is Partition.Spread.
 //
 // The rest is the probability kernels' table in compressed-row form.
 // Space s owns the rows runOff[s] ≤ k < runOff[s+1], one per run of
 // R(S_ic): row k is the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense IDs
 // of the sample points on its run, and weight[k] is that run's integer
-// weight (system.Tree.RunWeights). base[s] is the weight of all of
+// weight (system.Tree.RunWeights). When every fiber is one point, as in
+// every synchronous system under the canonical assignments, fibOff is nil
+// and row k's fiber is fibIDs[k] alone. base[s] is the weight of all of
 // R(S_ic), so space s assigns a set of runs of weight w the conditional
 // probability w/base[s]. base[s] == 0 marks a space whose tree has no
 // integer weights, or that has no rows; its verdicts take the exact path.
@@ -526,20 +527,10 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 	out := e.idx.NewDense()
 	e.idx.EachRun(func(_ *system.Tree, _ int, start, n int) {
 		// until holds at k iff ψ at k, or (φ at k and until at k+1).
-		holds := false
-		for k := n - 1; k >= 0; k-- {
-			id := start + k
-			switch {
-			case r.Contains(id):
-				holds = true
-			case l.Contains(id) && holds:
-				// keep holds = true
-			default:
-				holds = false
-			}
-			if holds {
-				out.Add(id)
-			}
+		var h uint64
+		for id := start + n - 1; id >= start; id-- {
+			h = r.Bit(id) | l.Bit(id)&h
+			out.OrBit(id, h)
 		}
 	})
 	return out, nil
@@ -645,7 +636,9 @@ func (e *Evaluator) perPointSpaces(sx *spaceIndex, i system.AgentID) error {
 // addRows is the one row builder: it fills sx's compressed-row table from
 // sample(s), space s's sample as increasing dense IDs, split at run
 // boundaries into one row per fiber. Rows of a tree without integer
-// weights weigh 0. A first pass sizes the table, so filling never regrows.
+// weights weigh 0. A first pass sizes the table, so filling never regrows,
+// and finds whether every fiber is one point, in which case the table
+// stores no fiber offsets.
 func (e *Evaluator) addRows(sx *spaceIndex, sample func(s int) []int32) error {
 	numSpaces := sx.part.NumBlocks()
 	numIDs, numRows := 0, 0
@@ -658,7 +651,9 @@ func (e *Evaluator) addRows(sx *spaceIndex, sample func(s int) []int32) error {
 	}
 	sx.runOff = make([]int, 1, numSpaces+1)
 	sx.base = make([]uint64, numSpaces)
-	sx.fibOff = make([]int, 1, numRows+1)
+	if numIDs != numRows {
+		sx.fibOff = make([]int, 1, numRows+1)
+	}
 	sx.fibIDs = make([]int32, 0, numIDs)
 	sx.weight = make([]uint64, 0, numRows)
 	for s := 0; s < numSpaces; s++ {
@@ -676,7 +671,9 @@ func (e *Evaluator) addRows(sx *spaceIndex, sample func(s int) []int32) error {
 				w = weights[p.Run]
 			}
 			sx.fibIDs = append(sx.fibIDs, ids[lo:hi]...)
-			sx.fibOff = append(sx.fibOff, len(sx.fibIDs))
+			if sx.fibOff != nil {
+				sx.fibOff = append(sx.fibOff, len(sx.fibIDs))
+			}
 			sx.weight = append(sx.weight, w)
 			sx.base[s] += w
 			lo = hi
@@ -698,27 +695,48 @@ func (e *Evaluator) runEnd(ids []int32, lo int) int {
 	return hi
 }
 
-// rowCounts reports whether row k's run counts toward the inner measure of
-// ext (geq: its fiber lies inside ext) or the outer one (!geq: it meets ext).
-func (sx *spaceIndex) rowCounts(k int, ext *system.DenseSet, geq bool) bool {
-	for _, id := range sx.fibIDs[sx.fibOff[k]:sx.fibOff[k+1]] {
-		if ext.Contains(int(id)) != geq {
-			return !geq
+// fiber returns row k's fiber, the dense IDs of its run's sample points.
+func (sx *spaceIndex) fiber(k int) []int32 {
+	if sx.fibOff == nil {
+		return sx.fibIDs[k : k+1]
+	}
+	return sx.fibIDs[sx.fibOff[k]:sx.fibOff[k+1]]
+}
+
+// rowBit returns 1 when row k's run counts toward the inner measure of ext
+// (geq: its fiber lies inside ext, the AND of the fiber's bits) or the
+// outer one (!geq: it meets ext, their OR), and 0 otherwise.
+func (sx *spaceIndex) rowBit(k int, ext *system.DenseSet, geq bool) uint64 {
+	ids := sx.fiber(k)
+	c := ext.Bit(int(ids[0]))
+	for _, id := range ids[1:] {
+		if geq {
+			c &= ext.Bit(int(id))
+		} else {
+			c |= ext.Bit(int(id))
 		}
 	}
-	return geq
+	return c
 }
 
 // intVerdict decides space s's verdict on the integer kernel: Pr ≥ num/den
 // (geq) or Pr ≤ num/den (!geq). The inner measure of ext (geq) sums the
 // weights of the runs whose fiber lies inside ext, the outer measure (!geq)
-// those whose fiber meets it; the measure is then w/base[s], and one exact
-// 128-bit cross-multiplication decides w·den ⋈ num·base[s].
+// those whose fiber meets it, each row adding weight[k] & -rowBit, so no
+// row branches on its verdict; the measure is then w/base[s], and one
+// exact 128-bit cross-multiplication decides w·den ⋈ num·base[s]. A table
+// of one-point fibers reads each row's one bit directly.
 func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, geq bool) bool {
 	var w uint64
-	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
-		if sx.rowCounts(k, ext, geq) {
-			w += sx.weight[k]
+	lo, hi := sx.runOff[s], sx.runOff[s+1]
+	if sx.fibOff == nil {
+		weight := sx.weight[lo:hi]
+		for k, id := range sx.fibIDs[lo:hi] {
+			w += weight[k] & -ext.Bit(int(id))
+		}
+	} else {
+		for k := lo; k < hi; k++ {
+			w += sx.weight[k] & -sx.rowBit(k, ext, geq)
 		}
 	}
 	lhi, llo := bits.Mul64(w, den)
@@ -735,10 +753,10 @@ func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, g
 func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet, bound rat.Rat, geq bool) bool {
 	w, base := rat.Zero, rat.Zero
 	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
-		p := x.PointAt(int(sx.fibIDs[sx.fibOff[k]]))
+		p := x.PointAt(int(sx.fiber(k)[0]))
 		pr := p.Tree.RunProb(p.Run)
 		base = base.Add(pr)
-		if sx.rowCounts(k, ext, geq) {
+		if sx.rowBit(k, ext, geq) == 1 {
 			w = w.Add(pr)
 		}
 	}
@@ -752,14 +770,14 @@ func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet,
 }
 
 // prExtension computes {c : inner measure of S_ic ∩ ext ≥ α} (geq) or
-// {c : outer measure ≤ α} (leq) in two sharded phases: one measure verdict
-// per space (phase A, parallel over spaces), then the space partition's
-// fan-out of the verdicts to the points (phase B, Partition.Spread,
-// parallel over 64-aligned ID ranges). Phase A decides a space on the
-// integer kernel (intVerdict) when its tree has integer run weights and
-// the bound fits uint64 parts, and on the exact-rational exactVerdict
-// otherwise. Either way a verdict costs a walk over the space's own rows,
-// so nothing is memoized across calls.
+// {c : outer measure ≤ α} (leq) in two phases: one measure verdict per
+// space (phase A, parallel over spaces), then the space partition's
+// fan-out of the verdicts to the points (phase B, Partition.Spread, which
+// writes only the smaller of the passing and failing sides). Phase A
+// decides a space on the branch-free integer kernel (intVerdict) when its
+// tree has integer run weights and the bound fits uint64 parts, and on the
+// exact-rational exactVerdict otherwise. Either way a verdict costs a walk
+// over the space's own rows, so nothing is memoized across calls.
 func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
 	if e.prob == nil {
 		return nil, ErrNoProbability

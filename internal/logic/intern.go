@@ -20,8 +20,16 @@ import (
 // equality. Rationals are keyed by rat.Key (canonical a/b form) and agent
 // groups by their normalized rendering. The table is guarded by a mutex —
 // construction is cheap next to evaluation, and pooled evaluators parse
-// concurrently — and grows monotonically with the set of distinct formulas
-// seen, which the service already bounds per worker via its parse cache.
+// concurrently.
+//
+// A server that checks ever-new formulas would grow the table without
+// limit, so it holds at most internCap nodes: interning a new node into a
+// full table first starts a new, empty table. Nodes of the old table stay
+// valid. Only memo lookups compare formulas by pointer, so a formula
+// rebuilt after a reset costs one memo miss, never a wrong answer; within
+// one table's lifetime structurally equal formulas stay pointer-equal. A
+// new table's keys may name children from the old one, which keeps those
+// children alive only as long as the new table keeps their parents.
 
 // internKey identifies a formula node up to structural equality, given that
 // its children are already interned.
@@ -34,18 +42,26 @@ type internKey struct {
 	name        string // proposition name, if any
 }
 
+// internCap bounds the intern table. At about 300 bytes per node (the
+// node, its key and its map slot, measured on parsed K and Pr formulas), a
+// full table holds about 20 MB.
+const internCap = 1 << 16
+
 var (
 	internMu    sync.Mutex
 	internTable = make(map[internKey]Formula)
 )
 
 // intern returns the canonical node for the key, building it with mk on
-// first sight.
+// first sight, and starts a new table when the current one is full.
 func intern(k internKey, mk func() Formula) Formula {
 	internMu.Lock()
 	defer internMu.Unlock()
 	if f, ok := internTable[k]; ok {
 		return f
+	}
+	if len(internTable) >= internCap {
+		internTable = make(map[internKey]Formula)
 	}
 	f := mk()
 	internTable[k] = f

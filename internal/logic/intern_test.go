@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"strconv"
 	"testing"
 
 	"kpa/internal/canon"
@@ -124,5 +125,42 @@ func TestInterningMemoHit(t *testing.T) {
 	}
 	if internSize() != size {
 		t.Errorf("intern table grew on re-parse: %d -> %d", size, internSize())
+	}
+}
+
+// TestInternTableBounded interns more distinct formulas than internCap and
+// checks that the table never holds more than the cap, that two parses
+// within one table's lifetime are still pointer-equal, and that a node
+// from before a reset still evaluates: a reset costs a memo miss, never a
+// wrong answer.
+func TestInternTableBounded(t *testing.T) {
+	sys := canon.IntroCoin()
+	ev := NewEvaluator(sys, nil, map[string]system.Fact{"heads": canon.Heads()})
+	old := MustParse("K1 heads | F heads")
+	want, err := ev.Extension(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= internCap; i++ {
+		Prop("bound" + strconv.Itoa(i))
+		if n := internSize(); n > internCap {
+			t.Fatalf("intern table holds %d nodes, cap %d", n, internCap)
+		}
+	}
+	a, b := MustParse("K1 heads | F heads"), MustParse("K1 heads | F heads")
+	if a != b {
+		t.Fatal("two parses within one table's lifetime are not pointer-equal")
+	}
+	if a == old {
+		t.Fatal("the table kept its nodes across more than internCap new ones")
+	}
+	for _, f := range []Formula{old, a} {
+		got, err := ev.Extension(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: extension changed across an intern-table reset", f)
+		}
 	}
 }

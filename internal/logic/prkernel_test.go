@@ -279,3 +279,87 @@ func TestPrForeignSampleMatchesReference(t *testing.T) {
 	}
 	agreeWithReference(t, "foreign samples", sys, core.NewProbAssignment(sys, foreign), props, formulas)
 }
+
+// TestIntKernelFiberShapes pins the integer kernel on both shapes of space
+// table. In a synchronous system every run meets a sample space at most
+// once, so under each canonical assignment every fiber is one point and
+// the table stores no fiber offsets; in an asynchronous one, an agent
+// without a clock sees several points of a run alike, so fibers span
+// several points and the kernel ANDs (Pr ≥, inner measure) or ORs (Pr ≤,
+// outer measure) their bits. Both shapes must match the reference at
+// every bound j/d with d ≤ 12, and the test checks that some of those
+// bounds are knife edges, where a space's measure equals the bound.
+func TestIntKernelFiberShapes(t *testing.T) {
+	cfg := gen.Config{NumAgents: 2, NumTrees: 2, MaxDepth: 3, MaxBranch: 3, ObservationLevels: true}
+	var bounds []rat.Rat
+	seen := make(map[string]bool)
+	for d := int64(1); d <= 12; d++ {
+		for j := int64(0); j <= d; j++ {
+			if b := rat.New(j, d); !seen[b.Key()] {
+				seen[b.Key()] = true
+				bounds = append(bounds, b)
+			}
+		}
+	}
+	for _, synchronous := range []bool{true, false} {
+		cfg.Synchronous = synchronous
+		rng := rand.New(rand.NewSource(19))
+		multi, edges := 0, 0
+		for s := 0; s < 4; s++ {
+			sys := gen.MustSystem(rng, cfg)
+			props := map[string]system.Fact{"p": gen.RandomFact(rng, sys, "p")}
+			p := Prop("p")
+			for _, sa := range sampleAssignments(sys)[:4] {
+				label := fmt.Sprintf("synchronous=%v seed %d/%s", synchronous, s, sa.Name())
+				P := core.NewProbAssignment(sys, sa)
+				dense := NewEvaluator(sys, P, props)
+				naive := NewReferenceEvaluator(sys, P, props)
+				for i := system.AgentID(0); i < 2; i++ {
+					sx, err := dense.spaceIndexFor(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if synchronous && sx.fibOff != nil {
+						t.Fatalf("%s agent %d: synchronous table stores fiber offsets", label, i)
+					}
+					if sx.fibOff != nil {
+						multi++
+					}
+					for _, base := range sx.base {
+						if base == 0 {
+							t.Fatalf("%s agent %d: a space left the integer kernel", label, i)
+						}
+					}
+					for _, b := range bounds {
+						geq, leq := PrGeq(i, p, b), PrLeq(i, p, b)
+						for _, f := range []Formula{geq, leq} {
+							want, err := naive.Extension(f)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := dense.Extension(f)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !got.Equal(want) {
+								t.Fatalf("%s formula %s: dense extension differs from reference", label, f)
+							}
+						}
+						g, _ := dense.DenseExtension(geq)
+						l, _ := dense.DenseExtension(leq)
+						if !g.Intersect(l, 1).IsEmpty() {
+							edges++
+						}
+					}
+				}
+			}
+		}
+		if !synchronous && multi == 0 {
+			t.Fatal("no asynchronous table has a multi-point fiber")
+		}
+		if edges == 0 {
+			t.Fatalf("synchronous=%v: no bound was a knife edge", synchronous)
+		}
+		t.Logf("synchronous=%v: %d tables with multi-point fibers, %d knife-edge (agent, bound) pairs", synchronous, multi, edges)
+	}
+}

@@ -10,12 +10,12 @@ import (
 
 // worker is the unit an evalPool checks out to a goroutine: a non-thread-safe
 // logic.Evaluator with its own core.ProbAssignment (whose space memo is also
-// written during evaluation), plus a parse cache mapping canonical formula
-// text back to the Formula node the evaluator's memo is keyed by. Reusing the
-// node across checkouts is what keeps a warm worker's memo effective.
+// written during evaluation). The caller hands it the node it parsed; the
+// parser hash-conses, so a re-parse of a formula returns the node the
+// evaluator's memo is keyed by, which keeps a warm worker's memo effective
+// across checkouts.
 type worker struct {
-	eval   *logic.Evaluator
-	parsed map[string]logic.Formula
+	eval *logic.Evaluator
 
 	// poisoned is set when an evaluation on this worker panicked: the
 	// evaluator's internal state (memo maps mid-insert, half-built space
@@ -23,20 +23,6 @@ type worker struct {
 	// of lending it to the next request. Only the goroutine holding the
 	// checkout touches the flag.
 	poisoned bool
-}
-
-// formula returns the worker's node for the canonical formula text, parsing
-// on first use.
-func (w *worker) formula(canonical string) (logic.Formula, error) {
-	if f, ok := w.parsed[canonical]; ok {
-		return f, nil
-	}
-	f, err := logic.Parse(canonical)
-	if err != nil {
-		return nil, err
-	}
-	w.parsed[canonical] = f
-	return f, nil
 }
 
 // evalPool lends warm evaluators to request goroutines for one
@@ -92,10 +78,7 @@ func (p *evalPool) get() *worker {
 	prob := core.NewProbAssignment(p.sys, p.sample)
 	ev := logic.NewEvaluator(p.sys, prob, p.props)
 	p.eng.wire(ev)
-	return &worker{
-		eval:   ev,
-		parsed: make(map[string]logic.Formula),
-	}
+	return &worker{eval: ev}
 }
 
 // put returns a worker to the pool, resetting it if its memo outgrew the
@@ -117,7 +100,6 @@ func (p *evalPool) put(w *worker) {
 	}
 	if w.eval.MemoWords() > p.memoCap {
 		w.eval.Reset()
-		w.parsed = make(map[string]logic.Formula)
 		p.mu.Lock()
 		p.resets++
 		p.mu.Unlock()

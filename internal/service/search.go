@@ -195,6 +195,7 @@ func (j *searchJob) status() SearchStatus {
 type searchSpec struct {
 	pool      *evalPool
 	sess      *session
+	phi       logic.Formula
 	canonical string
 	i, j      system.AgentID
 	c         system.Point
@@ -385,6 +386,7 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 	return &searchSpec{
 		pool:      pool,
 		sess:      sess,
+		phi:       f,
 		canonical: f.String(),
 		i:         system.AgentID(req.Agent - 1),
 		j:         system.AgentID(req.Opponent - 1),
@@ -499,11 +501,7 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 // a fact: the engine never touches an evaluator afterwards.
 func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
 	err = s.withWorker(spec.pool, spec.canonical, func(w *worker) error {
-		f, err := w.formula(spec.canonical)
-		if err != nil {
-			return badRequest(err)
-		}
-		ext, err := w.eval.Extension(f)
+		ext, err := w.eval.Extension(spec.phi)
 		if err != nil {
 			return s.classifyEvalErr(err)
 		}

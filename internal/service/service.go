@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kpa/internal/logic"
+	"kpa/internal/system"
 )
 
 // Config tunes a Service. The zero value is usable: each field falls back
@@ -292,7 +293,7 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	c, leader := s.flight.join(key)
 	defer s.flight.leave(key, c)
 	if leader {
-		go s.runEval(c, key, pool, sess, canonical)
+		go s.runEval(c, key, pool, sess, f)
 	} else {
 		s.dedups.Add(1)
 	}
@@ -311,20 +312,21 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 }
 
 // runEval is the evaluation goroutine behind one flight call: it queues
-// for an admission slot, checks a worker out, evaluates, caches a
+// for an admission slot, checks a worker out, evaluates f, caches a
 // successful verdict, and publishes the result to every waiter. It is
 // detached from any single request — it stops early only when all waiters
 // abandon the call (admission select, evaluator cancellation hook).
-func (s *Service) runEval(c *flightCall, key cacheKey, pool *evalPool, sess *session, canonical string) {
-	v, err := s.leaderEval(c, pool, sess, canonical, key.assign)
+func (s *Service) runEval(c *flightCall, key cacheKey, pool *evalPool, sess *session, f logic.Formula) {
+	v, err := s.leaderEval(c, pool, sess, f, key)
 	if err == nil && !c.canceled() {
 		s.cache.put(key, v)
 	}
 	s.flight.finish(key, c, v, err)
 }
 
-// leaderEval runs one admission-controlled, panic-contained evaluation.
-func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, canonical, assignName string) (v Verdict, err error) {
+// leaderEval runs one admission-controlled, panic-contained evaluation of
+// f, whose canonical text and assignment name key carries.
+func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
 	// Containment for faults outside the worker region (an injected
 	// pool-seam panic, an admission bug): no panic on this goroutine may
 	// kill the daemon.
@@ -341,7 +343,7 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, canon
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	err = s.withWorker(pool, canonical, func(w *worker) error {
+	err = s.withWorker(pool, key.formula, func(w *worker) error {
 		w.eval.SetCancel(func() error {
 			if c.canceled() {
 				return context.Canceled
@@ -351,7 +353,7 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, canon
 		defer w.eval.SetCancel(nil)
 		start := time.Now()
 		var err error
-		v, err = s.evaluate(w, sess, canonical, assignName)
+		v, err = s.evaluate(w, sess, f, key.formula, key.assign)
 		s.evals.Add(1)
 		s.evalNanos.Add(uint64(time.Since(start).Nanoseconds()))
 		if err != nil {
@@ -441,14 +443,10 @@ func (s *Service) classifyEvalErr(err error) error {
 	return &Error{Kind: KindInternal, Err: err}
 }
 
-// evaluate runs one formula on a checked-out worker. The verdict it returns
-// carries the session's canonical name; Check overwrites System with the
-// requested alias.
-func (s *Service) evaluate(w *worker, sess *session, canonical, assignName string) (Verdict, error) {
-	f, err := w.formula(canonical)
-	if err != nil {
-		return Verdict{}, err
-	}
+// evaluate runs f, whose canonical text is canonical, on a checked-out
+// worker. The verdict it returns carries the session's canonical name;
+// Check overwrites System with the requested alias.
+func (s *Service) evaluate(w *worker, sess *session, f logic.Formula, canonical, assignName string) (Verdict, error) {
 	// The whole path stays dense: extension, counts and counterexamples
 	// come from the bitset, so a million-point system never materializes
 	// its map-based point set just to serve a verdict.
@@ -472,10 +470,17 @@ func (s *Service) evaluate(w *worker, sess *session, canonical, assignName strin
 		// FirstN walks only as far as the bound, and the dense-ID order is
 		// the same (tree, run, time) order Sorted produced.
 		for _, p := range ext.Complement(1).FirstN(maxCounterexamples) {
-			v.CounterExamples = append(v.CounterExamples, fmt.Sprintf("%v %s", p, p.State()))
+			v.CounterExamples = append(v.CounterExamples, counterexample(p))
 		}
 	}
 	return v, nil
+}
+
+// counterexample renders a failing point as the point and its global
+// state, "(adversary/rRUN, TIME) (env=E, p1=L1, …)". Snapshots store these
+// strings in cached verdicts, so the rendering must never change.
+func counterexample(p system.Point) string {
+	return p.String() + " " + p.State().String()
 }
 
 // BatchRequest checks many formulas against one system and assignment.

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"kpa/internal/rat"
@@ -82,5 +84,32 @@ func BenchmarkTreeProb(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tree.Prob(rs)
+	}
+}
+
+// spreadSink keeps BenchmarkSpread's results live.
+var spreadSink *DenseSet
+
+// BenchmarkSpread times the K_i/Pr_i fan-out on kpabench-shaped cells
+// (3 agents, 2,048 runs × 8 steps, 16 buckets: 113 cells over 16,384
+// points) with 10%, 50% and 90% of the cells passing, drawn at random, at
+// one and two workers.
+func BenchmarkSpread(b *testing.B) {
+	idx := broomSystem(b, 3, 2048, 8, 16).Index()
+	cells := idx.Cells(0, 1)
+	rng := rand.New(rand.NewSource(1))
+	for _, pct := range []int{10, 50, 90} {
+		pass := make([]bool, cells.NumBlocks())
+		for k := range pass {
+			pass[k] = rng.Intn(100) < pct
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("pass%d/w%d", pct, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					spreadSink = cells.Spread(pass, workers, nil)
+				}
+			})
+		}
 	}
 }

@@ -12,8 +12,8 @@ import "math/bits"
 // The allocating operations (Union, Intersect, Minus, Complement, Clone)
 // return fresh sets and never mutate their operands, so DenseSets handed
 // out of caches can be shared immutably. The in-place operations (Add,
-// Remove, UnionWith, IntersectWith) must only be applied to sets the
-// caller owns exclusively.
+// OrBit, Remove, UnionWith, IntersectWith) must only be applied to sets
+// the caller owns exclusively.
 //
 // Mixing sets from different indexes is a programming error; operations
 // panic on a universe mismatch rather than computing garbage.
@@ -75,8 +75,17 @@ func (s *DenseSet) Add(id int) { s.bits[id/64] |= 1 << (id % 64) }
 // Remove deletes the point with dense ID id.
 func (s *DenseSet) Remove(id int) { s.bits[id/64] &^= 1 << (id % 64) }
 
+// OrBit ORs b, which must be 0 or 1, into the bit of the point with dense
+// ID id: Add without a branch on b.
+func (s *DenseSet) OrBit(id int, b uint64) { s.bits[id/64] |= b << (id % 64) }
+
 // Contains reports whether the point with dense ID id is in the set.
 func (s *DenseSet) Contains(id int) bool { return s.bits[id/64]&(1<<(id%64)) != 0 }
+
+// Bit returns 1 when the point with dense ID id is in the set and 0
+// otherwise, for kernels that fold membership into arithmetic instead of
+// branching on it.
+func (s *DenseSet) Bit(id int) uint64 { return s.bits[uint(id)/64] >> (uint(id) % 64) & 1 }
 
 // ContainsPoint reports whether p is in the set; foreign points are never
 // members.

@@ -13,7 +13,7 @@ import (
 // each a probability-1 chain of length runLen — large enough that sharded
 // sweeps actually split. Agent i observes bucket (run / buckets^i) % buckets,
 // so cells span many runs and differ per agent.
-func broomSystem(t *testing.T, agents, runs, runLen, buckets int) *System {
+func broomSystem(t testing.TB, agents, runs, runLen, buckets int) *System {
 	t.Helper()
 	mk := func(r, k int) GlobalState {
 		locals := make([]LocalState, agents)

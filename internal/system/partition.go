@@ -99,10 +99,10 @@ func newPartition(x *Index, numBlocks int, blockOf []int32) *Partition {
 
 // KnowExtension computes {c : block(c) ⊆ ext}, over an agent's cells the
 // dense extension of K_i. A block's member walk stops at the first member
-// outside ext; the verdicts then fan out through Spread. Both phases shard
-// across up to workers goroutines. stop, when non-nil, is polled between
-// strides of both; returning true abandons the sweep early (the partial
-// result must be discarded).
+// outside ext, and the walks shard over blocks across up to workers
+// goroutines; the verdicts then fan out through Spread. stop, when
+// non-nil, is polled every 16 blocks and by Spread; returning true
+// abandons the sweep early (the partial result must be discarded).
 func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
 	pass := make([]bool, p.NumBlocks())
 	ParRange(len(pass), 1, workers, func(_, lo, hi int) {
@@ -123,25 +123,106 @@ func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) 
 }
 
 // Spread returns {c : pass[block(c)]}: the one fan-out from per-block
-// verdicts to point bits, shared by the K_i and Pr_i kernels. The sweep
-// over the dense IDs shards across up to workers goroutines on 64-aligned
-// ranges, so distinct shards write distinct backing words of the result.
-// stop, when non-nil, is polled before the sweep and every 4096 IDs;
-// returning true abandons it (the partial result must be discarded).
+// verdicts to point bits, shared by the K_i and Pr_i kernels. It costs
+// what it selects. The members of the passing blocks are counted from the
+// offsets, and the result starts from whichever of the empty and the full
+// set is nearer, so at most n/2 members need writing: the passing blocks'
+// into an empty set, or the failing blocks' out of a full one. A serial
+// walk reads every block's verdict and writes those members; a sweep
+// reads every point's block, sharded across up to workers goroutines on
+// 64-aligned ranges so that distinct shards write distinct backing words,
+// and assembles each word from a byte table of the verdicts with no branch
+// per point. Spread walks when (blocks + members written) × workers ≤ n,
+// which holds at one or two workers unless the blocks are nearly as many
+// as the points, and sweeps otherwise. stop, when non-nil, is polled every
+// 16 blocks of the walk, and before the sweep and every 4096 IDs of it;
+// returning true abandons the fan-out (the partial result must be
+// discarded).
 func (p *Partition) Spread(pass []bool, workers int, stop func() bool) *DenseSet {
+	n := len(p.blockOf)
+	passing := 0
+	for k, ok := range pass {
+		size := p.off[k+1] - p.off[k]
+		if !ok {
+			size = 0
+		}
+		passing += int(size)
+	}
+	full := 2*passing > n // write the failing side out of a full set
+	written := passing
+	if full {
+		written = n - passing
+	}
+	if (len(pass)+written)*workers <= n {
+		return p.spreadWalk(pass, full, stop)
+	}
+	return p.spreadSweep(pass, workers, stop)
+}
+
+// spreadWalk starts from the full set when full, else the empty one, and
+// toggles the bits of every block whose verdict differs from full: the
+// toggle sets a passing member in an empty set and clears a failing one
+// from a full set. Member lists are disjoint, so each bit toggles once.
+func (p *Partition) spreadWalk(pass []bool, full bool, stop func() bool) *DenseSet {
+	var out *DenseSet
+	if full {
+		out = p.idx.FullDense()
+	} else {
+		out = p.idx.NewDense()
+	}
+	for k, ok := range pass {
+		if stop != nil && k&15 == 0 && stop() {
+			return out
+		}
+		if ok == full {
+			continue
+		}
+		for _, id := range p.ids[p.off[k]:p.off[k+1]] {
+			out.bits[id>>6] ^= 1 << (id & 63)
+		}
+	}
+	return out
+}
+
+// spreadSweep assembles every word of the result from the verdicts of its
+// 64 points' blocks, four independent accumulators of 16 bits each for a
+// whole word. The sweep writes each word once, so the tail past the last
+// point stays clear.
+func (p *Partition) spreadSweep(pass []bool, workers int, stop func() bool) *DenseSet {
 	out := p.idx.NewDense()
 	if stop != nil && stop() {
 		return out
 	}
+	verdict := make([]uint8, len(pass))
+	for k, ok := range pass {
+		var v uint8
+		if ok {
+			v = 1
+		}
+		verdict[k] = v
+	}
 	ParRange(len(p.blockOf), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
+		for id := lo; id < hi; id += 64 {
 			if stop != nil && id&4095 == 0 && stop() {
 				return
 			}
-			if pass[p.blockOf[id]] {
-				// Direct word write: the 64-aligned shard owns this word.
-				out.bits[id/64] |= 1 << (id % 64)
+			var word uint64
+			if id+64 <= hi {
+				blk := (*[64]int32)(p.blockOf[id : id+64])
+				var w0, w1, w2, w3 uint64
+				for j := 0; j < 16; j++ {
+					w0 |= uint64(verdict[blk[j]]) << j
+					w1 |= uint64(verdict[blk[j+16]]) << (j + 16)
+					w2 |= uint64(verdict[blk[j+32]]) << (j + 32)
+					w3 |= uint64(verdict[blk[j+48]]) << (j + 48)
+				}
+				word = w0 | w1 | w2 | w3
+			} else {
+				for j, b := range p.blockOf[id:hi] {
+					word |= uint64(verdict[b]) << j
+				}
 			}
+			out.bits[id/64] = word
 		}
 	})
 	return out

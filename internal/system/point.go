@@ -1,8 +1,8 @@
 package system
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Point is a point (r, k): run r of one computation tree, at time k.
@@ -53,8 +53,16 @@ func (p Point) SameGlobalState(q Point) bool {
 		p.Tree.runs[p.Run][p.Time] == q.Tree.runs[q.Run][q.Time]
 }
 
+// String renders the point as (adversary/rRUN, TIME).
 func (p Point) String() string {
-	return fmt.Sprintf("(%s/r%d, %d)", p.Tree.Adversary, p.Run, p.Time)
+	var buf [64]byte
+	b := append(buf[:0], '(')
+	b = append(b, p.Tree.Adversary...)
+	b = append(b, "/r"...)
+	b = strconv.AppendInt(b, int64(p.Run), 10)
+	b = append(b, ", "...)
+	b = strconv.AppendInt(b, int64(p.Time), 10)
+	return string(append(b, ')'))
 }
 
 // PointSet is a finite set of points, possibly spanning several trees.

@@ -20,7 +20,6 @@ package system
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"kpa/internal/rat"
 )
@@ -87,13 +86,22 @@ func (g GlobalState) Equal(h GlobalState) bool {
 	return true
 }
 
+// String renders the global state as (env=E, p1=L1, …, pn=Ln).
 func (g GlobalState) String() string {
-	parts := make([]string, 0, len(g.Locals)+1)
-	parts = append(parts, "env="+g.Env)
-	for i, l := range g.Locals {
-		parts = append(parts, fmt.Sprintf("p%d=%s", i+1, l))
+	n := len("(env=)") + len(g.Env)
+	for _, l := range g.Locals {
+		n += len(", p00=") + len(l)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	b := make([]byte, 0, n)
+	b = append(b, "(env="...)
+	b = append(b, g.Env...)
+	for i, l := range g.Locals {
+		b = append(b, ", p"...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, '=')
+		b = append(b, l...)
+	}
+	return string(append(b, ')'))
 }
 
 // NodeID identifies a node within one tree.
