@@ -8,13 +8,16 @@ build:
 test:
 	go test ./...
 
-# go vet plus kpavet's thirteen repo-invariant contract checks (exact
+# go vet plus kpavet's twelve repo-invariant contract checks (exact
 # rationals behind internal/rat, no floats in probability code, immutable
-# big.Rat receivers, pool get/put pairing, dense-set ownership,
-# guarded-field locking, deterministic map-derived output, context
-# threading, goroutine termination, service error kinds, shard-disjoint
-# parallel writes, Gate token balance, cancel polling in sweeps and
-# fixpoints). TestList in cmd/kpavet pins the roster. See docs/LINTING.md.
+# big.Rat receivers, dense-set ownership, guarded-field locking,
+# deterministic map-derived output, context threading, goroutine
+# termination, service error kinds, every borrow released: pooled
+# workers, Gate tokens and Engine.Workers closures, shard-disjoint
+# parallel writes, cancel polling in sweeps and fixpoints). TestList in
+# cmd/kpavet pins the roster: bigimport, cancelpoll, ctxflow, denseown,
+# errkind, floatprob, goleak, lockguard, maprange, ratmut, release,
+# shardsafe. See docs/LINTING.md.
 lint:
 	go vet ./...
 	go run ./cmd/kpavet ./...

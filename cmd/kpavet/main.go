@@ -1,6 +1,6 @@
 // Command kpavet runs the repo-invariant static-analysis suite: the
 // contracts this reproduction rests on — exact rational probabilities,
-// immutable rat.Rat values, the evaluator-pool checkout discipline —
+// immutable rat.Rat values, every borrowed worker given back —
 // machine-checked on every build. See docs/LINTING.md.
 //
 // Usage:
@@ -43,12 +43,11 @@ import (
 	"kpa/internal/analysis/driver"
 	"kpa/internal/analysis/errkind"
 	"kpa/internal/analysis/floatprob"
-	"kpa/internal/analysis/gatebal"
 	"kpa/internal/analysis/goleak"
 	"kpa/internal/analysis/lockguard"
 	"kpa/internal/analysis/maprange"
-	"kpa/internal/analysis/poolpair"
 	"kpa/internal/analysis/ratmut"
+	"kpa/internal/analysis/release"
 	"kpa/internal/analysis/shardsafe"
 )
 
@@ -60,12 +59,11 @@ func defaultAnalyzers() []analysis.Analyzer {
 		denseown.New(),
 		errkind.New(),
 		floatprob.New(),
-		gatebal.New(),
 		goleak.New(),
 		lockguard.New(),
 		maprange.New(),
-		poolpair.New(),
 		ratmut.New(),
+		release.New(),
 		shardsafe.New(),
 	}
 }

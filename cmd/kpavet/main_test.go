@@ -26,14 +26,14 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// rosterNames is the pinned 13-analyzer roster, in roster order.
+// rosterNames is the pinned 12-analyzer roster, in roster order.
 var rosterNames = []string{
 	"bigimport", "cancelpoll", "ctxflow", "denseown", "errkind",
-	"floatprob", "gatebal", "goleak", "lockguard", "maprange",
-	"poolpair", "ratmut", "shardsafe",
+	"floatprob", "goleak", "lockguard", "maprange", "ratmut",
+	"release", "shardsafe",
 }
 
-// TestList pins the analyzer roster: each of the thirteen analyzers
+// TestList pins the analyzer roster: each of the twelve analyzers
 // must be present and documented.
 func TestList(t *testing.T) {
 	var stdout, stderr bytes.Buffer

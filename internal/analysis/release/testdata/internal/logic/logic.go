@@ -52,7 +52,7 @@ func ZeroGuard(g *system.Gate, par int) int {
 }
 
 // ClosureTransfer hands the obligation to the release callback, the
-// parWorkers pattern.
+// Engine.Workers pattern.
 func ClosureTransfer(g *system.Gate, par int) (int, func()) {
 	extra := g.TryAcquire(par - 1)
 	if extra == 0 {

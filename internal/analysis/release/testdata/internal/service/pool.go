@@ -1,6 +1,6 @@
 // Package service is a miniature of the real internal/service: a pool
 // lends out non-thread-safe workers through get/put. The good functions
-// honor the checkout contract; each bad one must draw a poolpair
+// honor the checkout contract; each bad one must draw a release
 // diagnostic. The cache type proves that get(key)/put(key, v) pairs with
 // other shapes are not mistaken for pools.
 package service
@@ -74,13 +74,13 @@ func goodGoroutine(p *pool, ch chan<- int) {
 
 // badMissing leaks the worker: no put on the return path.
 func badMissing(p *pool) int {
-	w := p.get() // want `\[poolpair\] worker from p\.get\(\) is not returned with put on every path`
+	w := p.get() // want `\[release\] worker from p\.get\(\) is not returned with put on every path`
 	return w.n
 }
 
 // badConditional puts only when c holds; the other path leaks.
 func badConditional(p *pool, c bool) {
-	w := p.get() // want `\[poolpair\] worker from p\.get\(\) is not returned with put on every path`
+	w := p.get() // want `\[release\] worker from p\.get\(\) is not returned with put on every path`
 	if c {
 		p.put(w)
 	}
@@ -89,7 +89,7 @@ func badConditional(p *pool, c bool) {
 // badNestedReturn leaks on the early return inside the branch: the put
 // after the if covers only the fall-through path.
 func badNestedReturn(p *pool, c bool) int {
-	w := p.get() // want `\[poolpair\] worker from p\.get\(\) is not returned with put on every path`
+	w := p.get() // want `\[release\] worker from p\.get\(\) is not returned with put on every path`
 	if c {
 		return 0
 	}
@@ -102,12 +102,12 @@ func badNestedReturn(p *pool, c bool) int {
 func badUseAfterPut(p *pool) int {
 	w := p.get()
 	p.put(w)
-	return w.n // want `\[poolpair\] worker w used after put`
+	return w.n // want `\[release\] worker w used after put`
 }
 
 // badDiscard drops the worker on the floor.
 func badDiscard(p *pool) {
-	p.get() // want `\[poolpair\] result of p\.get\(\) discarded`
+	p.get() // want `\[release\] result of p\.get\(\) discarded`
 }
 
 // cache has get/put methods whose shapes do not form a checkout pair.

@@ -459,7 +459,7 @@ func (lc *litChecker) walkStmt(s ast.Stmt, locked bool) bool {
 		return lc.walkStmt(s.Stmt, locked)
 	case *ast.GoStmt:
 		// A nested goroutine inherits no shard discipline; its writes are
-		// held to the same rules (gatebal separately flags the fan-out).
+		// held to the same rules (release separately flags the fan-out).
 		if nested, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			lc.walkStmts(nested.Body.List, false)
 		}

@@ -83,7 +83,7 @@ func scaleEvaluator(b *testing.B) *Evaluator {
 	b.Helper()
 	scaleFix.sys.BuildIndex(scaleFix.workers)
 	e := NewEvaluator(scaleFix.sys, scaleFix.P, scaleFix.props)
-	e.SetParallelism(scaleFix.workers)
+	e.SetEngine(NewEngine(scaleFix.workers))
 	return e
 }
 
@@ -175,7 +175,7 @@ func BenchmarkScaleSpaceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		P := core.NewProbAssignment(scaleFix.sys, core.Post(scaleFix.sys))
 		e := NewEvaluator(scaleFix.sys, P, scaleFix.props)
-		e.SetParallelism(scaleFix.workers)
+		e.SetEngine(NewEngine(scaleFix.workers))
 		for _, a := range scaleFix.group {
 			if _, err := e.spaceIndexFor(a); err != nil {
 				b.Fatal(err)

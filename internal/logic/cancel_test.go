@@ -202,7 +202,7 @@ func TestCancelScaleParallelLatency(t *testing.T) {
 	sys := gen.MustScaleSystem(gen.ScaleTiers["100k"])
 	props := map[string]system.Fact{"p": gen.ScaleFact("p", 3)}
 	e := NewEvaluator(sys, core.NewProbAssignment(sys, core.Post(sys)), props)
-	e.SetParallelism(8)
+	e.SetEngine(NewEngine(8))
 
 	// Alternating K/Pr nesting over all three agents: every level is a fresh
 	// full pass over the 10^5 points with no memo reuse.

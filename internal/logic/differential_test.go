@@ -196,12 +196,13 @@ func TestConcurrentSharedIndex(t *testing.T) {
 	}
 }
 
-// forceParallel drops the sharding threshold so the parallel kernels engage
-// on small differential fixtures, and returns the restore function.
+// forceParallel drops both sharding thresholds so the parallel kernels and
+// the sharded set-algebra combines engage on small differential fixtures,
+// and returns the restore function.
 func forceParallel() func() {
-	old := parMinPoints
-	parMinPoints = 1
-	return func() { parMinPoints = old }
+	oldPoints, oldWords := parMinPoints, parMinWords
+	parMinPoints, parMinWords = 1, 1
+	return func() { parMinPoints, parMinWords = oldPoints, oldWords }
 }
 
 // TestDifferentialParallelVsReference repeats the executable-specification
@@ -233,7 +234,7 @@ func TestDifferentialParallelVsReference(t *testing.T) {
 		}
 		P := core.NewProbAssignment(sys, core.Post(sys))
 		dense := NewEvaluator(sys, P, props)
-		dense.SetParallelism(4)
+		dense.SetEngine(NewEngine(4))
 		naive := NewReferenceEvaluator(sys, P, props)
 
 		for j := 0; j < formulasPerSys; j++ {
@@ -265,7 +266,7 @@ func TestDifferentialParallelScaleSystem(t *testing.T) {
 	}
 	P := core.NewProbAssignment(sys, core.Post(sys))
 	dense := NewEvaluator(sys, P, props)
-	dense.SetParallelism(4)
+	dense.SetEngine(NewEngine(4))
 	defer forceParallel()()
 	naive := NewReferenceEvaluator(sys, P, props)
 
@@ -299,8 +300,8 @@ func TestDifferentialParallelScaleSystem(t *testing.T) {
 }
 
 // TestConcurrentParallelSharedIndex is the race-detector drill for the full
-// sharing story: concurrent budget-4 evaluators draw extra workers from one
-// shared Gate, report into one EngineMetrics, and build/read one shared
+// sharing story: concurrent evaluators borrow extra workers from one shared
+// budget-4 Engine, report into its counters, and build/read one shared
 // system.Index and cell partition while their shards are running.
 func TestConcurrentParallelSharedIndex(t *testing.T) {
 	defer forceParallel()()
@@ -326,8 +327,7 @@ func TestConcurrentParallelSharedIndex(t *testing.T) {
 		want[i] = ext
 	}
 
-	gate := system.NewGate(3)
-	metrics := &EngineMetrics{}
+	eng := NewEngine(4)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -335,9 +335,7 @@ func TestConcurrentParallelSharedIndex(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ev := NewEvaluator(sys, P, props)
-			ev.SetParallelism(4)
-			ev.SetGate(gate)
-			ev.SetEngineMetrics(metrics)
+			ev.SetEngine(eng)
 			for i, f := range formulas {
 				ext, err := ev.DenseExtension(f)
 				if err != nil {
@@ -356,10 +354,10 @@ func TestConcurrentParallelSharedIndex(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if gate.TryAcquire(3) != 3 {
+	if eng.gate.TryAcquire(3) != 3 {
 		t.Fatal("gate tokens leaked: not all extra workers were released")
 	}
-	if metrics.SerialPaths.Load()+metrics.ParallelPaths.Load() == 0 {
+	if eng.SerialPaths.Load()+eng.ParallelPaths.Load() == 0 {
 		t.Fatal("engine metrics recorded no regions")
 	}
 }

@@ -76,13 +76,9 @@ type Evaluator struct {
 	// SetCancel; nil means evaluation runs to completion.
 	cancel func() error
 
-	// par is the parallelism budget (SetParallelism), gate the shared
-	// extra-worker token pool (SetGate), metrics the shared activity
-	// counters (SetEngineMetrics). par defaults to 1: every kernel stays on
-	// the serial path and the engine behaves exactly as before.
-	par     int
-	gate    *system.Gate
-	metrics *EngineMetrics
+	// eng is the worker budget the sharded kernels borrow from (SetEngine);
+	// nil keeps every kernel on the serial path.
+	eng *Engine
 }
 
 // spaceIndex is one agent's probability-space table in dense form. Block s
@@ -131,7 +127,6 @@ func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[strin
 		extMemo:  make(map[Formula]system.PointSet),
 		propExt:  make(map[string]*system.DenseSet),
 		spaceIdx: make(map[system.AgentID]*spaceIndex),
-		par:      1,
 	}
 }
 
@@ -162,7 +157,7 @@ func (e *Evaluator) Reset() {
 // scans (proposition extensions, probability-table sweeps); the first
 // non-nil return aborts the evaluation with exactly that error. The hook
 // must be cheap (it runs on hot paths) and must not touch the evaluator.
-// With a parallelism budget above 1 (SetParallelism) the sharded kernels
+// With a parallelism budget above 1 (SetEngine) the sharded kernels
 // poll the hook from several goroutines at once, so it must also be safe
 // for concurrent calls — reading a closed-channel or atomic signal, as the
 // service's context-backed hook does, qualifies.
@@ -300,9 +295,9 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownProp, f.Name)
 		}
 		// With workers > 1 the fact's Holds is called from several
-		// goroutines; SetParallelism documents that facts must tolerate
-		// that. Shards are 64-aligned so each owns its result words.
-		workers, release := e.parWorkers(idx.NumPoints())
+		// goroutines; SetEngine documents that facts must tolerate that.
+		// Shards are 64-aligned so each owns its result words.
+		workers, release := e.eng.Workers(idx.NumPoints())
 		defer release()
 		ps, stop := e.stopFn()
 		out := idx.NewDense()
@@ -457,8 +452,8 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 			if err := e.checkCancel(); err != nil {
 				return nil, err
 			}
-			if e.metrics != nil {
-				e.metrics.ShardRounds.Add(1)
+			if e.eng != nil {
+				e.eng.ShardRounds.Add(1)
 			}
 			next, err := e.everyoneExtension(f.Group, e.intersectPar(sub, x))
 			if err != nil {
@@ -494,8 +489,8 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 			if err := e.checkCancel(); err != nil {
 				return nil, err
 			}
-			if e.metrics != nil {
-				e.metrics.ShardRounds.Add(1)
+			if e.eng != nil {
+				e.eng.ShardRounds.Add(1)
 			}
 			next, err := e.everyonePrExtension(f.Group, e.intersectPar(sub, x), f.Alpha)
 			if err != nil {
@@ -537,23 +532,22 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 }
 
 // intersectPar, unionPar, complementPar run one set-algebra combine on the
-// evaluator's budget: a region is opened for the duration of the sweep, and
-// the DenseSet operations themselves stay serial below their word
-// threshold, so small systems take the exact pre-parallel path.
+// workers combineWorkers borrows; below its word threshold that is one
+// worker, the allocation-free serial loop.
 func (e *Evaluator) intersectPar(a, b *system.DenseSet) *system.DenseSet {
-	workers, release := e.parWorkers(e.idx.NumPoints())
+	workers, release := e.combineWorkers()
 	defer release()
 	return a.Intersect(b, workers)
 }
 
 func (e *Evaluator) unionPar(a, b *system.DenseSet) *system.DenseSet {
-	workers, release := e.parWorkers(e.idx.NumPoints())
+	workers, release := e.combineWorkers()
 	defer release()
 	return a.Union(b, workers)
 }
 
 func (e *Evaluator) complementPar(a *system.DenseSet) *system.DenseSet {
-	workers, release := e.parWorkers(e.idx.NumPoints())
+	workers, release := e.combineWorkers()
 	defer release()
 	return a.Complement(workers)
 }
@@ -562,7 +556,7 @@ func (e *Evaluator) complementPar(a *system.DenseSet) *system.DenseSet {
 // over the index's cached cell partition (system.Partition.KnowExtension),
 // sharded across the evaluator's workers.
 func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
-	workers, release := e.parWorkers(e.idx.NumPoints())
+	workers, release := e.eng.Workers(e.idx.NumPoints())
 	defer release()
 	cells := e.idx.Cells(i, workers)
 	ps, stop := e.stopFn()
@@ -582,9 +576,7 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	}
 	sx := &spaceIndex{}
 	if pa, ok := e.prob.SampleAssignment().(core.PartitionAssignment); ok {
-		workers, release := e.parWorkers(e.idx.NumPoints())
-		sx.part = pa.Blocks(e.idx, i, workers)
-		release()
+		sx.part = e.blocks(pa, i)
 	}
 	var err error
 	if sx.part != nil {
@@ -597,6 +589,14 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	}
 	e.spaceIdx[i] = sx
 	return sx, nil
+}
+
+// blocks builds agent i's sample-space partition on borrowed workers. The
+// release is deferred so a panicking Blocks still returns the workers.
+func (e *Evaluator) blocks(pa core.PartitionAssignment, i system.AgentID) *system.Partition {
+	workers, release := e.eng.Workers(e.idx.NumPoints())
+	defer release()
+	return pa.Blocks(e.idx, i, workers)
 }
 
 // perPointSpaces fills sx from one serial ProbAssignment.Space call per
@@ -788,7 +788,7 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	}
 	num, den, intBound := bound.Frac64()
 	verdicts := make([]bool, len(sx.base))
-	workers, release := e.parWorkers(e.idx.NumPoints())
+	workers, release := e.eng.Workers(e.idx.NumPoints())
 	defer release()
 	ps, stop := e.stopFn()
 	system.ParRange(len(verdicts), 1, workers, func(_, lo, hi int) {

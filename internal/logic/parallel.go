@@ -7,40 +7,79 @@ import (
 	"kpa/internal/system"
 )
 
-// This file holds the evaluator's parallelism plumbing: the per-evaluator
-// budget knob, the shared Gate hookup, the engine metrics counters, and the
-// small helpers the sharded kernels in eval.go use to decide their worker
-// count and to propagate cancellation out of a fan-out.
+// This file holds the evaluator's parallelism plumbing: Engine, the one
+// place a sharded sweep borrows extra workers, and the helper that
+// propagates cancellation out of a fan-out.
 
-// parMinPoints is the system size below which the evaluator's sharded
-// kernels stay on the serial path regardless of the parallelism budget:
-// fan-out overhead (goroutine spawn, barrier) swamps the sweep itself on
-// small universes. 65536 points ≈ 1k backing words. Variable, not constant,
-// so tests can force the parallel path on small fixtures.
-var parMinPoints = 1 << 16
+// parMinPoints is the system size below which a sweep over the points stays
+// serial whatever the budget: fan-out overhead (goroutine spawn, barrier)
+// swamps the sweep itself on small universes. 65536 points ≈ 1k backing
+// words. parMinWords is the same threshold for set-algebra combines, which
+// split the backing words rather than the points: 32768 words cover 2^21
+// points. Variables, not constants, so tests can force the parallel paths on
+// small fixtures.
+var (
+	parMinPoints = 1 << 16
+	parMinWords  = 1 << 15
+)
 
-// EngineMetrics counts the dense engine's parallel activity. One instance is
-// shared by every evaluator of a service (see internal/service) and surfaced
-// through /v1/stats; all fields are atomics, safe for concurrent evaluators.
-type EngineMetrics struct {
+// Engine is the dense engine's worker budget, shared by every evaluator it
+// is attached to (see SetEngine). The budget is the maximum number of
+// goroutines, the caller included, one sweep may fan out to. The extra
+// workers come from one system.Gate of budget−1 tokens, so across every
+// concurrent evaluation the engine runs at most budget−1 extra goroutines;
+// a sweep that finds the gate drained runs serially. The counters are
+// atomics, safe for concurrent evaluators.
+//
+// A nil *Engine is the default: budget 1, every sweep serial, no counters.
+type Engine struct {
+	budget int
+	gate   *system.Gate
+
 	// ShardRounds counts fixpoint rounds executed by the common-knowledge
-	// operators (C_G and C_G^α), the loops whose per-round sweeps the
-	// parallel engine shards.
+	// operators (C_G and C_G^α), the loops whose per-round sweeps shard.
 	ShardRounds atomic.Uint64
-	// ParallelPaths counts engine regions (knowledge sweeps, probability
+	// ParallelPaths counts sweeps (index builds, knowledge and probability
 	// sweeps, proposition scans, set-algebra combines) that ran with more
 	// than one worker.
 	ParallelPaths atomic.Uint64
-	// SerialPaths counts engine regions that ran on the calling goroutine
-	// alone — because the budget was 1, the system was below parMinPoints,
-	// or the shared gate had no tokens left.
+	// SerialPaths counts sweeps that ran on the calling goroutine alone:
+	// the budget was 1, the sweep was below its size threshold, or the gate
+	// had no tokens left.
 	SerialPaths atomic.Uint64
 }
 
-// SetParallelism sets the evaluator's parallelism budget: the maximum number
-// of goroutines (including the calling one) a single engine region may fan
-// out to. The default is 1, which keeps every kernel on the serial path and
-// is exactly the pre-parallel engine.
+// NewEngine returns an engine with a budget of par workers (at least 1).
+func NewEngine(par int) *Engine {
+	if par < 1 {
+		par = 1
+	}
+	return &Engine{budget: par, gate: system.NewGate(par - 1)}
+}
+
+// Workers borrows workers for one sweep over the given number of points.
+// It returns the worker count and a release that must run (deferred) when
+// the sweep ends. Below parMinPoints, or at budget 1, it returns 1 and a
+// no-op release; otherwise 1 plus the extra workers the gate grants.
+func (g *Engine) Workers(points int) (int, func()) {
+	if g == nil {
+		return 1, func() {}
+	}
+	if g.budget <= 1 || points < parMinPoints {
+		g.SerialPaths.Add(1)
+		return 1, func() {}
+	}
+	extra := g.gate.TryAcquire(g.budget - 1)
+	if extra == 0 {
+		g.SerialPaths.Add(1)
+		return 1, func() {}
+	}
+	g.ParallelPaths.Add(1)
+	return 1 + extra, func() { g.gate.Release(extra) }
+}
+
+// SetEngine attaches the worker budget the evaluator's sweeps borrow from.
+// The default, nil, keeps every kernel on the serial path.
 //
 // With a budget above 1, primitive-proposition facts and the cancellation
 // hook are called from multiple goroutines concurrently and MUST be safe for
@@ -48,50 +87,17 @@ type EngineMetrics struct {
 // read an atomic or a closed-channel signal (the service's context hook
 // qualifies). The evaluator itself remains single-checkout — parallelism is
 // inside one evaluation, not across evaluations.
-func (e *Evaluator) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.par = n
-}
+func (e *Evaluator) SetEngine(g *Engine) { e.eng = g }
 
-// Parallelism returns the evaluator's parallelism budget.
-func (e *Evaluator) Parallelism() int { return e.par }
-
-// SetGate attaches a shared token pool bounding the evaluator's extra shard
-// workers. When several evaluators run concurrently (a service pool), giving
-// them one gate of capacity budget−1 caps the total number of extra engine
-// goroutines at the budget no matter how many evaluations are in flight;
-// a region that finds the gate empty simply runs serially. A nil gate (the
-// default) grants every region its full budget.
-func (e *Evaluator) SetGate(g *system.Gate) { e.gate = g }
-
-// SetEngineMetrics attaches shared activity counters; nil (the default)
-// disables counting.
-func (e *Evaluator) SetEngineMetrics(m *EngineMetrics) { e.metrics = m }
-
-// parWorkers decides how many workers a sharded region over `units` points
-// may use, drawing extra-worker tokens from the gate. It returns the worker
-// count and a release that must be called (deferred) when the region ends.
-func (e *Evaluator) parWorkers(units int) (int, func()) {
-	if e.par <= 1 || units < parMinPoints {
-		if e.metrics != nil {
-			e.metrics.SerialPaths.Add(1)
-		}
-		return 1, func() {}
+// combineWorkers borrows workers for one set-algebra combine over the
+// index's backing words. Below parMinWords the combine will not shard, so
+// it asks Workers for nothing: no token is drawn and the sweep counts as
+// serial.
+func (e *Evaluator) combineWorkers() (int, func()) {
+	if e.idx.Words() < parMinWords {
+		return e.eng.Workers(0)
 	}
-	extra := e.gate.TryAcquire(e.par - 1)
-	if extra == 0 {
-		if e.metrics != nil {
-			e.metrics.SerialPaths.Add(1)
-		}
-		return 1, func() {}
-	}
-	if e.metrics != nil {
-		e.metrics.ParallelPaths.Add(1)
-	}
-	g := e.gate
-	return 1 + extra, func() { g.Release(extra) }
+	return e.eng.Workers(e.idx.NumPoints())
 }
 
 // parStop adapts the evaluator's cancellation hook to the stop-function

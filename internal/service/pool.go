@@ -35,7 +35,7 @@ type evalPool struct {
 	sys    *system.System
 	sample core.SampleAssignment
 	props  map[string]system.Fact
-	eng    *engine
+	eng    *logic.Engine
 
 	memoCap int
 
@@ -47,7 +47,7 @@ type evalPool struct {
 	discarded uint64    // guarded by mu; poisoned workers dropped instead of repooled
 }
 
-func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap int, eng *engine) *evalPool {
+func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact, memoCap int, eng *logic.Engine) *evalPool {
 	return &evalPool{
 		sys:     sys,
 		sample:  sample,
@@ -74,10 +74,12 @@ func (p *evalPool) get() *worker {
 	// build comes first so the session's one-time point index is sharded
 	// under the engine budget instead of built serially inside NewEvaluator;
 	// the index is once-guarded, so only the first caller per system pays.
-	p.eng.withWorkers(func(workers int) { p.sys.BuildIndex(workers) })
+	workers, release := p.eng.Workers(p.sys.NumPoints())
+	defer release()
+	p.sys.BuildIndex(workers)
 	prob := core.NewProbAssignment(p.sys, p.sample)
 	ev := logic.NewEvaluator(p.sys, prob, p.props)
-	p.eng.wire(ev)
+	ev.SetEngine(p.eng)
 	return &worker{eval: ev}
 }
 

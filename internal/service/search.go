@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kpa/internal/betting"
 	"kpa/internal/core"
@@ -246,7 +245,7 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 		return SearchStatus{}, err
 	}
 
-	if err := s.admitSearch(); err != nil {
+	if err := s.admit(nil); err != nil {
 		return SearchStatus{}, err
 	}
 
@@ -289,31 +288,6 @@ func (j *searchJob) runningNow() bool {
 	return j.state == SearchRunning
 }
 
-// admitSearch takes one evaluation slot, queueing at most QueueWait —
-// the same admission discipline Check applies to cache misses.
-func (s *Service) admitSearch() error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	s.queued.Add(1)
-	defer s.queued.Add(-1)
-	t := time.NewTimer(s.cfg.QueueWait)
-	defer t.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-t.C:
-		s.sheds.Add(1)
-		return &Error{
-			Kind:       KindOverloaded,
-			Msg:        fmt.Sprintf("service: all %d evaluation slots busy for %v", s.cfg.MaxInFlight, s.cfg.QueueWait),
-			RetryAfter: retryAfter,
-		}
-	}
-}
-
 // compileSearchSpec resolves and validates everything cheap: system,
 // assignment, agents, point, formula syntax, α, payoffs, mode.
 func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
@@ -321,7 +295,7 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := sess.pool(orPost(req.Assign), s.cfg, s.engine)
+	pool, err := sess.pool(orPost(req.Assign), s.engine)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +355,7 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 	}
 	every := req.CheckpointEvery
 	if every == 0 {
-		every = s.cfg.SearchCheckpointEvery
+		every = searchCheckpointEvery
 	}
 	return &searchSpec{
 		pool:      pool,
@@ -714,7 +688,7 @@ func (s *Service) resumeJobAs(id string, seq int) error {
 	if err != nil {
 		return err
 	}
-	if err := s.admitSearch(); err != nil {
+	if err := s.admit(nil); err != nil {
 		return err
 	}
 	s.searchMu.Lock()

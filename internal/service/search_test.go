@@ -102,6 +102,13 @@ func bigSearchReq() SearchRequest {
 	}
 }
 
+// everyNode makes req checkpoint after every expanded node, so a test's
+// checkpoint seam fires as soon as the job starts.
+func everyNode(req SearchRequest) SearchRequest {
+	req.CheckpointEvery = 1
+	return req
+}
+
 func uploadCoupled(t *testing.T, svc *Service, depth, obsLen int) {
 	t.Helper()
 	if _, err := svc.Upload("coupled", coupledSearchDoc(t, depth, obsLen)); err != nil {
@@ -263,9 +270,8 @@ func TestSearchCancelAndResume(t *testing.T) {
 	gate := newCkptGate()
 	dir := t.TempDir()
 	svc := New(Config{
-		SearchCheckpointDir:   dir,
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate.seam},
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
 	})
 	uploadCoupled(t, svc, 8, 4)
 
@@ -281,7 +287,7 @@ func TestSearchCancelAndResume(t *testing.T) {
 		t.Fatalf("clean run: %s (%s)", want.State, want.Error)
 	}
 
-	st, err := svc.StartSearch(bigSearchReq())
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +358,7 @@ func TestSearchChaosKillResumeAcrossRestart(t *testing.T) {
 	inj.Set("search.ckpt", faultinject.Plan{At: 5, Err: errInjected})
 
 	svc := New(Config{
-		SearchCheckpointDir:   dir,
-		SearchCheckpointEvery: 1,
+		SearchCheckpointDir: dir,
 		Seams: &Seams{BeforeCheckpoint: func(op, jobID string) error {
 			if op != "write" {
 				return nil
@@ -372,7 +377,7 @@ func TestSearchChaosKillResumeAcrossRestart(t *testing.T) {
 	}
 	want := waitSearch(t, clean, cst.ID)
 
-	st, err := svc.StartSearch(bigSearchReq())
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,10 +432,9 @@ func TestSearchResumeDiscoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	gate := newCkptGate()
 	svc := New(Config{
-		SearchWorkers:         4,
-		SearchCheckpointDir:   dir,
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate.seam},
+		SearchWorkers:       4,
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
 	})
 	uploadCoupled(t, svc, 8, 4)
 
@@ -446,7 +450,7 @@ func TestSearchResumeDiscoveryAcrossRestart(t *testing.T) {
 		t.Fatalf("clean run: %s (%s)", want.State, want.Error)
 	}
 
-	st, err := svc.StartSearch(bigSearchReq())
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,13 +533,12 @@ func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 	dir := t.TempDir()
 	gate := newCkptGate()
 	svc := New(Config{
-		SearchCheckpointDir:   dir,
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate.seam},
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
 	})
 	uploadCoupled(t, svc, 8, 4)
 
-	st1, err := svc.StartSearch(bigSearchReq())
+	st1, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,10 +568,9 @@ func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 
 	gate2 := newCkptGate()
 	svc2 := New(Config{
-		MaxSearchJobs:         1,
-		SearchCheckpointDir:   dir,
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate2.seam},
+		MaxSearchJobs:       1,
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate2.seam},
 	})
 	uploadCoupled(t, svc2, 8, 4)
 	rep := svc2.ResumeSearches()
@@ -591,13 +593,12 @@ func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 func TestSearchResumeConflicts(t *testing.T) {
 	gate := newCkptGate()
 	svc := New(Config{
-		SearchCheckpointDir:   t.TempDir(),
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate.seam},
+		SearchCheckpointDir: t.TempDir(),
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
 	})
 	uploadCoupled(t, svc, 8, 4)
 
-	st, err := svc.StartSearch(bigSearchReq())
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,15 +621,14 @@ func TestSearchResumeConflicts(t *testing.T) {
 func TestSearchOverloadAndDrain(t *testing.T) {
 	gate := newCkptGate()
 	svc := New(Config{
-		MaxSearchJobs:         1,
-		QueueWait:             20 * time.Millisecond,
-		SearchCheckpointDir:   t.TempDir(),
-		SearchCheckpointEvery: 1,
-		Seams:                 &Seams{BeforeCheckpoint: gate.seam},
+		MaxSearchJobs:       1,
+		QueueWait:           20 * time.Millisecond,
+		SearchCheckpointDir: t.TempDir(),
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
 	})
 	uploadCoupled(t, svc, 8, 4)
 
-	st, err := svc.StartSearch(bigSearchReq())
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
 	if err != nil {
 		t.Fatal(err)
 	}

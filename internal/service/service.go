@@ -24,10 +24,6 @@ import (
 type Config struct {
 	// CacheSize bounds the verdict cache (entries). Default 4096.
 	CacheSize int
-	// MemoCap is the memoized-extension budget, in 64-bit bitset words
-	// (formulas memoized × words per extension), above which a returned
-	// evaluator's memo is dropped. Default 4096.
-	MemoCap int
 	// Parallelism is the dense engine's parallelism budget: the maximum
 	// number of goroutines (the caller included) one evaluation's sharded
 	// kernels may fan out to. The budget composes with admission control
@@ -51,9 +47,6 @@ type Config struct {
 	SearchWorkers int
 	// MaxSearchJobs bounds concurrently running search jobs. Default 4.
 	MaxSearchJobs int
-	// SearchCheckpointEvery is the default checkpoint cadence in expanded
-	// nodes. Default 4096.
-	SearchCheckpointEvery uint64
 	// SearchCheckpointDir, when set, persists search-job checkpoints as
 	// <dir>/<jobID>.json so a restarted daemon can resume them. Empty
 	// disables persistence (in-memory resume of canceled jobs still works).
@@ -78,6 +71,13 @@ const (
 	// maxIdle bounds the idle evaluators kept per (system, assignment)
 	// pool.
 	maxIdle = 8
+	// memoCap is the memoized-extension budget, in 64-bit bitset words
+	// (formulas memoized × words per extension), above which a returned
+	// evaluator's memo is dropped.
+	memoCap = 4096
+	// searchCheckpointEvery is the default search checkpoint cadence in
+	// expanded nodes; a request's CheckpointEvery overrides it.
+	searchCheckpointEvery = 4096
 	// maxCounterexamples bounds the counterexamples reported per verdict.
 	maxCounterexamples = 20
 	// maxBatch bounds the formulas accepted by one Batch call.
@@ -94,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
-	if c.MemoCap <= 0 {
-		c.MemoCap = 4096
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 1
 	}
@@ -111,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSearchJobs <= 0 {
 		c.MaxSearchJobs = 4
-	}
-	if c.SearchCheckpointEvery == 0 {
-		c.SearchCheckpointEvery = 4096
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
@@ -137,7 +131,7 @@ type Service struct {
 	store  *store
 	cache  *verdictCache
 	flight *flightGroup
-	engine *engine
+	engine *logic.Engine
 
 	// sem is the global evaluation semaphore: one slot per concurrently
 	// running evaluation. Cache hits never touch it.
@@ -177,7 +171,7 @@ func New(cfg Config) *Service {
 		store:    newStore(cfg.Seams),
 		cache:    newVerdictCache(cfg.CacheSize),
 		flight:   newFlightGroup(),
-		engine:   newEngine(cfg.Parallelism),
+		engine:   logic.NewEngine(cfg.Parallelism),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		searches: make(map[string]*searchJob),
 	}
@@ -274,7 +268,7 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	if assign == "" {
 		assign = "post"
 	}
-	pool, err := sess.pool(assign, s.cfg, s.engine)
+	pool, err := sess.pool(assign, s.engine)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -336,7 +330,7 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f log
 			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluation panicked: %v", r)}
 		}
 	}()
-	if err := s.admitEval(c); err != nil {
+	if err := s.admit(c.abandoned); err != nil {
 		return Verdict{}, err
 	}
 	defer func() { <-s.sem }()
@@ -392,12 +386,13 @@ func (s *Service) withWorker(pool *evalPool, canonical string, fn func(w *worker
 	return fn(w)
 }
 
-// admitEval acquires an evaluation slot: immediately when one is free,
-// otherwise by queueing for at most QueueWait. The queue is deadline-aware
-// through the flight call — when every waiter's context has expired the
-// wait stops with KindCanceled instead of holding the queue position for
-// work nobody wants.
-func (s *Service) admitEval(c *flightCall) error {
+// admit acquires an evaluation slot: immediately when one is free,
+// otherwise by queueing for at most QueueWait. A check's queue is
+// deadline-aware through its flight call's abandoned channel — when every
+// waiter's context has expired the wait stops with KindCanceled instead of
+// holding the queue position for work nobody wants. Search jobs pass nil,
+// which never fires.
+func (s *Service) admit(abandoned <-chan struct{}) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -410,7 +405,7 @@ func (s *Service) admitEval(c *flightCall) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
-	case <-c.abandoned:
+	case <-abandoned:
 		s.cancels.Add(1)
 		return &Error{Kind: KindCanceled, Msg: "service: evaluation abandoned while queued"}
 	case <-t.C:
@@ -517,7 +512,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) ([]BatchItem, err
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sess.pool(orPost(req.Assign), s.cfg, s.engine); err != nil {
+	if _, err := sess.pool(orPost(req.Assign), s.engine); err != nil {
 		return nil, err
 	}
 
@@ -593,6 +588,23 @@ type ResilienceStats struct {
 	Discards uint64 `json:"discards"`
 }
 
+// EngineStats snapshots the parallel dense engine: the configured budget
+// and how its sharded kernels have been running.
+type EngineStats struct {
+	// Parallelism is the configured engine budget (Config.Parallelism).
+	Parallelism int `json:"parallelism"`
+	// ShardRounds counts fixpoint rounds executed by the common-knowledge
+	// operators C_G and C_G^α.
+	ShardRounds uint64 `json:"shardRounds"`
+	// ParallelPaths counts engine sweeps (index builds, knowledge and
+	// probability sweeps, proposition scans, set-algebra combines) that ran
+	// sharded across more than one goroutine.
+	ParallelPaths uint64 `json:"parallelPaths"`
+	// SerialPaths counts engine sweeps that ran on the calling goroutine
+	// alone — budget 1, a sweep too small to shard, or a drained gate.
+	SerialPaths uint64 `json:"serialPaths"`
+}
+
 // Stats is a point-in-time snapshot of the service's counters.
 type Stats struct {
 	Systems       int             `json:"systems"`
@@ -618,8 +630,13 @@ func (s *Service) Stats() Stats {
 			Evals:      s.evals.Load(),
 			TotalNanos: s.evalNanos.Load(),
 		},
-		Cache:  s.cache.stats(),
-		Engine: s.engine.stats(),
+		Cache: s.cache.stats(),
+		Engine: EngineStats{
+			Parallelism:   s.cfg.Parallelism,
+			ShardRounds:   s.engine.ShardRounds.Load(),
+			ParallelPaths: s.engine.ParallelPaths.Load(),
+			SerialPaths:   s.engine.SerialPaths.Load(),
+		},
 		Resilience: ResilienceStats{
 			InFlight: s.inflight.Load(),
 			Queued:   s.queued.Load(),

@@ -7,6 +7,8 @@ import (
 
 	"kpa/internal/canon"
 	"kpa/internal/encode"
+	"kpa/internal/logic"
+	"kpa/internal/registry"
 )
 
 // introDoc returns the introduction's coin system as an encode document, so
@@ -258,17 +260,30 @@ func TestPoolWarmReuse(t *testing.T) {
 }
 
 func TestMemoCapResetsWorker(t *testing.T) {
-	// A tiny memo cap forces a reset on every return.
-	svc := New(Config{MemoCap: 1})
-	ctx := context.Background()
-	for _, f := range []string{"K1^1/2 heads", "K2^1/2 heads"} {
-		if _, err := svc.Check(ctx, CheckRequest{System: "introcoin", Formula: f}); err != nil {
+	// A one-word memo cap forces a reset on every return.
+	entry, err := registry.Lookup("introcoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, err := registry.Assignment(entry.Sys, "post")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newEvalPool(entry.Sys, sample, entry.Props, 1, nil)
+	for _, src := range []string{"K1^1/2 heads", "K2^1/2 heads"} {
+		f, err := logic.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := pool.get()
+		_, err = w.eval.DenseExtension(f)
+		pool.put(w)
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := svc.Stats()
-	if len(st.Pools) != 1 || st.Pools[0].Resets == 0 {
-		t.Fatalf("no resets recorded: %+v", st.Pools)
+	if st := pool.stats(); st.Resets != 2 {
+		t.Fatalf("resets = %d, want 2 (one per return): %+v", st.Resets, st)
 	}
 }
 

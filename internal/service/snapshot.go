@@ -305,12 +305,12 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 
 	// Build what the first uncached check would otherwise pay for: the
 	// dense index and every agent's cells, the same work a cold load does.
-	s.engine.withWorkers(func(workers int) {
-		idx := sys.BuildIndex(workers)
-		for i := 0; i < sys.NumAgents(); i++ {
-			idx.Cells(system.AgentID(i), workers)
-		}
-	})
+	workers, release := s.engine.Workers(sys.NumPoints())
+	defer release()
+	idx := sys.BuildIndex(workers)
+	for i := 0; i < sys.NumAgents(); i++ {
+		idx.Cells(system.AgentID(i), workers)
+	}
 
 	sess := &session{
 		name:   snap.Names[0],

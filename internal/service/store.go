@@ -7,6 +7,7 @@ import (
 
 	"kpa/internal/canon"
 	"kpa/internal/encode"
+	"kpa/internal/logic"
 	"kpa/internal/registry"
 	"kpa/internal/system"
 )
@@ -37,7 +38,7 @@ type session struct {
 // assignment's own Name(), so "opp:1" and the post assignment it equals for
 // agent 1 still get distinct pools (their verdicts coincide but their
 // sample keys differ), while repeated requests share one pool.
-func (s *session) pool(assignName string, cfg Config, eng *engine) (*evalPool, error) {
+func (s *session) pool(assignName string, eng *logic.Engine) (*evalPool, error) {
 	sa, err := registry.Assignment(s.sys, assignName)
 	if err != nil {
 		return nil, badRequest(err)
@@ -54,7 +55,7 @@ func (s *session) pool(assignName string, cfg Config, eng *engine) (*evalPool, e
 	if p, ok := s.pools[key]; ok {
 		return p, nil
 	}
-	p = newEvalPool(s.sys, sa, s.props, cfg.MemoCap, eng)
+	p = newEvalPool(s.sys, sa, s.props, memoCap, eng)
 	s.pools[key] = p
 	return p, nil
 }

@@ -120,21 +120,14 @@ func (s *DenseSet) Clone() *DenseSet {
 	return c
 }
 
-// parMinWords is the backing-word count below which Union, Intersect and
-// Complement sweep serially whatever their worker count: splitting a few
-// thousand words across goroutines costs more than the sweep itself, so
-// small systems pay zero overhead. 32768 words cover 2^21 points.
-// Variable, not constant, so tests can force the parallel path on small
-// fixtures.
-var parMinWords = 1 << 15
-
-// Union returns s ∪ t as a fresh set. From parMinWords words up, the word
-// sweep is split across up to workers goroutines (see ParRange); below
-// that, or with workers ≤ 1, it is one serial loop.
+// Union returns s ∪ t as a fresh set. With more than one worker the word
+// sweep is split across up to workers goroutines (see ParRange); with one
+// it is a single serial loop. The caller decides whether the set is large
+// enough to be worth sharding (see logic.Engine).
 func (s *DenseSet) Union(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 || len(s.bits) < parMinWords {
+	if workers <= 1 {
 		for i := range u.bits {
 			u.bits[i] = s.bits[i] | t.bits[i]
 		}
@@ -152,7 +145,7 @@ func (s *DenseSet) Union(t *DenseSet, workers int) *DenseSet {
 func (s *DenseSet) Intersect(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 || len(s.bits) < parMinWords {
+	if workers <= 1 {
 		for i := range u.bits {
 			u.bits[i] = s.bits[i] & t.bits[i]
 		}
@@ -180,7 +173,7 @@ func (s *DenseSet) Minus(t *DenseSet) *DenseSet {
 // a fresh set, sharded like Union.
 func (s *DenseSet) Complement(workers int) *DenseSet {
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 || len(s.bits) < parMinWords {
+	if workers <= 1 {
 		for i := range u.bits {
 			u.bits[i] = ^s.bits[i]
 		}

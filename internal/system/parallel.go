@@ -64,15 +64,14 @@ func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
 
 // Gate is a shared pool of goroutine tokens bounding how many extra shard
 // workers the dense engine may fan out to across all concurrent
-// evaluations. An evaluator entering a parallel region tries to acquire up
-// to budget−1 tokens and runs with 1 + acquired workers, so the total
-// number of extra engine goroutines never exceeds the gate's capacity no
-// matter how many evaluations are in flight — the composition rule the
-// service's admission control relies on.
+// evaluations. logic.Engine draws up to budget−1 tokens for each sharded
+// sweep and runs it with 1 + acquired workers, so the total number of
+// extra engine goroutines never exceeds the gate's capacity no matter how
+// many evaluations are in flight — the composition rule the service's
+// admission control relies on.
 //
 // Acquisition never blocks: a contended gate degrades regions toward the
-// serial path instead of queueing them. A nil *Gate is valid and grants
-// every request in full (no global bound).
+// serial path instead of queueing them.
 type Gate struct {
 	avail atomic.Int64
 }
@@ -87,13 +86,10 @@ func NewGate(n int) *Gate {
 }
 
 // TryAcquire takes up to k tokens without blocking and returns how many it
-// got (possibly 0). A nil gate grants all k.
+// got (possibly 0).
 func (g *Gate) TryAcquire(k int) int {
 	if k <= 0 {
 		return 0
-	}
-	if g == nil {
-		return k
 	}
 	for {
 		cur := g.avail.Load()
@@ -110,9 +106,9 @@ func (g *Gate) TryAcquire(k int) int {
 	}
 }
 
-// Release returns k tokens to the gate. Releasing to a nil gate is a no-op.
+// Release returns k tokens to the gate.
 func (g *Gate) Release(k int) {
-	if g == nil || k <= 0 {
+	if k <= 0 {
 		return
 	}
 	g.avail.Add(int64(k))

@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the checks every PR must pass: vet, the kpavet contract
-# suite (all thirteen analyzers, including the interprocedural ctxflow /
-# goleak / errkind concurrency contracts and the shardsafe / gatebal /
+# suite (all twelve analyzers, including the interprocedural ctxflow /
+# goleak / errkind concurrency contracts and the shardsafe / release /
 # cancelpoll parallelism contracts), then the full test suite under the
 # race detector. kpavet rejects the code shapes that break the
 # repo's invariants (docs/LINTING.md); the -race run then validates the
@@ -15,7 +15,7 @@ go vet ./...
 go run ./cmd/kpavet ./...
 # The parallelism-contract subset by itself: the -run fast path must
 # stay wired up and clean on the engine it was written for.
-go run ./cmd/kpavet -run shardsafe,gatebal,cancelpoll ./...
+go run ./cmd/kpavet -run shardsafe,release,cancelpoll ./...
 # The analyzer fixture modules are real Go modules the main build never
 # compiles: keep them gofmt-clean and vet-clean so fixture rot can't
 # hide behind the want-comment matcher. vet's unreachable check is off:
