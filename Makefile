@@ -29,15 +29,17 @@ verify:
 
 # Coverage-guided fuzzing of the trust boundaries that have targets: the
 # formula parser, the upload decoder behind /v1/systems, the snapshot
-# decoder, the search-checkpoint decoder and kpad's JSON handlers, 30 s
-# each. Plain `go test` replays their seed corpora; a crasher found here
-# goes under the package's testdata/fuzz/<Target>/ once fixed.
+# decoder, the search-checkpoint decoder, kpad's JSON handlers and the
+# upload envelope scan, 30 s each. Plain `go test` replays their seed
+# corpora; a crasher found here goes under the package's
+# testdata/fuzz/<Target>/ once fixed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/logic
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/encode
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s ./internal/search
 	go test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 30s ./cmd/kpad
+	go test -run '^$$' -fuzz '^FuzzUploadEnvelope$$' -fuzztime 30s ./cmd/kpad
 
 # The fault-injection chaos suite under the race detector: seeded faults
 # (latency, errors, panics) against the serving stack, asserting the

@@ -35,6 +35,32 @@ func refuseLarge(name string) error {
 	return nil
 }
 
+// uploadSeeds are the fuzz targets' POST /v1/systems bodies, each under
+// 8 KiB: two small uploads, an empty doc under a reserved name, and the
+// first 8 KiB − 1 of a bench-shaped upload.
+func uploadSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	coin := encode.Encode(canon.IntroCoin())
+	coin.Props = map[string]encode.PropDoc{"heads": {EnvHasSuffix: "h"}}
+	broom := encode.Encode(gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 4, RunLen: 4, Buckets: 2}))
+	broom.Props = map[string]encode.PropDoc{"p0": {EnvContains: "r1"}}
+	var bodies [][]byte
+	for _, v := range []any{
+		map[string]any{"name": "mycoin", "doc": coin},
+		map[string]any{"name": "die", "doc": map[string]any{}},
+		map[string]any{"name": "broom", "doc": broom},
+		map[string]any{"name": "broom", "doc": encode.Encode(
+			gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 64, RunLen: 8, Buckets: 16}))},
+	} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, data[:min(len(data), 8<<10-1)])
+	}
+	return bodies
+}
+
 // FuzzHandlers posts arbitrary bodies of up to 8 KiB to kpad's JSON
 // endpoints, each against a fresh service. No reply may be a 500, and
 // every non-2xx reply must be a JSON object carrying an "error" string.
@@ -52,19 +78,9 @@ func FuzzHandlers(f *testing.F) {
 			}
 		}
 	}
-	coin := encode.Encode(canon.IntroCoin())
-	coin.Props = map[string]encode.PropDoc{"heads": {EnvHasSuffix: "h"}}
-	add("/v1/systems", map[string]any{"name": "mycoin", "doc": coin})
-	add("/v1/systems", map[string]any{"name": "die", "doc": map[string]any{}})
-	broom := encode.Encode(gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 4, RunLen: 4, Buckets: 2}))
-	broom.Props = map[string]encode.PropDoc{"p0": {EnvContains: "r1"}}
-	add("/v1/systems", map[string]any{"name": "broom", "doc": broom})
-	upload, err := json.Marshal(map[string]any{"name": "broom", "doc": encode.Encode(
-		gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 64, RunLen: 8, Buckets: 16}))})
-	if err != nil {
-		f.Fatal(err)
+	for _, body := range uploadSeeds(f) {
+		f.Add(append([]byte{0}, body...))
 	}
-	f.Add(append([]byte{0}, upload[:8<<10-1]...))
 	add("/v1/check", map[string]string{"system": "introcoin", "formula": "K1^1/2 heads"})
 	add("/v1/check", map[string]string{"system": "nope", "formula": "true"})
 	add("/v1/check", map[string]string{"system": "introcoin", "formula": "(("})

@@ -25,10 +25,15 @@
 // status mandated by the service's error taxonomy (docs/RESILIENCE.md):
 // 404 unknown system, 409 upload conflict, 503 + Retry-After when
 // admission control sheds, 504 on deadline, 500 on a contained evaluator
-// panic, 400 for client mistakes. Request bodies are size-limited, must be
-// a single JSON object with no unknown fields and no trailing data, and
-// each request runs under a timeout. SIGINT/SIGTERM flip /readyz to 503,
-// then drain in-flight requests before exiting.
+// panic, 400 for client mistakes. Request bodies are size-limited (413
+// past -max-body), must be a single JSON object with no unknown fields and
+// no trailing data, and each request runs under a timeout. Keys match
+// field names exactly or case-insensitively, as in encoding/json. An
+// upload's body is read once and scanned in place (encode.Envelope): its
+// doc is handed to the service as the bytes it arrived as, and a repeated
+// key, such as a second "name", is an error, as inside documents.
+// SIGINT/SIGTERM flip /readyz to 503, then drain in-flight requests before
+// exiting.
 //
 // With -snapshot-dir the daemon persists each loaded session — the
 // system's identity, its names and its cached verdicts — and restores
@@ -41,6 +46,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,6 +63,7 @@ import (
 	"syscall"
 	"time"
 
+	"kpa/internal/encode"
 	"kpa/internal/service"
 )
 
@@ -263,14 +270,16 @@ func (d *daemon) handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"systems": svc.Systems()})
 	})
 	mux.HandleFunc("POST /v1/systems", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Name string          `json:"name"`
-			Doc  json.RawMessage `json:"doc"`
-		}
-		if !readJSON(w, r, maxBody, &req) {
+		body, ok := readBody(w, r, maxBody)
+		if !ok {
 			return
 		}
-		info, err := svc.Upload(req.Name, req.Doc)
+		name, doc, err := encode.Envelope(body)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+			return
+		}
+		info, err := svc.Upload(name, doc)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -324,13 +333,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, maxBody int64, dst any) bo
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		writeReadError(w, err)
 		return false
 	}
 	if _, err := dec.Token(); err != io.EOF {
@@ -339,6 +342,35 @@ func readJSON(w http.ResponseWriter, r *http.Request, maxBody int64, dst any) bo
 		return false
 	}
 	return true
+}
+
+// readBody reads a size-limited body whole into one buffer, sized from
+// Content-Length when the client declared one within maxBody. It writes
+// the error response itself when reading fails.
+func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		// MinRead spare bytes let the read that reports EOF land without
+		// growing the buffer.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		writeReadError(w, err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// writeReadError answers a body that could not be read or decoded: 413
+// past the size limit, else 400.
+func writeReadError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 }
 
 // writeError maps the service's typed error taxonomy onto HTTP statuses.

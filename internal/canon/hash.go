@@ -30,12 +30,26 @@ func Hash(sys *system.System) string {
 	sort.Slice(trees, func(i, j int) bool { return trees[i].Adversary < trees[j].Adversary })
 	for _, t := range trees {
 		w.buf = append(w.buf, "tree "...)
-		w.buf = strconv.AppendQuote(w.buf, t.Adversary)
+		w.buf = appendQuote(w.buf, t.Adversary)
 		w.buf = append(w.buf, '\n')
 		w.node(t, t.Root().ID)
 	}
 	w.flush()
 	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// appendQuote appends s as strconv.AppendQuote does. AppendQuote writes
+// a string of printable ASCII other than '"' and '\\' as itself between
+// quotes, so such a string is copied; any other goes through AppendQuote.
+func appendQuote(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(buf, s)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // hashFlush is the buffered stream length at which hashWriter hands its
@@ -60,10 +74,10 @@ func (w *hashWriter) flush() {
 func (w *hashWriter) node(t *system.Tree, id system.NodeID) {
 	n := t.Node(id)
 	w.buf = append(w.buf, "n "...)
-	w.buf = strconv.AppendQuote(w.buf, n.State.Env)
+	w.buf = appendQuote(w.buf, n.State.Env)
 	for _, l := range n.State.Locals {
 		w.buf = append(w.buf, ' ')
-		w.buf = strconv.AppendQuote(w.buf, string(l))
+		w.buf = appendQuote(w.buf, string(l))
 	}
 	w.buf = append(w.buf, " c"...)
 	w.buf = strconv.AppendInt(w.buf, int64(len(n.Edges)), 10)

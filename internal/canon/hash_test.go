@@ -1,6 +1,8 @@
 package canon
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 
 	"kpa/internal/gen"
@@ -76,6 +78,26 @@ func TestHashSensitiveToProbabilities(t *testing.T) {
 	}
 	if Hash(mk(rat.New(1, 2))) == Hash(mk(rat.New(2, 3))) {
 		t.Fatal("hash insensitive to transition probabilities")
+	}
+}
+
+// TestAppendQuote pins the hash stream's quoting to strconv.AppendQuote:
+// every single-byte string, and strings that mix plain ASCII with the
+// bytes the plain path must hand over: '"', '\\', DEL, UTF-8 and invalid
+// UTF-8.
+func TestAppendQuote(t *testing.T) {
+	cases := []string{"", "r12.3|p0||p2|", "a0:t1:b3", "two words", "~ !#$%&'()*+,-./"}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}))
+	}
+	cases = append(cases, `say "hi"`, `back\slash`, "del\x7f", "tab\tin", "héllo", "日本",
+		"bad\xffutf8", "cut\xe6\x97", "\xed\xa0\x80surrogate", "mix\"\\\x7f\xc3\xa9\xff", "\u2028")
+	for _, s := range cases {
+		got := appendQuote([]byte("n "), s)
+		want := strconv.AppendQuote([]byte("n "), s)
+		if !bytes.Equal(got, want) {
+			t.Errorf("appendQuote(%q) = %q, want %q", s, got, want)
+		}
 	}
 }
 

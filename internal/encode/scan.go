@@ -148,6 +148,7 @@ func (d *decoder) tree(ti int) (*system.Tree, error) {
 		return nil, fmt.Errorf("encode: tree %d has no adversary name", ti)
 	}
 	tb := system.NewTree(adversary, d.state(0))
+	tb.Grow(len(d.nodes) - 1)
 	for i := 1; i < len(d.nodes); i++ {
 		n := &d.nodes[i]
 		p, ok := d.probs[string(n.prob)]
@@ -346,16 +347,21 @@ func (d *decoder) key(names []string, seen *uint8) (int, error) {
 		return 0, fmt.Errorf("encode: parse: offset %d: duplicate key %q", at, k)
 	}
 	*seen |= 1 << f
+	return f, d.colon()
+}
+
+// colon consumes the ':' after an object key and the whitespace around it.
+func (d *decoder) colon() error {
 	d.ws()
 	if d.pos >= len(d.data) {
-		return 0, d.eof()
+		return d.eof()
 	}
 	if d.data[d.pos] != ':' {
-		return 0, d.errorf("invalid character %s after object key", d.found())
+		return d.errorf("invalid character %s after object key", d.found())
 	}
 	d.pos++
 	d.ws()
-	return f, nil
+	return nil
 }
 
 // str reads a string value, or null as the empty string. A literal with
@@ -373,33 +379,143 @@ func (d *decoder) str() ([]byte, error) {
 	default:
 		return nil, d.errorf("want a string, found %s", d.found())
 	}
-	start, plain := d.pos, true
+	data, start := d.data, d.pos
 	i := start + 1
-	for ; i < len(d.data); i++ {
-		c := d.data[i]
-		if c == '"' {
-			break
-		}
-		if c == '\\' {
+	for i < len(data) && plainByte[data[i]] {
+		i++
+	}
+	if i < len(data) && data[i] == '"' {
+		d.pos = i + 1
+		return data[start+1 : i], nil
+	}
+	for ; i < len(data) && data[i] != '"'; i++ {
+		if data[i] == '\\' {
 			i++
-			plain = false
-		} else if c < 0x20 || c >= 0x80 {
-			plain = false
 		}
 	}
-	if i >= len(d.data) {
-		d.pos = len(d.data)
+	if i >= len(data) {
+		d.pos = len(data)
 		return nil, d.eof()
 	}
 	d.pos = i + 1
-	if plain {
-		return d.data[start+1 : i], nil
-	}
 	var s string
 	if err := json.Unmarshal(d.data[start:d.pos], &s); err != nil {
 		return nil, fmt.Errorf("encode: parse: offset %d: %w", start, err)
 	}
 	return []byte(s), nil
+}
+
+// skip steps over one value without decoding it and returns its bytes,
+// checking its syntax and nesting depth as encoding/json does. It walks
+// the value in one loop, keeping the closing delimiter of each array and
+// object it is inside.
+func (d *decoder) skip() ([]byte, error) {
+	start := d.pos
+	var closers []byte
+	for {
+		// The scan is at a value.
+		if d.pos >= len(d.data) {
+			return nil, d.eof()
+		}
+		switch c := d.data[d.pos]; c {
+		case '{', '[':
+			d.pos++
+			if d.depth++; d.depth > maxDepth {
+				return nil, d.errorf("exceeded max depth")
+			}
+			closers = append(closers, c+2) // '}' is '{'+2, ']' is '['+2
+			if d.ws(); d.pos < len(d.data) && d.data[d.pos] == c+2 {
+				break // empty: the loop below closes it
+			}
+			if c == '{' {
+				if err := d.skipKey(); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		case '"':
+			if err := d.skipString(); err != nil {
+				return nil, err
+			}
+		default:
+			if err := d.skipLiteral(); err != nil {
+				return nil, err
+			}
+		}
+		// The scan is after a value: close arrays and objects until one
+		// has another member, or the outermost closes.
+		for {
+			if len(closers) == 0 {
+				return d.data[start:d.pos], nil
+			}
+			closer := closers[len(closers)-1]
+			if d.ws(); d.pos >= len(d.data) {
+				return nil, d.eof()
+			}
+			if d.data[d.pos] == closer {
+				d.pos++
+				d.depth--
+				closers = closers[:len(closers)-1]
+				continue
+			}
+			if d.data[d.pos] != ',' {
+				return nil, d.errorf("invalid character %s after %s element", d.found(), kindOf(closer))
+			}
+			d.pos++
+			d.ws()
+			if closer == '}' {
+				if err := d.skipKey(); err != nil {
+					return nil, err
+				}
+			}
+			break
+		}
+	}
+}
+
+// skipKey steps over an object key of any name and its ':'.
+func (d *decoder) skipKey() error {
+	if d.pos >= len(d.data) {
+		return d.eof()
+	}
+	if d.data[d.pos] != '"' {
+		return d.errorf("invalid character %s looking for beginning of object key string", d.found())
+	}
+	if err := d.skipString(); err != nil {
+		return err
+	}
+	return d.colon()
+}
+
+// skipString steps over a string literal. One with an escape or a control
+// byte goes through str, which checks it as encoding/json does.
+func (d *decoder) skipString() error {
+	data, i := d.data, d.pos+1
+	for i < len(data) && rawByte[data[i]] {
+		i++
+	}
+	if i < len(data) && data[i] == '"' {
+		d.pos = i + 1
+		return nil
+	}
+	_, err := d.str()
+	return err
+}
+
+// skipLiteral steps over a bare literal, which must be one JSON number,
+// true, false or null.
+func (d *decoder) skipLiteral() error {
+	start := d.pos
+	for d.pos < len(d.data) && !isDelim(d.data[d.pos]) {
+		d.pos++
+	}
+	if json.Valid(d.data[start:d.pos]) {
+		return nil
+	}
+	if d.pos = start; d.pos == len(d.data) {
+		return d.eof()
+	}
+	return d.errorf("invalid character %s looking for beginning of value", d.found())
 }
 
 func (d *decoder) null() error {
@@ -414,12 +530,23 @@ func (d *decoder) null() error {
 }
 
 func (d *decoder) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
+	data, i := d.data, d.pos
+	for i < len(data) && data[i] <= ' ' && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	d.pos = i
+}
+
+// The bytes a string literal may hold as themselves, any but '"', '\\'
+// and the control bytes below 0x20: rawByte has them all, and plainByte
+// the ASCII ones, which str returns in place without decoding.
+var plainByte, rawByte [256]bool
+
+func init() {
+	for c := 0x20; c < 0x100; c++ {
+		if c != '"' && c != '\\' {
+			rawByte[c] = true
+			plainByte[c] = c < 0x80
 		}
 	}
 }

@@ -99,6 +99,7 @@ func ScaleSystem(cfg ScaleConfig) (*system.System, error) {
 		rootLocals[i] = system.LocalState("a" + strconv.Itoa(i) + ":t0:root")
 	}
 	tb := system.NewTree("scale", system.GlobalState{Env: "root", Locals: rootLocals})
+	tb.Grow(cfg.NumRuns * (cfg.RunLen - 1))
 	branch := rat.New(1, int64(cfg.NumRuns))
 	for r := 0; r < cfg.NumRuns; r++ {
 		prefix := "r" + strconv.Itoa(r) + "."

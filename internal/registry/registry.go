@@ -5,6 +5,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +78,8 @@ func Lookup(name string) (Entry, error) {
 			Props:       props,
 		}, nil
 	case strings.HasPrefix(name, "async:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "async:"))
-		if err != nil || n < 1 || n > 12 {
+		n, ok := asyncCount(strings.TrimPrefix(name, "async:"))
+		if !ok {
 			return Entry{}, fmt.Errorf("registry: async:N needs 1 ≤ N ≤ 12, got %q", name)
 		}
 		sys := canon.AsyncCoins(n)
@@ -188,6 +189,27 @@ func Lookup(name string) (Entry, error) {
 	}
 }
 
+// Reserved reports whether Lookup accepts the name, without building the
+// system: a fixed name, async:N with 1 ≤ N ≤ 12, or scale: plus a key of
+// gen.ScaleTiers. Uploads may not take a reserved name.
+func Reserved(name string) bool {
+	if rest, ok := strings.CutPrefix(name, "async:"); ok {
+		_, ok = asyncCount(rest)
+		return ok
+	}
+	if tier, ok := strings.CutPrefix(name, "scale:"); ok {
+		_, ok = gen.ScaleTiers[tier]
+		return ok
+	}
+	return slices.Contains(fixedNames, name)
+}
+
+// asyncCount parses the N of async:N, which must be 1 ≤ N ≤ 12.
+func asyncCount(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 1 && n <= 12
+}
+
 // Assignment resolves a probability-assignment name for the system.
 // Recognized names:
 //
@@ -222,13 +244,16 @@ func AssignmentNames() []string {
 	return []string{"post", "fut", "prior", "opp:J"}
 }
 
-// Names lists the registry's fixed names (async:N is parameterized).
+// fixedNames are the registry's names that take no parameter.
+var fixedNames = []string{
+	"introcoin", "vardi", "die", "biased", "fig1",
+	"ca1", "ca2", "ca3", "canever", "aces-fixed", "aces-random",
+}
+
+// Names lists the registry's fixed names and its two parameterized
+// patterns, async:N and scale:TIER.
 func Names() []string {
-	names := []string{
-		"introcoin", "vardi", "die", "async:N", "biased", "fig1",
-		"ca1", "ca2", "ca3", "canever", "aces-fixed", "aces-random",
-		"scale:TIER",
-	}
+	names := append(slices.Clone(fixedNames), "async:N", "scale:TIER")
 	sort.Strings(names)
 	return names
 }

@@ -82,6 +82,21 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// TestReservedMatchesLookup pins Reserved, the syntactic check uploads
+// use, to what Lookup accepts. Names lists every fixed name plus the two
+// parameterized patterns, which are not names themselves.
+func TestReservedMatchesLookup(t *testing.T) {
+	names := append(Names(),
+		"async:0", "async:1", "async:12", "async:13", "async:x",
+		"scale:100k", "scale:nope", "")
+	for _, name := range names {
+		_, err := Lookup(name)
+		if got, want := Reserved(name), err == nil; got != want {
+			t.Errorf("Reserved(%q) = %v, but Lookup's error is %v", name, got, err)
+		}
+	}
+}
+
 func TestNamesSorted(t *testing.T) {
 	names := Names()
 	if len(names) < 10 {

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -180,6 +182,30 @@ func TestUploadDedupesByHash(t *testing.T) {
 	// Registry names cannot be shadowed.
 	if _, err := svc.Upload("die", introDoc(t)); err == nil {
 		t.Fatal("shadowing a registry name succeeded")
+	}
+}
+
+// TestUploadReservedNameBuildsNothing uploads under a scale tier's name.
+// The name is refused as reserved, and refusing it must not build the
+// million-point system the name stands for.
+func TestUploadReservedNameBuildsNothing(t *testing.T) {
+	svc := New(Config{})
+	doc := introDoc(t)
+	// The least of three tries, so no other goroutine's allocations can
+	// fail the test.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := svc.Upload("scale:1m", doc)
+		runtime.ReadMemStats(&after)
+		if KindOf(err) != KindBadRequest {
+			t.Fatalf("Upload(scale:1m): %v (kind %v), want a bad request", err, KindOf(err))
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<20 {
+		t.Fatalf("refusing a reserved name allocated %d bytes, want under 1 MB", least)
 	}
 }
 

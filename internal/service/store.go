@@ -136,7 +136,7 @@ func (st *store) upload(name string, doc []byte) (*session, error) {
 	if name == "" {
 		return nil, &Error{Kind: KindBadRequest, Msg: "service: upload needs a name"}
 	}
-	if _, err := registry.Lookup(name); err == nil {
+	if registry.Reserved(name) {
 		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("service: name %q is reserved by the registry", name)}
 	}
 	sys, props, err := encode.Decode(doc)

@@ -19,6 +19,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"kpa/internal/rat"
@@ -245,6 +246,12 @@ func NewTree(adversary string, root GlobalState) *TreeBuilder {
 	t := &Tree{Adversary: adversary}
 	t.nodes = append(t.nodes, Node{ID: 0, State: root, Time: 0, Parent: -1})
 	return &TreeBuilder{tree: t}
+}
+
+// Grow makes room for n more Child calls without regrowing the node table,
+// for callers that know the tree's size before they build it.
+func (b *TreeBuilder) Grow(n int) {
+	b.tree.nodes = slices.Grow(b.tree.nodes, n)
 }
 
 // Child adds a child of parent reached with the given transition probability
