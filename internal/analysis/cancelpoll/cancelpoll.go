@@ -2,7 +2,7 @@
 // responsiveness in the engine packages.
 //
 // The evaluator's cancellation contract (PR 8) is cooperative: long
-// scans — shard bodies sweeping [lo, hi) over the point universe,
+// scans — shard bodies sweeping their part of the point universe,
 // condition-less fixpoint rounds — must poll a cancel hook within a
 // bounded stride, or a cancelled query keeps burning a full parallel
 // fan-out until the scan happens to finish. The hooks are function
@@ -23,9 +23,10 @@
 // (the reference evaluator, the parser, Gate's CAS retry loop) has
 // nothing to poll and is exempt by construction.
 //
-//   - Shard sweeps: a for-loop inside a system.ParRange body whose
-//     bounds come from the shard's lo/hi parameters must poll (the
-//     id&(cancelStride-1) == 0 gate keeps the poll cheap).
+//   - Shard sweeps: a loop inside a ParFill or ParMap shard body that
+//     ranges over the shard's part, or whose bounds read part or lo
+//     (see analysis.FanOuts), must poll (the id&(cancelStride-1) == 0
+//     gate keeps the poll cheap).
 //   - Fixpoint rounds: a condition-less `for {}` loop must poll
 //     somewhere in its body — directly or through a polling helper.
 package cancelpoll
@@ -56,7 +57,7 @@ func New() *Analyzer { return &Analyzer{} }
 func (*Analyzer) Name() string { return "cancelpoll" }
 
 func (*Analyzer) Doc() string {
-	return "long loops in the engine packages (ParRange shard sweeps over lo:hi, condition-less fixpoint rounds) must poll a cancel hook within a bounded stride when one is in scope; an unpolled scan keeps a cancelled query running to completion"
+	return "long loops in the engine packages (fan-out shard sweeps over their part, condition-less fixpoint rounds) must poll a cancel hook within a bounded stride when one is in scope; an unpolled scan keeps a cancelled query running to completion"
 }
 
 func (*Analyzer) Run(pass *analysis.Pass) error {
@@ -64,9 +65,8 @@ func (*Analyzer) Run(pass *analysis.Pass) error {
 		return nil
 	}
 	c := &checker{
-		pass:    pass,
-		sysPath: pass.Module + "/internal/system",
-		polls:   make(map[*types.Func]bool),
+		pass:  pass,
+		polls: make(map[*types.Func]bool),
 	}
 	g := callgraph.Build(pass)
 	c.solvePolls(g)
@@ -86,9 +86,8 @@ func (*Analyzer) Run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	sysPath string
-	polls   map[*types.Func]bool
+	pass  *analysis.Pass
+	polls map[*types.Func]bool
 }
 
 // hookType reports whether t is a cancel-hook shape: a nullary,
@@ -232,79 +231,41 @@ func (c *checker) hasCapability(fd *ast.FuncDecl) bool {
 	return found
 }
 
-// checkShardSweeps finds ParRange literals in the declaration and
-// requires a poll in every for-loop bounded by the shard's lo/hi
-// parameters.
+// checkShardSweeps requires a poll in every loop of a fan-out shard body
+// that sweeps the shard: a range over part, or a for loop whose init or
+// condition reads part or lo (for j := 0; j < len(part); j++, for id :=
+// lo; ...). Nested literals run elsewhere and are skipped.
 func (c *checker) checkShardSweeps(fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	for _, fo := range analysis.FanOuts(c.pass, fd.Body) {
+		bounds := make(map[*types.Var]bool)
+		for _, v := range []*types.Var{fo.Part, fo.Lo} {
+			if v != nil {
+				bounds[v] = true
+			}
 		}
-		fn, ok := callgraph.Callee(c.pass.Info, call)
-		if !ok || fn.Name() != "ParRange" || fn.Pkg() == nil || fn.Pkg().Path() != c.sysPath {
-			return true
-		}
-		if len(call.Args) != 4 {
-			return true
-		}
-		lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		bounds := litRangeParams(lit, c.pass.Info)
 		if len(bounds) == 0 {
+			continue
+		}
+		ast.Inspect(fo.Body.Body, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ForStmt:
+				if c.mentionsAny(n.Init, bounds) || c.mentionsAny(n.Cond, bounds) {
+					body = n.Body
+				}
+			case *ast.RangeStmt:
+				if c.mentionsAny(n.X, bounds) {
+					body = n.Body
+				}
+			}
+			if body != nil && !c.pollIn(body) {
+				c.pass.Report(n.Pos(), "shard sweep over its part without a cancel poll; test the stop hook every cancelStride iterations so cancellation reaches running shards")
+			}
 			return true
-		}
-		c.sweepLoops(lit.Body, bounds)
-		return true
-	})
-}
-
-// litRangeParams returns the lo/hi parameter objects of a ParRange body
-// literal (positions 1 and 2 of func(shard, lo, hi int)).
-func litRangeParams(lit *ast.FuncLit, info *types.Info) map[*types.Var]bool {
-	out := make(map[*types.Var]bool)
-	if lit.Type.Params == nil {
-		return out
+		})
 	}
-	var params []*types.Var
-	for _, f := range lit.Type.Params.List {
-		for _, name := range f.Names {
-			v, _ := info.Defs[name].(*types.Var)
-			params = append(params, v)
-		}
-	}
-	if len(params) != 3 {
-		return out
-	}
-	for _, v := range params[1:] {
-		if v != nil {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-// sweepLoops flags unpolled for-loops whose bounds reference lo or hi,
-// without descending into nested literals (they run elsewhere).
-func (c *checker) sweepLoops(body *ast.BlockStmt, bounds map[*types.Var]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		if !c.mentionsAny(loop.Init, bounds) && !c.mentionsAny(loop.Cond, bounds) {
-			return true
-		}
-		if !c.pollIn(loop.Body) {
-			c.pass.Report(loop.Pos(), "shard sweep over lo:hi without a cancel poll; test the stop hook every cancelStride iterations so cancellation reaches running shards")
-		}
-		return true
-	})
 }
 
 func (c *checker) mentionsAny(n ast.Node, vars map[*types.Var]bool) bool {

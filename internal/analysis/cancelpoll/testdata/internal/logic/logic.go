@@ -48,44 +48,54 @@ func (e *Evaluator) FixpointUnpolled() int {
 }
 
 // SweepPolled tests the captured stop function inside the stride gate.
-func SweepPolled(n, workers int, stop func() bool, out []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&4095 == 0 && id > lo && stop() {
+func SweepPolled(workers int, stop func() bool, out []int32) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			if stop != nil && j&4095 == 0 && j > 0 && stop() {
 				return
 			}
-			out[id] = int32(id)
+			part[j] = int32(lo + j)
 		}
 	})
 }
 
 // SweepUnpolled captures the hook and ignores it.
-func SweepUnpolled(n, workers int, stop func() bool, out []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ { // want `shard sweep over lo:hi without a cancel poll`
-			out[id] = int32(id)
+func SweepUnpolled(workers int, stop func() bool, out []int32) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := 0; j < len(part); j++ { // want `shard sweep over its part without a cancel poll`
+			part[j] = int32(lo + j)
+		}
+	})
+}
+
+// SweepFromLo counts from lo and ignores the hook: a loop bounded by lo
+// is a sweep too.
+func SweepFromLo(workers int, stop func() bool, out []int32) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for id := lo; id < lo+len(part); id++ { // want `shard sweep over its part without a cancel poll`
+			part[id-lo] = int32(id)
 		}
 	})
 }
 
 // SweepViaHelper polls through the imported system.PollStop fact.
-func SweepViaHelper(n, workers int, stop func() bool, out []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
+func SweepViaHelper(workers int, stop func() bool, out []int32) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
 			if system.PollStop(stop) {
 				return
 			}
-			out[id] = int32(id)
+			part[j] = int32(lo + j)
 		}
 	})
 }
 
 // SweepNoCapability has no hook anywhere in reach: exempt, the caller
 // owns responsiveness.
-func SweepNoCapability(n, workers int, out []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			out[id] = int32(id)
+func SweepNoCapability(workers int, out []int32) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			part[j] = int32(lo + j)
 		}
 	})
 }

@@ -5,25 +5,21 @@ package system
 
 import "sync"
 
-// ParRange splits [0, n) into contiguous chunks and runs body on each,
+// ParFill splits dst into contiguous parts and runs fill on each,
 // concurrently.
-func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
-	if n <= 0 {
+func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)) {
+	if len(dst) == 0 {
 		return
 	}
-	step := (n + workers - 1) / workers
-	step = (step + align - 1) / align * align
+	chunk := (len(dst) + workers - 1) / workers
 	var wg sync.WaitGroup
-	for shard := 0; shard*step < n; shard++ {
-		lo, hi := shard*step, (shard+1)*step
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < len(dst); lo += chunk {
+		hi := min(lo+chunk, len(dst))
 		wg.Add(1)
 		go func(shard, lo, hi int) {
 			defer wg.Done()
-			body(shard, lo, hi)
-		}(shard, lo, hi)
+			fill(shard, dst[lo:hi:hi], lo)
+		}(lo/chunk, lo, hi)
 	}
 	wg.Wait()
 }
@@ -31,13 +27,13 @@ func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
 // KnowExtension sweeps the universe with a polled shard body: the
 // sweep stays responsive and the function itself becomes a polling
 // helper for its callers.
-func KnowExtension(n, workers int, stop func() bool, out []uint64) { // want-fact:"cancelpoll:PollsCancel"
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if stop != nil && id&4095 == 0 && id > lo && stop() {
+func KnowExtension(workers int, stop func() bool, out []bool) { // want-fact:"cancelpoll:PollsCancel"
+	ParFill(out, workers, func(_ int, part []bool, lo int) {
+		for j := range part {
+			if stop != nil && (lo+j)&15 == 0 && stop() {
 				return
 			}
-			out[id/64] |= 1 << uint(id%64)
+			part[j] = true
 		}
 	})
 }
@@ -50,10 +46,10 @@ func PollStop(stop func() bool) bool { // want-fact:"cancelpoll:PollsCancel"
 
 // UnpolledExtension has the hook in scope but never consults it inside
 // the sweep: a cancelled query runs the whole range anyway.
-func UnpolledExtension(n, workers int, stop func() bool, out []uint64) {
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ { // want `shard sweep over lo:hi without a cancel poll`
-			out[id/64] |= 1 << uint(id%64)
+func UnpolledExtension(workers int, stop func() bool, out []bool) {
+	ParFill(out, workers, func(_ int, part []bool, _ int) {
+		for j := range part { // want `shard sweep over its part without a cancel poll`
+			part[j] = true
 		}
 	})
 }

@@ -144,33 +144,39 @@ func (e *Eval) BothBranchesFresh(big bool) *system.DenseSet { // want-fact:"dens
 
 // --- sharded-mutation patterns (the parallel engine's fan-out idiom) ---
 
-// ShardedFill writes disjoint 64-aligned words of a fresh owned set from a
-// literal callback handed straight to ParRange: the callback runs to
-// completion inside the trusted call, so ownership survives the fan-out.
+// ShardedFill reads a fresh owned set from a literal callback handed
+// straight to ParFill and fills it after the barrier: the callback runs to
+// completion inside the trusted call, so capturing the set does not
+// publish it.
 func (e *Eval) ShardedFill(n int) *system.DenseSet { // want-fact:"denseown:FreshSetResult"
 	out := e.idx.NewDense()
-	system.ParRange(n, 64, 4, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			out.Add(id)
+	hits := make([]bool, n)
+	system.ParFill(hits, 4, func(shard int, part []bool, lo int) {
+		for j := range part {
+			part[j] = out.Contains(lo + j)
 		}
 	})
+	for id, hit := range hits {
+		if !hit {
+			out.Add(id)
+		}
+	}
 	return out
 }
 
 // ShardedScratchMerge is the worker-owned-scratch idiom: every shard
-// allocates its own fresh set inside the callback, fills it, and only
-// publishes it into its slot; the merge into a fresh result happens after
-// the barrier. All mutation targets are owned, so the whole dance is clean.
-// (Mutating through scratch[shard] instead would be flagged: slice elements
-// are shared as far as ownership is concerned.)
+// allocates its own fresh set inside the callback, fills it, and returns
+// it through ParMap; the merge into a fresh result happens after the
+// barrier. All mutation targets are owned, so the whole dance is clean.
+// (Mutating a returned scratch set instead of merging it would be flagged:
+// slice elements are shared as far as ownership is concerned.)
 func (e *Eval) ShardedScratchMerge(n int) *system.DenseSet { // want-fact:"denseown:FreshSetResult"
-	scratch := make([]*system.DenseSet, 4)
-	system.ParRange(n, 64, 4, func(shard, lo, hi int) {
+	scratch := system.ParMap(make([]bool, n), 4, func(shard int, part []bool, lo int) *system.DenseSet {
 		local := e.idx.NewDense()
-		for id := lo; id < hi; id++ {
-			local.Add(id)
+		for j := range part {
+			local.Add(lo + j)
 		}
-		scratch[shard] = local
+		return local
 	})
 	out := e.idx.NewDense()
 	for _, s := range scratch {
@@ -185,15 +191,15 @@ func (e *Eval) ShardedScratchMerge(n int) *system.DenseSet { // want-fact:"dense
 // not confer ownership the function never had.
 func (e *Eval) ShardedMutateShared(k string, n int) {
 	s := e.memo[k]
-	system.ParRange(n, 64, 4, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			s.Add(id) // want `\[denseown\] \(\*DenseSet\)\.Add mutates a set this function does not exclusively own`
+	system.ParFill(make([]bool, n), 4, func(shard int, part []bool, lo int) {
+		for j := range part {
+			s.Add(lo + j) // want `\[denseown\] \(\*DenseSet\)\.Add mutates a set this function does not exclusively own`
 		}
 	})
 }
 
 // HandRolledShards spawns its own goroutines instead of going through
-// ParRange: a go'd literal escapes the function, so even a fresh set's
+// ParFill: a go'd literal escapes the function, so even a fresh set's
 // ownership is poisoned inside it — the race-free discipline lives in the
 // fan-out helper, not in the caller's good intentions.
 func (e *Eval) HandRolledShards(n int) *system.DenseSet {

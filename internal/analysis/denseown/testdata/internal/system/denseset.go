@@ -34,13 +34,21 @@ func (x *Index) EachRun(visit func(id int)) {
 	}
 }
 
-// ParRange splits [0, n) into at most workers contiguous chunks and runs
-// body on each; every body call completes before ParRange returns, exactly
-// like the real fan-out helper, so literal callbacks stay transparent.
-func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
-	if n > 0 {
-		body(0, 0, n)
+// ParFill hands fill each shard's part of dst; every fill call completes
+// before ParFill returns, exactly like the real fan-out, so literal
+// callbacks stay transparent.
+func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)) {
+	if len(dst) > 0 {
+		fill(0, dst, 0)
 	}
+}
+
+// ParMap is ParFill for shards that return a value, in shard order.
+func ParMap[T, R any](dst []T, workers int, f func(shard int, part []T, lo int) R) []R {
+	if len(dst) == 0 {
+		return nil
+	}
+	return []R{f(0, dst, 0)}
 }
 
 // DenseSet is a bitset over an index's points.

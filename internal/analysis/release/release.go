@@ -29,7 +29,8 @@
 // discarded borrow is flagged.
 //
 // Inside internal/logic and internal/system, a go statement outside
-// system.ParRange spawns workers the budget never counted, and is
+// system.ParFill, the fan-out every other primitive runs on (see
+// analysis.FanOutRunner), spawns workers the budget never counted, and is
 // flagged too.
 package release
 
@@ -60,7 +61,7 @@ func New() *Analyzer { return &Analyzer{} }
 func (*Analyzer) Name() string { return "release" }
 
 func (*Analyzer) Doc() string {
-	return "every borrow (a pooled worker in internal/service, system.Gate tokens, the release closure of logic.Engine.Workers) must be given back on all paths — deferred, or handed to a returned or stored closure — pooled workers must not be used after put, and engine fan-outs must go through system.ParRange"
+	return "every borrow (a pooled worker in internal/service, system.Gate tokens, the release closure of logic.Engine.Workers) must be given back on all paths — deferred, or handed to a returned or stored closure — pooled workers must not be used after put, and engine fan-outs must go through " + analysis.FanOutNames
 }
 
 func (*Analyzer) Run(pass *analysis.Pass) error {
@@ -101,8 +102,8 @@ func (*Analyzer) Run(pass *analysis.Pass) error {
 			case *ast.FuncLit:
 				c.check(n.Body, true) // each literal is its own borrow scope
 			case *ast.GoStmt:
-				if enginePkg && !(fd.Name.Name == "ParRange" && pass.PkgPath == c.sysPath) {
-					pass.Report(n.Pos(), "hand-rolled goroutine fan-out inside the engine bypasses the shared Gate's worker budget; use system.ParRange")
+				if enginePkg && !(fd.Name.Name == analysis.FanOutRunner && pass.PkgPath == c.sysPath) {
+					pass.Report(n.Pos(), "hand-rolled goroutine fan-out inside the engine bypasses the shared Gate's worker budget; use "+analysis.FanOutNames)
 				}
 			}
 			return true

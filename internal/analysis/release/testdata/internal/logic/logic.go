@@ -74,7 +74,7 @@ func NeverReleased(g *system.Gate, par int) {
 	work()
 }
 
-// HandRolledShards spawns goroutines directly instead of ParRange: the
+// HandRolledShards spawns goroutines directly instead of ParFill: the
 // fan-out bypasses the gate's worker budget.
 func HandRolledShards(n int, out []int) {
 	done := make(chan struct{})
@@ -87,11 +87,11 @@ func HandRolledShards(n int, out []int) {
 	<-done
 }
 
-// SanctionedFanOut goes through ParRange: clean.
-func SanctionedFanOut(n, workers int, out []int) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = i
+// SanctionedFanOut goes through ParFill: clean.
+func SanctionedFanOut(workers int, out []int) {
+	system.ParFill(out, workers, func(_ int, part []int, lo int) {
+		for j := range part {
+			part[j] = lo + j
 		}
 	})
 }

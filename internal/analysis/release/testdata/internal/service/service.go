@@ -1,5 +1,5 @@
 // Package service checks the scope split: the token-balance rules apply
-// module-wide, but the ParRange-only fan-out rule is confined to the
+// module-wide, but the ParFill-only fan-out rule is confined to the
 // engine packages (internal/logic, internal/system).
 package service
 

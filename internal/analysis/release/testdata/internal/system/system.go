@@ -1,5 +1,5 @@
 // Package system is the fixture's miniature gate and fan-out helper.
-// ParRange's own goroutine launch is the one sanctioned fan-out and is
+// ParFill's own goroutine launch is the one sanctioned fan-out and is
 // exempt from the hand-rolled-go diagnostic.
 package system
 
@@ -39,25 +39,21 @@ func (g *Gate) Release(k int) {
 	g.mu.Unlock()
 }
 
-// ParRange splits [0, n) into contiguous chunks and runs body on each,
+// ParFill splits dst into contiguous parts and runs fill on each,
 // concurrently.
-func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
-	if n <= 0 {
+func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)) {
+	if len(dst) == 0 {
 		return
 	}
-	step := (n + workers - 1) / workers
-	step = (step + align - 1) / align * align
+	chunk := (len(dst) + workers - 1) / workers
 	var wg sync.WaitGroup
-	for shard := 0; shard*step < n; shard++ {
-		lo, hi := shard*step, (shard+1)*step
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < len(dst); lo += chunk {
+		hi := min(lo+chunk, len(dst))
 		wg.Add(1)
 		go func(shard, lo, hi int) {
 			defer wg.Done()
-			body(shard, lo, hi)
-		}(shard, lo, hi)
+			fill(shard, dst[lo:hi:hi], lo)
+		}(lo/chunk, lo, hi)
 	}
 	wg.Wait()
 }

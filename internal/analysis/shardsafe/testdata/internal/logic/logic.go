@@ -1,6 +1,7 @@
-// Package logic exercises the shard-disjoint write discipline inside
-// system.ParRange bodies: the four sanctioned idioms stay clean, every
-// cross-shard write is flagged.
+// Package logic exercises the captured-write rule inside fan-out bodies:
+// writes to the part a shard is handed, to its own locals and through
+// what it allocates stay clean; every write to captured state, or through
+// a local bound to it, is flagged.
 package logic
 
 import (
@@ -9,232 +10,220 @@ import (
 	"kpa/internal/system"
 )
 
-// ShardedFill writes disjoint elements of a shared slice: the loop
-// variable is confined to [lo, hi), so element writes never collide.
-func ShardedFill(n, workers int, out []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = int32(i)
+// FillPart writes only the part ParFill hands the shard.
+func FillPart(out []int32, workers int) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			part[j] = int32(lo + j)
 		}
 	})
 }
 
-// WordWriteAligned performs 64-bit word writes under a 64-aligned
-// ParRange: shard boundaries never split a word, so id/64 is disjoint.
-func WordWriteAligned(n, workers int, bits []uint64) {
-	system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			bits[id/64] |= 1 << uint(id%64)
-		}
-	})
-}
-
-// WordWriteMisaligned performs the same word writes under alignment 1:
-// two shards may share a word, and the RMW update races.
-func WordWriteMisaligned(n, workers int, bits []uint64) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			bits[id/64] |= 1 << uint(id%64) // want `not provably shard-disjoint`
-		}
-	})
-}
-
-// SlotIdiom accumulates into the shard's own slot of a pre-sized table.
-func SlotIdiom(n, workers int, perShard []int64) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		sum := int64(0)
-		for i := lo; i < hi; i++ {
-			sum += int64(i)
-		}
-		perShard[shard] = sum
-	})
-}
-
-// SlotTable reads the shard's slot once and writes freely through it.
-func SlotTable(n, workers int, tables [][]int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+// ShardTable reads the shard's row of a captured table and writes only
+// its part: the remap shape of PartitionBy's phase 3.
+func ShardTable(blockOf []int32, tables [][]int32, workers int) {
+	system.ParFill(blockOf, workers, func(shard int, part []int32, _ int) {
 		tab := tables[shard]
-		for i := range tab {
-			tab[i] = 0
+		for j, b := range part {
+			part[j] = tab[b]
 		}
 	})
 }
 
-// CapturedCounter increments an enclosing variable from every shard.
-func CapturedCounter(n, workers int) int {
-	total := 0
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			total++ // want `write to captured variable total`
+// MapSums returns each shard's sum through ParMap: the replacement for
+// the slot idiom and the mutex merge.
+func MapSums(xs []int64, workers int) int64 {
+	total := int64(0)
+	for _, s := range system.ParMap(xs, workers, func(_ int, part []int64, _ int) int64 {
+		sum := int64(0)
+		for _, x := range part {
+			sum += x
 		}
-	})
+		return sum
+	}) {
+		total += s
+	}
 	return total
 }
 
-// CrossAppend grows a shared slice from every shard: append moves the
-// backing array under concurrent readers.
-func CrossAppend(n, workers int) []int {
-	var out []int
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out = append(out, i) // want `append to captured out`
-		}
-	})
-	return out
-}
-
-// MutexMerge accumulates per shard and merges under a lock: the
-// merge-under-mutex idiom stays clean.
-func MutexMerge(n, workers int) int {
-	var mu sync.Mutex
-	total := 0
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		sum := 0
-		for i := lo; i < hi; i++ {
-			sum += i
-		}
-		mu.Lock()
-		total += sum
-		mu.Unlock()
-	})
-	return total
-}
-
-// SharedMapWrite writes a captured map: even disjoint keys race on the
-// map's internals.
-func SharedMapWrite(n, workers int, m map[int]int) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m[i] = i // want `write to captured map m`
-		}
-	})
-}
-
-// PointwiseAligned calls the pointwise mutator Add (word divisor 64)
-// under a 64-aligned ParRange: exactly as safe as the inline word write.
-func PointwiseAligned(n, workers int, out *system.DenseSet) {
-	system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			out.Add(id)
-		}
-	})
-}
-
-// PointwiseMisaligned calls Add under alignment 1: shards may share the
-// written word.
-func PointwiseMisaligned(n, workers int, out *system.DenseSet) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			out.Add(id) // want `writes word index/64`
-		}
-	})
-}
-
-// PointwiseUnbounded calls Add with an index that ignores the shard's
-// range entirely.
-func PointwiseUnbounded(n, workers int, out *system.DenseSet) {
-	system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-		out.Add(n - 1) // want `index not derived from the shard's lo:hi range`
-	})
-}
-
-// BulkOnCaptured runs a whole-set mutator on a captured set from every
-// shard.
-func BulkOnCaptured(n, workers int, out, extra *system.DenseSet) {
-	system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-		out.UnionWith(extra) // want `bulk-mutates a captured set`
-	})
-}
-
-// FreshScratch allocates per shard: bulk mutation of shard-owned state
-// is unrestricted.
-func FreshScratch(n, workers int, tables []*system.DenseSet) {
-	system.ParRange(n, 64, workers, func(shard, lo, hi int) {
-		scratch := system.NewDense(n)
-		for id := lo; id < hi; id++ {
-			scratch.Add(id)
-		}
-		scratch.UnionWith(tables[shard])
-	})
-}
-
-// SubsliceOwned writes through the shard's own lo:hi window of a shared
-// backing array.
-func SubsliceOwned(n, workers int, buf []int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		mine := buf[lo:hi]
-		for i := range mine {
-			mine[i] = 1
-		}
-	})
-}
-
-// AliasEscape smuggles a captured slice into a local and writes through
-// it at an unbounded index: the alias does not launder the capture.
-func AliasEscape(n, workers int, shared []int64) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		mine := shared
-		mine[0] = 1 // want `not provably shard-disjoint`
-	})
-}
-
-// ZeroThenAllocate declares a shard-local buffer without an initializer
-// and allocates it later: both definitions are shard-owned.
-func ZeroThenAllocate(n, workers int) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		var buf []int32
-		buf = make([]int32, hi-lo+1)
-		buf[0] = int32(shard)
-	})
+// PurePredicate reads captured state only.
+func PurePredicate(idx *system.Index, ext *system.DenseSet, workers int) *system.DenseSet {
+	return idx.Select(workers, nil, func(id int) bool { return ext.Contains(id) })
 }
 
 // scratchPair allocates a scratch buffer and reports its length.
 func scratchPair(n int) ([]int32, int) { return make([]int32, n), n }
 
-// TupleFromCall binds shard-local scratch from a multi-value call: the
-// shard asked for the allocation, so writes through it stay clean.
-func TupleFromCall(n, workers int) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		buf, m := scratchPair(hi - lo)
+// ShardOwned allocates per shard: writes through what the shard
+// allocated, zero-valued or bound from a call, and through a pointer to a
+// local, stay clean.
+func ShardOwned(xs []int32, workers int) {
+	system.ParFill(xs, workers, func(shard int, part []int32, lo int) {
+		scratch := system.NewDense(len(part))
+		for j := range part {
+			scratch.Add(j)
+		}
+		var buf []int32
+		buf = make([]int32, len(part)+1)
+		buf[0] = int32(shard)
+		tmp, m := scratchPair(len(part))
 		if m > 0 {
-			buf[0] = int32(shard)
+			tmp[0] = int32(lo)
+		}
+		count := 0
+		p := &count
+		*p = len(part)
+	})
+}
+
+// CapturedElementWrite writes the shard's own range of a captured slice
+// by index instead of through part.
+func CapturedElementWrite(out []int32, workers int) {
+	system.ParFill(out, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			out[lo+j] = int32(j) // want `write through captured out`
 		}
 	})
 }
 
+// WordWrite sets bits of a captured bitset from a fill over another
+// slice.
+func WordWrite(pass []bool, bits []uint64, workers int) {
+	system.ParFill(pass, workers, func(_ int, part []bool, lo int) {
+		for j := range part {
+			id := lo + j
+			bits[id/64] |= 1 << uint(id%64) // want `write through captured bits`
+		}
+	})
+}
+
+// SlotWrite stores each shard's sum in its slot of a captured table.
+func SlotWrite(xs []int64, perShard []int64, workers int) {
+	system.ParFill(xs, workers, func(shard int, part []int64, _ int) {
+		sum := int64(0)
+		for _, x := range part {
+			sum += x
+		}
+		perShard[shard] = sum // want `write through captured perShard`
+	})
+}
+
+// CapturedCounter increments an enclosing variable from every shard.
+func CapturedCounter(xs []int32, workers int) int {
+	total := 0
+	system.ParFill(xs, workers, func(_ int, part []int32, _ int) {
+		for range part {
+			total++ // want `write to captured total`
+		}
+	})
+	return total
+}
+
+// MutexMerge merges under a lock: ParMap returns the sums instead.
+func MutexMerge(xs []int32, workers int) int {
+	var mu sync.Mutex
+	total := 0
+	system.ParFill(xs, workers, func(_ int, part []int32, _ int) {
+		sum := 0
+		for _, x := range part {
+			sum += int(x)
+		}
+		mu.Lock()
+		total += sum // want `write to captured total`
+		mu.Unlock()
+	})
+	return total
+}
+
+// CrossAppend grows a captured slice from every shard.
+func CrossAppend(xs []int32, workers int) []int32 {
+	var out []int32
+	system.ParFill(xs, workers, func(_ int, part []int32, _ int) {
+		out = append(out, part...) // want `write to captured out` `write through captured out`
+	})
+	return out
+}
+
+// SharedMapWrite writes a captured map: even disjoint keys race on the
+// map's internals.
+func SharedMapWrite(xs []int32, m map[int]int32, workers int) {
+	system.ParFill(xs, workers, func(_ int, part []int32, lo int) {
+		for j, x := range part {
+			m[lo+j] = x // want `write through captured m`
+		}
+		delete(m, lo) // want `write through captured m`
+	})
+}
+
+// CopyIntoCaptured copies the part into a captured buffer.
+func CopyIntoCaptured(xs, buf []int32, workers int) {
+	system.ParFill(xs, workers, func(_ int, part []int32, lo int) {
+		copy(buf[lo:], part) // want `write through captured buf`
+	})
+}
+
+// SetMethods call DenseSet methods that write their receiver on a
+// captured set, pointwise or whole.
+func SetMethods(xs []int32, out, extra *system.DenseSet, workers int) {
+	system.ParFill(xs, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			out.Add(lo + j) // want `write through captured out`
+		}
+		out.Remove(len(xs) - 1) // want `write through captured out`
+		out.UnionWith(extra)    // want `write through captured out`
+	})
+}
+
+// SubsliceWindow writes through the shard's window of a captured slice
+// instead of the part it was handed.
+func SubsliceWindow(xs, buf []int32, workers int) {
+	system.ParFill(xs, workers, func(_ int, part []int32, lo int) {
+		mine := buf[lo : lo+len(part)]
+		for j := range mine {
+			mine[j] = 1 // want `write through mine, which is bound to captured state`
+		}
+	})
+}
+
+// AliasEscape smuggles a captured slice into a local and writes through
+// it: the alias does not launder the capture.
+func AliasEscape(xs []int32, shared []int64, workers int) {
+	system.ParFill(xs, workers, func(_ int, _ []int32, _ int) {
+		mine := shared
+		alias := mine
+		alias[0] = 1 // want `write through alias, which is bound to captured state`
+	})
+}
+
 // ReboundOnOnePath allocates per shard but rebinds the local to a
-// captured slice on one path: one shared definition makes the write
-// unsafe.
-func ReboundOnOnePath(n, workers int, shared []int64) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+// captured slice on one path.
+func ReboundOnOnePath(xs []int32, shared []int64, workers int) {
+	system.ParFill(xs, workers, func(shard int, _ []int32, _ int) {
 		buf := make([]int64, 1)
 		if shard == 0 {
 			buf = shared
 		}
-		buf[0] = 1 // want `not provably shard-disjoint`
+		buf[0] = 1 // want `write through buf, which is bound to captured state`
 	})
 }
 
 // RangeOverCaptured writes through range values of a captured table:
 // every shard sees the same rows.
-func RangeOverCaptured(n, workers int, rows [][]int32) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
+func RangeOverCaptured(xs []int32, rows [][]int32, workers int) {
+	system.ParFill(xs, workers, func(shard int, _ []int32, _ int) {
 		for _, row := range rows {
-			row[0] = int32(shard) // want `not provably shard-disjoint`
+			row[0] = int32(shard) // want `write through row, which is bound to captured state`
 		}
 	})
 }
 
-// UpdateThenPoint accumulates into a shard-local counter with op= and
-// writes through a pointer to it: an update keeps the variable's
-// shard-owned provenance.
-func UpdateThenPoint(n, workers int) {
-	system.ParRange(n, 1, workers, func(shard, lo, hi int) {
-		count := 0
-		for i := lo; i < hi; i++ {
-			count += i
-		}
-		p := &count
-		*p = 0
+// PredicateWrite counts from inside a Select predicate, which runs on
+// every shard.
+func PredicateWrite(idx *system.Index, workers int) int {
+	calls := 0
+	idx.Select(workers, nil, func(id int) bool {
+		calls++ // want `write to captured calls`
+		return id%2 == 0
 	})
+	return calls
 }

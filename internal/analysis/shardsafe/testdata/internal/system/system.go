@@ -1,35 +1,44 @@
 // Package system is the fixture's miniature parallel engine. shardsafe
-// mines the mutator facts from these method bodies — Add and Remove are
-// pointwise word writes (divisor 64), UnionWith is a bulk mutator — so
-// the fixture exercises the same fact pipeline as the real
-// internal/system.
+// mines the WritesReceiver facts from these method bodies — Add, Remove
+// and UnionWith write through the receiver, Contains does not — so the
+// fixture exercises the same fact pipeline as the real internal/system.
 package system
 
 import "sync"
 
-// ParRange splits [0, n) into contiguous chunks whose interior
-// boundaries are multiples of align and runs body(shard, lo, hi) on
-// each, concurrently.
-func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
-	if n <= 0 {
+// ParFill splits dst into at most workers contiguous parts and runs
+// fill(shard, part, lo) on each, concurrently.
+func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)) {
+	if len(dst) == 0 {
 		return
 	}
-	step := (n + workers - 1) / workers
-	step = (step + align - 1) / align * align
+	chunk := (len(dst) + workers - 1) / workers
 	var wg sync.WaitGroup
-	for shard := 0; shard*step < n; shard++ {
-		lo, hi := shard*step, (shard+1)*step
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < len(dst); lo += chunk {
+		hi := min(lo+chunk, len(dst))
 		wg.Add(1)
 		go func(shard, lo, hi int) {
 			defer wg.Done()
-			body(shard, lo, hi)
-		}(shard, lo, hi)
+			fill(shard, dst[lo:hi:hi], lo)
+		}(lo/chunk, lo, hi)
 	}
 	wg.Wait()
 }
+
+// ParMap is ParFill for shards that return a value, in shard order.
+func ParMap[T, R any](dst []T, workers int, f func(shard int, part []T, lo int) R) []R {
+	chunk := max((len(dst)+workers-1)/workers, 1)
+	out := make([]R, (len(dst)+chunk-1)/chunk)
+	ParFill(out, len(out), func(s int, slot []R, _ int) {
+		lo := s * chunk
+		hi := min(lo+chunk, len(dst))
+		slot[0] = f(s, dst[lo:hi:hi], lo)
+	})
+	return out
+}
+
+// Index numbers n points.
+type Index struct{ n int }
 
 // DenseSet is a bit set over a fixed universe of points.
 type DenseSet struct {
@@ -42,19 +51,38 @@ func NewDense(n int) *DenseSet {
 	return &DenseSet{n: n, bits: make([]uint64, (n+63)/64)}
 }
 
-// Add inserts id: a pointwise word write, divisor 64.
-func (s *DenseSet) Add(id int) { s.bits[id/64] |= 1 << uint(id%64) }
+// Select returns the set of points keep accepts, filling the words
+// shard by shard; stop is polled between words.
+func (x *Index) Select(workers int, stop func() bool, keep func(id int) bool) *DenseSet {
+	s := NewDense(x.n)
+	ParFill(s.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			if stop != nil && stop() {
+				return
+			}
+			for k := 0; k < 64 && (lo+j)*64+k < x.n; k++ {
+				if keep((lo+j)*64 + k) {
+					part[j] |= 1 << k
+				}
+			}
+		}
+	})
+	return s
+}
 
-// Remove deletes id: likewise pointwise.
-func (s *DenseSet) Remove(id int) { s.bits[id/64] &^= 1 << uint(id%64) }
+// Add inserts id.
+func (s *DenseSet) Add(id int) { s.bits[id/64] |= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
+
+// Remove deletes id.
+func (s *DenseSet) Remove(id int) { s.bits[id/64] &^= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
 
 // Contains reports membership without writing.
 func (s *DenseSet) Contains(id int) bool {
 	return s.bits[id/64]&(1<<uint(id%64)) != 0
 }
 
-// UnionWith merges t into the receiver word by word: a bulk mutator.
-func (s *DenseSet) UnionWith(t *DenseSet) {
+// UnionWith merges t into the receiver word by word.
+func (s *DenseSet) UnionWith(t *DenseSet) { // want-fact:"shardsafe:WritesReceiver"
 	for i := range s.bits {
 		s.bits[i] |= t.bits[i]
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"kpa/internal/rat"
 	"kpa/internal/system"
@@ -177,7 +178,7 @@ func (d *decoder) state(i int) system.GlobalState {
 // with the given probability text, numbering it in preorder.
 func (d *decoder) node(parent, child int, prob []byte) error {
 	id := len(d.nodes)
-	d.nodes = append(d.nodes, nodeRec{parent: parent, child: child, prob: prob})
+	d.nodes = append(grow(d.nodes), nodeRec{parent: parent, child: child, prob: prob})
 	return d.object("node", nodeFields, func(f int) error {
 		switch f {
 		case 0:
@@ -188,7 +189,7 @@ func (d *decoder) node(parent, child int, prob []byte) error {
 			lo := len(d.locals)
 			err := d.array("locals", func(int) error {
 				s, err := d.str()
-				d.locals = append(d.locals, system.LocalState(s))
+				d.locals = append(grow(d.locals), system.LocalState(s))
 				return err
 			})
 			d.nodes[id].lo, d.nodes[id].hi = lo, len(d.locals)
@@ -218,9 +219,20 @@ func (d *decoder) edge(parent, ci int) error {
 		return err
 	})
 	if err == nil && child < 0 {
-		d.nodes = append(d.nodes, nodeRec{parent: parent, child: ci, prob: prob})
+		d.nodes = append(grow(d.nodes), nodeRec{parent: parent, child: ci, prob: prob})
 	}
 	return err
+}
+
+// grow doubles a full table before an append. Past 256 entries append
+// alone grows a slice about a quarter at a time, which copies each record
+// about four times on average; doubling copies it about once and never
+// holds more than twice what the scan has already parsed.
+func grow[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return slices.Grow(s, len(s))
+	}
+	return s
 }
 
 // object decodes an object, or null, which leaves the destination at its

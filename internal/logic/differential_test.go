@@ -255,9 +255,9 @@ func TestDifferentialParallelVsReference(t *testing.T) {
 }
 
 // TestDifferentialParallelScaleSystem pits the budget-4 engine against the
-// reference evaluator on a broom system large enough that ParRange really
-// splits the sweeps into multiple 64-aligned shards, covering every
-// operator family the engine shards.
+// reference evaluator on a broom system large enough that the fan-outs
+// really split the sweeps into several shards, covering every operator
+// family the engine shards.
 func TestDifferentialParallelScaleSystem(t *testing.T) {
 	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 2, NumRuns: 256, RunLen: 6, Buckets: 8})
 	props := map[string]system.Fact{

@@ -296,21 +296,10 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		}
 		// With workers > 1 the fact's Holds is called from several
 		// goroutines; SetEngine documents that facts must tolerate that.
-		// Shards are 64-aligned so each owns its result words.
 		workers, release := e.eng.Workers(idx.NumPoints())
 		defer release()
 		ps, stop := e.stopFn()
-		out := idx.NewDense()
-		system.ParRange(idx.NumPoints(), 64, workers, func(_, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				if stop != nil && id&(cancelStride-1) == 0 && id > lo && stop() {
-					return
-				}
-				if fact.Holds(idx.PointAt(id)) {
-					out.Add(id)
-				}
-			}
-		})
+		out := idx.Select(workers, stop, func(id int) bool { return fact.Holds(idx.PointAt(id)) })
 		// A scan the hook aborted is partial: return before caching it.
 		if err := ps.Err(); err != nil {
 			return nil, err
@@ -791,15 +780,16 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	workers, release := e.eng.Workers(e.idx.NumPoints())
 	defer release()
 	ps, stop := e.stopFn()
-	system.ParRange(len(verdicts), 1, workers, func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
+	system.ParFill(verdicts, workers, func(_ int, part []bool, lo int) {
+		for j := range part {
+			si := lo + j
 			if stop != nil && si&15 == 0 && stop() {
 				return
 			}
 			if intBound && sx.base[si] != 0 {
-				verdicts[si] = sx.intVerdict(si, ext, num, den, geq)
+				part[j] = sx.intVerdict(si, ext, num, den, geq)
 			} else {
-				verdicts[si] = sx.exactVerdict(e.idx, si, ext, bound, geq)
+				part[j] = sx.exactVerdict(e.idx, si, ext, bound, geq)
 			}
 		}
 	})

@@ -49,6 +49,32 @@ func (x *Index) DenseOf(ps PointSet) *DenseSet {
 	return s
 }
 
+// Select returns {id : keep(id)}, the set of the points keep accepts. The
+// scan shards the result's words across up to workers goroutines, so keep
+// must be safe for concurrent calls. stop, when non-nil, is polled every
+// 4096 IDs; returning true abandons the scan (the partial result must be
+// discarded).
+func (x *Index) Select(workers int, stop func() bool, keep func(id int) bool) *DenseSet {
+	s := x.NewDense()
+	n := len(x.points)
+	ParFill(s.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			if stop != nil && (lo+j)&63 == 0 && j > 0 && stop() {
+				return
+			}
+			id := (lo + j) * 64
+			var word uint64
+			for k := range min(64, n-id) {
+				if keep(id + k) {
+					word |= 1 << k
+				}
+			}
+			part[j] = word
+		}
+	})
+	return s
+}
+
 // clearTail zeroes the bits beyond the universe in the last word.
 func (s *DenseSet) clearTail() {
 	if rem := s.idx.NumPoints() % 64; rem != 0 && len(s.bits) > 0 {
@@ -120,22 +146,15 @@ func (s *DenseSet) Clone() *DenseSet {
 	return c
 }
 
-// Union returns s ∪ t as a fresh set. With more than one worker the word
-// sweep is split across up to workers goroutines (see ParRange); with one
-// it is a single serial loop. The caller decides whether the set is large
-// enough to be worth sharding (see logic.Engine).
+// Union returns s ∪ t as a fresh set. The word sweep is split across up
+// to workers goroutines (see ParFill); the caller decides whether the set
+// is large enough to be worth sharding (see logic.Engine).
 func (s *DenseSet) Union(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 {
-		for i := range u.bits {
-			u.bits[i] = s.bits[i] | t.bits[i]
-		}
-		return u
-	}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = s.bits[i] | t.bits[i]
+	ParFill(u.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			part[j] = s.bits[lo+j] | t.bits[lo+j]
 		}
 	})
 	return u
@@ -145,15 +164,9 @@ func (s *DenseSet) Union(t *DenseSet, workers int) *DenseSet {
 func (s *DenseSet) Intersect(t *DenseSet, workers int) *DenseSet {
 	s.check(t)
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 {
-		for i := range u.bits {
-			u.bits[i] = s.bits[i] & t.bits[i]
-		}
-		return u
-	}
-	ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u.bits[i] = s.bits[i] & t.bits[i]
+	ParFill(u.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			part[j] = s.bits[lo+j] & t.bits[lo+j]
 		}
 	})
 	return u
@@ -173,17 +186,11 @@ func (s *DenseSet) Minus(t *DenseSet) *DenseSet {
 // a fresh set, sharded like Union.
 func (s *DenseSet) Complement(workers int) *DenseSet {
 	u := &DenseSet{idx: s.idx, bits: make([]uint64, len(s.bits))}
-	if workers <= 1 {
-		for i := range u.bits {
-			u.bits[i] = ^s.bits[i]
+	ParFill(u.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			part[j] = ^s.bits[lo+j]
 		}
-	} else {
-		ParRange(len(u.bits), 1, workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				u.bits[i] = ^s.bits[i]
-			}
-		})
-	}
+	})
 	u.clearTail()
 	return u
 }

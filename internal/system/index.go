@@ -1,6 +1,9 @@
 package system
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Index is a dense numbering of a system's points: every point is assigned
 // an integer ID in [0, NumPoints), ordered by tree (in the system's tree
@@ -35,8 +38,9 @@ func (s *System) Index() *Index { return s.BuildIndex(1) }
 // BuildIndex is Index with the point-table fill split across up to workers
 // goroutines: the per-run ID offsets are laid out serially (one pass over
 // the runs), then each worker materializes the Point records of a disjoint
-// run range. Subsequent calls — with any worker count — return the same
-// index; only the first builds.
+// ID range, starting in the run that contains the range's first ID.
+// Subsequent calls — with any worker count — return the same index; only
+// the first builds.
 func (s *System) BuildIndex(workers int) *Index {
 	s.indexOnce.Do(func() {
 		idx := &Index{
@@ -46,29 +50,31 @@ func (s *System) BuildIndex(workers int) *Index {
 		// Serial prefix pass: one entry per run, not per point.
 		total := 0
 		idx.runStart = make([][]int, len(s.trees))
-		type runRef struct{ tree, run int }
-		var runs []runRef
 		for ti, t := range s.trees {
 			idx.pos[t] = ti
 			starts := make([]int, t.NumRuns())
 			for r := 0; r < t.NumRuns(); r++ {
 				starts[r] = total
 				total += t.RunLen(r)
-				runs = append(runs, runRef{tree: ti, run: r})
 			}
 			idx.runStart[ti] = starts
 		}
 		idx.points = make([]Point, total)
-		// Parallel fill: runs occupy disjoint ID ranges, so shards over a
-		// run partition write disjoint slices of points.
-		ParRange(len(runs), 1, workers, func(_, lo, hi int) {
-			for ri := lo; ri < hi; ri++ {
-				t := s.trees[runs[ri].tree]
-				r := runs[ri].run
-				start := idx.runStart[runs[ri].tree][r]
-				for k, n := 0, t.RunLen(r); k < n; k++ {
-					//kpavet:ignore shardsafe run ri owns IDs [start, start+RunLen): runStart assigns each run a disjoint range, so shards over the run partition write disjoint slices
-					idx.points[start+k] = Point{Tree: t, Run: r, Time: k}
+		ParFill(idx.points, workers, func(_ int, part []Point, lo int) {
+			// Start in the run containing lo: the last run starting at or
+			// before it, in the last tree starting at or before it.
+			ti := sort.Search(len(s.trees), func(i int) bool { return idx.runStart[i][0] > lo }) - 1
+			starts := idx.runStart[ti]
+			r := sort.Search(len(starts), func(i int) bool { return starts[i] > lo }) - 1
+			for j := 0; j < len(part); r++ {
+				if r == len(starts) {
+					ti, r = ti+1, 0
+					starts = idx.runStart[ti]
+				}
+				t := s.trees[ti]
+				for k := lo + j - starts[r]; k < t.RunLen(r) && j < len(part); k++ {
+					part[j] = Point{Tree: t, Run: r, Time: k}
+					j++
 				}
 			}
 		})

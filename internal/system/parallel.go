@@ -5,61 +5,68 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the package's parallel-execution primitives: ParRange,
-// the word-aligned fan-out helper every sharded sweep in the dense engine
-// is built on, and Gate, the shared goroutine-token pool that makes one
-// parallelism budget compose across concurrent evaluators instead of
+// This file holds the package's parallel-execution primitives: the typed
+// fan-outs ParFill and ParMap, which hand each shard the only part of a
+// slice it may write, and Gate, the shared goroutine-token pool that makes
+// one parallelism budget compose across concurrent evaluators instead of
 // multiplying by the number of in-flight requests.
 
-// ParRange splits [0, n) into at most workers contiguous chunks and runs
-// body on each, spawning workers−1 goroutines and running the first chunk
-// on the calling goroutine; it returns only after every chunk has finished.
-// body receives its shard number and half-open range [lo, hi).
+// ParFill splits dst into at most workers contiguous parts and calls
+// fill(shard, part, lo) on each, where part is dst[lo:lo+len(part)] with
+// its capacity cut at its end, so a shard can write only its own
+// elements. The first part runs on the calling goroutine, every other on a
+// goroutine of its own, and ParFill returns once all have finished. The
+// parts tile dst exactly once and their boundaries depend only on len(dst)
+// and workers. With one worker, or one element, fill runs once on the
+// caller over all of dst; with an empty dst it never runs.
 //
-// When align > 1, every chunk boundary except the last is a multiple of
-// align. Sharded sweeps that write bits of a shared DenseSet use align 64
-// so that distinct shards touch distinct backing words — the discipline
-// that makes those direct writes race-free without locks (see
-// docs/PERFORMANCE.md).
-//
-// With workers ≤ 1 (or n small enough that one chunk covers it) body runs
-// exactly once on the calling goroutine and no goroutine is spawned, so
-// serial callers pay nothing.
-func ParRange(n, align, workers int, body func(shard, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if align < 1 {
-		align = 1
-	}
-	chunk := (n + workers - 1) / workers
-	if workers <= 1 || chunk >= n {
-		body(0, 0, n)
-		return
-	}
-	// Round the chunk up to the alignment so interior boundaries stay
-	// aligned; recompute the shard count accordingly.
-	chunk = (chunk + align - 1) / align * align
-	if chunk >= n {
-		body(0, 0, n)
-		return
-	}
-	shards := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for s := 1; s < shards; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// ParFill holds the engine's only go statement: every sharded sweep in
+// internal/system and internal/logic fans out through it.
+func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)) {
+	chunk, count := split(len(dst), workers)
+	if count <= 1 {
+		if count == 1 {
+			fill(0, dst, 0)
 		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			body(s, lo, hi)
-		}(s, lo, hi)
+		return
 	}
-	body(0, 0, chunk)
+	var wg sync.WaitGroup
+	for s := 1; s < count; s++ {
+		lo := s * chunk
+		hi := min(lo+chunk, len(dst))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(s, dst[lo:hi:hi], lo)
+		}()
+	}
+	fill(0, dst[:chunk:chunk], 0)
 	wg.Wait()
+}
+
+// ParMap is ParFill for shards that also produce a value: it splits dst
+// as ParFill does and returns f's results in shard order.
+func ParMap[T, R any](dst []T, workers int, f func(shard int, part []T, lo int) R) []R {
+	chunk, count := split(len(dst), workers)
+	out := make([]R, count)
+	// count workers over count slots hand shard s exactly out[s:s+1].
+	ParFill(out, count, func(s int, slot []R, _ int) {
+		lo := s * chunk
+		hi := min(lo+chunk, len(dst))
+		slot[0] = f(s, dst[lo:hi:hi], lo)
+	})
+	return out
+}
+
+// split returns the part length and the part count ParFill uses for n
+// elements and the given worker count; the last part may be shorter.
+func split(n, workers int) (chunk, count int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	workers = max(workers, 1)
+	chunk = (n + workers - 1) / workers
+	return chunk, (n + chunk - 1) / chunk
 }
 
 // Gate is a shared pool of goroutine tokens bounding how many extra shard

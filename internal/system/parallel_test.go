@@ -2,6 +2,8 @@ package system
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,59 +45,98 @@ func broomSystem(t testing.TB, agents, runs, runLen, buckets int) *System {
 	return sys
 }
 
-func TestParRangePartitions(t *testing.T) {
-	cases := []struct{ n, align, workers int }{
-		{0, 1, 4}, {1, 1, 4}, {7, 1, 1}, {7, 1, 4}, {100, 1, 3},
-		{100, 64, 4}, {64, 64, 4}, {65, 64, 4}, {128, 64, 2},
-		{1000, 64, 8}, {1000, 64, 1000}, {60, 64, 4}, {63, 64, 16},
-	}
-	for _, c := range cases {
-		covered := make([]int32, c.n)
-		var mu sync.Mutex
-		bounds := make(map[int][2]int)
-		ParRange(c.n, c.align, c.workers, func(shard, lo, hi int) {
-			mu.Lock()
-			bounds[shard] = [2]int{lo, hi}
-			mu.Unlock()
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&covered[i], 1)
-			}
-		})
-		for i, v := range covered {
-			if v != 1 {
-				t.Fatalf("n=%d align=%d workers=%d: index %d covered %d times",
-					c.n, c.align, c.workers, i, v)
-			}
-		}
-		for shard, b := range bounds {
-			if b[0] > 0 && c.align > 1 && b[0]%c.align != 0 {
-				t.Fatalf("n=%d align=%d workers=%d: shard %d starts at unaligned %d",
-					c.n, c.align, c.workers, shard, b[0])
-			}
-		}
-		// Determinism: a second invocation must reproduce the boundaries —
-		// PartitionBy's phase 3 depends on matching phase 1's shards exactly.
-		ParRange(c.n, c.align, c.workers, func(shard, lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if b, ok := bounds[shard]; !ok || b != [2]int{lo, hi} {
-				t.Errorf("n=%d align=%d workers=%d: shard %d bounds changed: %v vs [%d,%d)",
-					c.n, c.align, c.workers, shard, b, lo, hi)
-			}
-		})
-	}
+// goid returns the calling goroutine's ID, read from its stack header
+// ("goroutine 18 [running]: ...").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-func TestParRangeSerialWhenOneWorker(t *testing.T) {
-	calls := 0
-	ParRange(1000, 64, 1, func(shard, lo, hi int) {
-		calls++
-		if shard != 0 || lo != 0 || hi != 1000 {
-			t.Fatalf("serial call got shard=%d [%d,%d)", shard, lo, hi)
+// TestParFillContract checks the fan-out contract the sharded sweeps rely
+// on: the parts tile dst exactly once, each part is dst[lo:lo+len(part)]
+// with its capacity cut at its end, the first part runs on the caller (so
+// with one worker or one element fill runs once, there), an empty dst
+// calls nothing, the boundaries repeat for an equal length and worker
+// count (PartitionBy's phase 3 relies on this), and ParMap splits the same
+// way and returns its results in shard order.
+func TestParFillContract(t *testing.T) {
+	type span struct {
+		lo, n int
+		g     string
+	}
+	caller := goid()
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3, 7, 64} {
+			name := fmt.Sprintf("len=%d workers=%d", n, workers)
+			dst := make([]int32, n)
+			fill := func() []span {
+				var mu sync.Mutex
+				parts := make(map[int]span)
+				ParFill(dst, workers, func(shard int, part []int32, lo int) {
+					if len(part) == 0 || cap(part) != len(part) || &part[0] != &dst[lo] {
+						t.Errorf("%s: shard %d got len %d cap %d at %d, not its own window of dst", name, shard, len(part), cap(part), lo)
+						return
+					}
+					for j := range part {
+						part[j]++
+					}
+					mu.Lock()
+					parts[shard] = span{lo, len(part), goid()}
+					mu.Unlock()
+				})
+				out := make([]span, len(parts))
+				for shard, sp := range parts {
+					if shard < 0 || shard >= len(parts) {
+						t.Fatalf("%s: shard %d of %d", name, shard, len(parts))
+					}
+					out[shard] = sp
+				}
+				return out
+			}
+			first := fill()
+			for i, v := range dst {
+				if v != 1 {
+					t.Fatalf("%s: element %d written %d times", name, i, v)
+				}
+			}
+			next := 0
+			for shard, sp := range first {
+				if sp.lo != next {
+					t.Fatalf("%s: shard %d starts at %d, want %d", name, shard, sp.lo, next)
+				}
+				next += sp.n
+			}
+			switch {
+			case n == 0 && len(first) != 0:
+				t.Fatalf("%s: fill ran %d times on an empty dst", name, len(first))
+			case (n == 1 || workers == 1) && n > 0 && len(first) != 1:
+				t.Fatalf("%s: fill ran %d times, want once", name, len(first))
+			case len(first) > workers:
+				t.Fatalf("%s: %d parts for %d workers", name, len(first), workers)
+			case n > 0 && first[0].g != caller:
+				t.Fatalf("%s: the first part ran off the calling goroutine", name)
+			}
+			second := fill()
+			if len(second) != len(first) {
+				t.Fatalf("%s: %d parts, then %d on an equal call", name, len(first), len(second))
+			}
+			for shard := range first {
+				if a, b := first[shard], second[shard]; a.lo != b.lo || a.n != b.n {
+					t.Fatalf("%s: boundaries changed between equal calls: %v vs %v", name, first, second)
+				}
+			}
+			got := ParMap(dst, workers, func(shard int, part []int32, lo int) span {
+				return span{lo, len(part), ""}
+			})
+			if len(got) != len(first) {
+				t.Fatalf("%s: ParMap returned %d results for %d parts", name, len(got), len(first))
+			}
+			for shard, sp := range got {
+				if sp.lo != first[shard].lo || sp.n != first[shard].n {
+					t.Fatalf("%s: ParMap result %d is part %v, want %v", name, shard, sp, first[shard])
+				}
+			}
 		}
-	})
-	if calls != 1 {
-		t.Fatalf("body ran %d times, want 1", calls)
 	}
 }
 
@@ -205,17 +246,80 @@ func TestFirstN(t *testing.T) {
 	}
 }
 
-func TestBuildIndexParallelMatchesSerial(t *testing.T) {
-	serial := broomSystem(t, 2, 30, 5, 3).Index()
-	par := broomSystem(t, 2, 30, 5, 3).BuildIndex(4)
-	if serial.NumPoints() != par.NumPoints() {
-		t.Fatalf("NumPoints: serial %d, parallel %d", serial.NumPoints(), par.NumPoints())
-	}
-	for id := 0; id < serial.NumPoints(); id++ {
-		sp, pp := serial.PointAt(id), par.PointAt(id)
-		if sp.Run != pp.Run || sp.Time != pp.Time || sp.Tree.Adversary != pp.Tree.Adversary {
-			t.Fatalf("PointAt(%d): serial %v, parallel %v", id, sp, pp)
+// unevenSystem builds a two-tree system whose runs are 3 and 70 points
+// long, so sharded index fills start and stop in the middle of runs.
+func unevenSystem(t testing.TB) *System {
+	t.Helper()
+	var trees []*Tree
+	for ti, lens := range [][]int{{3, 70}, {70, 3}} {
+		env := func(r, k int) string { return fmt.Sprintf("t%d.r%d.%d", ti, r, k) }
+		tb := NewTree(fmt.Sprintf("t%d", ti), gs(env(0, 0), "a:root"))
+		for r, n := range lens {
+			id := tb.Child(0, rat.Half, gs(env(r, 1), fmt.Sprintf("a:%d", r)))
+			for k := 2; k < n; k++ {
+				id = tb.Child(id, rat.One, gs(env(r, k), fmt.Sprintf("a:%d", k)))
+			}
 		}
+		trees = append(trees, tb.MustBuild())
+	}
+	sys, err := New(1, trees...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return sys
+}
+
+// TestBuildIndexParallelMatchesSerial checks the sharded point fill
+// against the serial one on equal runs and on runs of 3 and 70 points,
+// where shard boundaries fall inside runs.
+func TestBuildIndexParallelMatchesSerial(t *testing.T) {
+	systems := map[string]func() *System{
+		"broom":  func() *System { return broomSystem(t, 2, 30, 5, 3) },
+		"uneven": func() *System { return unevenSystem(t) },
+	}
+	for name, build := range systems {
+		serial := build().Index()
+		for _, workers := range []int{1, 2, 3, 8} {
+			par := build().BuildIndex(workers)
+			if serial.NumPoints() != par.NumPoints() {
+				t.Fatalf("%s workers=%d: NumPoints serial %d, parallel %d", name, workers, serial.NumPoints(), par.NumPoints())
+			}
+			for id := 0; id < serial.NumPoints(); id++ {
+				sp, pp := serial.PointAt(id), par.PointAt(id)
+				if sp.Run != pp.Run || sp.Time != pp.Time || sp.Tree.Adversary != pp.Tree.Adversary {
+					t.Fatalf("%s workers=%d: PointAt(%d) serial %v, parallel %v", name, workers, id, sp, pp)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectAndComplementTailBits checks Select and Complement against a
+// per-point check on a universe that ends inside a word, at 1, 3 and 8
+// workers: the result matches and no bit past the last point is set.
+// (TestSpreadMatchesPerPoint checks the same of Spread's sweep.)
+func TestSelectAndComplementTailBits(t *testing.T) {
+	idx := broomSystem(t, 2, 130, 5, 4).Index()
+	n := idx.NumPoints()
+	if n%64 == 0 {
+		t.Fatalf("%d points: the fixture must leave a partial last word", n)
+	}
+	keep := func(id int) bool { return id%3 == 0 || id == n-1 }
+	check := func(what string, got *DenseSet, want func(id int) bool) {
+		t.Helper()
+		for id := 0; id < n; id++ {
+			if got.Contains(id) != want(id) {
+				t.Fatalf("%s: point %d is %v, want %v", what, id, got.Contains(id), want(id))
+			}
+		}
+		if tail := got.bits[len(got.bits)-1] >> (n % 64); tail != 0 {
+			t.Fatalf("%s: bits set past NumPoints", what)
+		}
+	}
+	for _, workers := range []int{1, 3, 8} {
+		sel := idx.Select(workers, nil, keep)
+		check(fmt.Sprintf("Select(workers=%d)", workers), sel, keep)
+		check(fmt.Sprintf("Complement(workers=%d)", workers), sel.Complement(workers), func(id int) bool { return !keep(id) })
 	}
 }
 

@@ -28,28 +28,25 @@ func (p *Partition) Members(k int) []int32 {
 
 // PartitionBy partitions x's points by key(id), numbering blocks in order
 // of first occurrence whatever the worker count: each of up to workers
-// goroutines numbers the keys of its 64-aligned ID range (phase 1), a
-// serial merge in shard order reproduces the global order (phase 2), and
-// each shard remaps its range (phase 3). key must be safe for concurrent
-// calls.
+// goroutines numbers the keys of its own IDs (phase 1), a serial merge in
+// shard order reproduces the global order (phase 2), and each shard remaps
+// its IDs (phase 3). key must be safe for concurrent calls.
 func PartitionBy[K comparable](x *Index, workers int, key func(id int) K) *Partition {
-	n := len(x.points)
-	blockOf := make([]int32, n)
-	perShard := make([][]K, max(workers, 1)) // shard → its keys, in first-occurrence order
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
+	blockOf := make([]int32, len(x.points))
+	perShard := ParMap(blockOf, workers, func(_ int, part []int32, lo int) []K {
 		byKey := make(map[K]int32)
-		var keys []K
-		for id := lo; id < hi; id++ {
-			k := key(id)
+		var keys []K // in first-occurrence order
+		for j := range part {
+			k := key(lo + j)
 			b, ok := byKey[k]
 			if !ok {
 				b = int32(len(keys))
 				byKey[k] = b
 				keys = append(keys, k)
 			}
-			blockOf[id] = b // shard-local numbering, remapped in phase 3
+			part[j] = b // shard-local numbering, remapped in phase 3
 		}
-		perShard[shard] = keys
+		return keys
 	})
 	if len(perShard) == 1 {
 		return newPartition(x, len(perShard[0]), blockOf) // already global
@@ -67,12 +64,12 @@ func PartitionBy[K comparable](x *Index, workers int, key func(id int) K) *Parti
 			remap[s][j] = g
 		}
 	}
-	// ParRange reproduces the phase-1 shard boundaries for equal n, align
-	// and workers, so each ID is remapped through its own shard's table.
-	ParRange(n, 64, workers, func(shard, lo, hi int) {
+	// ParFill reproduces ParMap's parts for an equal length and worker
+	// count, so each ID is remapped through its own shard's table.
+	ParFill(blockOf, workers, func(shard int, part []int32, _ int) {
 		tab := remap[shard]
-		for id := lo; id < hi; id++ {
-			blockOf[id] = tab[blockOf[id]]
+		for j, b := range part {
+			part[j] = tab[b]
 		}
 	})
 	return newPartition(x, len(global), blockOf)
@@ -105,15 +102,16 @@ func newPartition(x *Index, numBlocks int, blockOf []int32) *Partition {
 // abandons the sweep early (the partial result must be discarded).
 func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
 	pass := make([]bool, p.NumBlocks())
-	ParRange(len(pass), 1, workers, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
+	ParFill(pass, workers, func(_ int, part []bool, lo int) {
+		for j := range part {
+			k := lo + j
 			if stop != nil && k&15 == 0 && stop() {
 				return
 			}
-			pass[k] = true
+			part[j] = true
 			for _, id := range p.ids[p.off[k]:p.off[k+1]] {
 				if !ext.Contains(int(id)) {
-					pass[k] = false
+					part[j] = false
 					break
 				}
 			}
@@ -129,15 +127,14 @@ func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) 
 // set is nearer, so at most n/2 members need writing: the passing blocks'
 // into an empty set, or the failing blocks' out of a full one. A serial
 // walk reads every block's verdict and writes those members; a sweep
-// reads every point's block, sharded across up to workers goroutines on
-// 64-aligned ranges so that distinct shards write distinct backing words,
-// and assembles each word from a byte table of the verdicts with no branch
-// per point. Spread walks when (blocks + members written) × workers ≤ n,
-// which holds at one or two workers unless the blocks are nearly as many
-// as the points, and sweeps otherwise. stop, when non-nil, is polled every
-// 16 blocks of the walk, and before the sweep and every 4096 IDs of it;
-// returning true abandons the fan-out (the partial result must be
-// discarded).
+// reads every point's block, sharded over the result's words across up to
+// workers goroutines, and assembles each word from a byte table of the
+// verdicts with no branch per point. Spread walks when (blocks + members
+// written) × workers ≤ n, which holds at one or two workers unless the
+// blocks are nearly as many as the points, and sweeps otherwise. stop,
+// when non-nil, is polled every 16 blocks of the walk, and before the
+// sweep and every 4096 IDs of it; returning true abandons the fan-out (the
+// partial result must be discarded).
 func (p *Partition) Spread(pass []bool, workers int, stop func() bool) *DenseSet {
 	n := len(p.blockOf)
 	passing := 0
@@ -201,28 +198,30 @@ func (p *Partition) spreadSweep(pass []bool, workers int, stop func() bool) *Den
 		}
 		verdict[k] = v
 	}
-	ParRange(len(p.blockOf), 64, workers, func(_, lo, hi int) {
-		for id := lo; id < hi; id += 64 {
+	n := len(p.blockOf)
+	ParFill(out.bits, workers, func(_ int, part []uint64, lo int) {
+		for j := range part {
+			id := (lo + j) * 64
 			if stop != nil && id&4095 == 0 && stop() {
 				return
 			}
 			var word uint64
-			if id+64 <= hi {
+			if id+64 <= n {
 				blk := (*[64]int32)(p.blockOf[id : id+64])
 				var w0, w1, w2, w3 uint64
-				for j := 0; j < 16; j++ {
-					w0 |= uint64(verdict[blk[j]]) << j
-					w1 |= uint64(verdict[blk[j+16]]) << (j + 16)
-					w2 |= uint64(verdict[blk[j+32]]) << (j + 32)
-					w3 |= uint64(verdict[blk[j+48]]) << (j + 48)
+				for k := 0; k < 16; k++ {
+					w0 |= uint64(verdict[blk[k]]) << k
+					w1 |= uint64(verdict[blk[k+16]]) << (k + 16)
+					w2 |= uint64(verdict[blk[k+32]]) << (k + 32)
+					w3 |= uint64(verdict[blk[k+48]]) << (k + 48)
 				}
 				word = w0 | w1 | w2 | w3
 			} else {
-				for j, b := range p.blockOf[id:hi] {
-					word |= uint64(verdict[b]) << j
+				for k, b := range p.blockOf[id:] {
+					word |= uint64(verdict[b]) << k
 				}
 			}
-			out.bits[id/64] = word
+			part[j] = word
 		}
 	})
 	return out

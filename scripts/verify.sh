@@ -36,6 +36,12 @@ make chaos
 # with ≥4 workers under the race detector (docs/SEARCH.md).
 go test -race -run TestDifferentialAgainstBruteForce -count=1 ./internal/search
 go test -race ./...
+# The code that shares state across goroutines, repeated under the race
+# detector: a race shows only when the schedule cooperates, so one run
+# proves little. The fan-out contract, the sharded set algebra, index
+# fill, cell partition and K kernel, and logic's forceParallel
+# differential tests, ten times each.
+go test -race -count=10 -run '^(TestParFillContract|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers)$' ./internal/system ./internal/logic
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
