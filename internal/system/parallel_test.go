@@ -52,48 +52,57 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-// TestParFillContract checks the fan-out contract the sharded sweeps rely
-// on: the parts tile dst exactly once, each part is dst[lo:lo+len(part)]
-// with its capacity cut at its end, the first part runs on the caller (so
-// with one worker or one element fill runs once, there), an empty dst
-// calls nothing, the boundaries repeat for an equal length and worker
-// count (PartitionBy's phase 3 relies on this), and ParMap splits the same
-// way and returns its results in shard order.
-func TestParFillContract(t *testing.T) {
-	type span struct {
-		lo, n int
-		g     string
+// span is one part a fan-out handed a shard: its offset in dst, its
+// length and the goroutine that ran it.
+type span struct {
+	lo, n int
+	g     string
+}
+
+// fillParts runs ParFill over dst, adds one to every element a shard is
+// handed and returns the parts in shard order. It fails t unless every
+// part is non-empty and is dst[lo:lo+len(part)] with its capacity cut at
+// its end, so that a shard can write only its own elements.
+func fillParts(t *testing.T, name string, dst []int32, workers int) []span {
+	t.Helper()
+	var mu sync.Mutex
+	parts := make(map[int]span)
+	ParFill(dst, workers, func(shard int, part []int32, lo int) {
+		if len(part) == 0 || cap(part) != len(part) || &part[0] != &dst[lo] {
+			t.Errorf("%s: shard %d got len %d cap %d at %d, not its own window of dst", name, shard, len(part), cap(part), lo)
+			return
+		}
+		for j := range part {
+			part[j]++
+		}
+		mu.Lock()
+		parts[shard] = span{lo, len(part), goid()}
+		mu.Unlock()
+	})
+	out := make([]span, len(parts))
+	for shard, sp := range parts {
+		if shard < 0 || shard >= len(parts) {
+			t.Fatalf("%s: shard %d of %d", name, shard, len(parts))
+		}
+		out[shard] = sp
 	}
+	return out
+}
+
+// TestParRangePartitions checks how ParFill and ParMap partition a range
+// among shards, for lengths 0 to 1000 and 1 to 64 workers: the parts tile
+// dst exactly once in shard order, each is its own window of dst, there
+// are no more parts than workers, the first runs on the caller, the
+// boundaries repeat for an equal length and worker count (PartitionBy's
+// phase 3 relies on this), and ParMap splits the same way and returns its
+// results in shard order.
+func TestParRangePartitions(t *testing.T) {
 	caller := goid()
 	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
 		for _, workers := range []int{1, 2, 3, 7, 64} {
 			name := fmt.Sprintf("len=%d workers=%d", n, workers)
 			dst := make([]int32, n)
-			fill := func() []span {
-				var mu sync.Mutex
-				parts := make(map[int]span)
-				ParFill(dst, workers, func(shard int, part []int32, lo int) {
-					if len(part) == 0 || cap(part) != len(part) || &part[0] != &dst[lo] {
-						t.Errorf("%s: shard %d got len %d cap %d at %d, not its own window of dst", name, shard, len(part), cap(part), lo)
-						return
-					}
-					for j := range part {
-						part[j]++
-					}
-					mu.Lock()
-					parts[shard] = span{lo, len(part), goid()}
-					mu.Unlock()
-				})
-				out := make([]span, len(parts))
-				for shard, sp := range parts {
-					if shard < 0 || shard >= len(parts) {
-						t.Fatalf("%s: shard %d of %d", name, shard, len(parts))
-					}
-					out[shard] = sp
-				}
-				return out
-			}
-			first := fill()
+			first := fillParts(t, name, dst, workers)
 			for i, v := range dst {
 				if v != 1 {
 					t.Fatalf("%s: element %d written %d times", name, i, v)
@@ -107,16 +116,12 @@ func TestParFillContract(t *testing.T) {
 				next += sp.n
 			}
 			switch {
-			case n == 0 && len(first) != 0:
-				t.Fatalf("%s: fill ran %d times on an empty dst", name, len(first))
-			case (n == 1 || workers == 1) && n > 0 && len(first) != 1:
-				t.Fatalf("%s: fill ran %d times, want once", name, len(first))
 			case len(first) > workers:
 				t.Fatalf("%s: %d parts for %d workers", name, len(first), workers)
 			case n > 0 && first[0].g != caller:
 				t.Fatalf("%s: the first part ran off the calling goroutine", name)
 			}
-			second := fill()
+			second := fillParts(t, name, dst, workers)
 			if len(second) != len(first) {
 				t.Fatalf("%s: %d parts, then %d on an equal call", name, len(first), len(second))
 			}
@@ -134,6 +139,35 @@ func TestParFillContract(t *testing.T) {
 			for shard, sp := range got {
 				if sp.lo != first[shard].lo || sp.n != first[shard].n {
 					t.Fatalf("%s: ParMap result %d is part %v, want %v", name, shard, sp, first[shard])
+				}
+			}
+		}
+	}
+}
+
+// TestParRangeSerialWhenOneWorker checks that with one worker, or one
+// element, ParFill runs fill once, on the calling goroutine, over all of
+// dst and ParMap returns one result computed there; and that with an
+// empty dst neither calls its body.
+func TestParRangeSerialWhenOneWorker(t *testing.T) {
+	caller := goid()
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3, 7, 64} {
+			if n > 1 && workers > 1 {
+				continue
+			}
+			name := fmt.Sprintf("len=%d workers=%d", n, workers)
+			want := []span{{0, n, caller}}
+			if n == 0 {
+				want = nil
+			}
+			parts := fillParts(t, name, make([]int32, n), workers)
+			got := ParMap(make([]int32, n), workers, func(shard int, part []int32, lo int) span {
+				return span{lo, len(part), goid()}
+			})
+			for _, res := range [][]span{parts, got} {
+				if len(res) != len(want) || len(res) == 1 && res[0] != want[0] {
+					t.Fatalf("%s: fill ran as %v, want %v", name, res, want)
 				}
 			}
 		}

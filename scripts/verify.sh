@@ -41,7 +41,7 @@ go test -race ./...
 # proves little. The fan-out contract, the sharded set algebra, index
 # fill, cell partition and K kernel, and logic's forceParallel
 # differential tests, ten times each.
-go test -race -count=10 -run '^(TestParFillContract|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers)$' ./internal/system ./internal/logic
+go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers)$' ./internal/system ./internal/logic
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
