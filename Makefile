@@ -8,16 +8,16 @@ build:
 test:
 	go test ./...
 
-# go vet plus kpavet's twelve repo-invariant contract checks (exact
+# go vet plus kpavet's ten repo-invariant contract checks (exact
 # rationals behind internal/rat, no floats in probability code, immutable
-# big.Rat receivers, dense-set ownership, guarded-field locking,
-# deterministic map-derived output, context threading, goroutine
-# termination, service error kinds, every borrow released: pooled
-# workers, Gate tokens and Engine.Workers closures, shard-disjoint
-# parallel writes, cancel polling in sweeps and fixpoints). TestList in
-# cmd/kpavet pins the roster: bigimport, cancelpoll, ctxflow, denseown,
-# errkind, floatprob, goleak, lockguard, maprange, ratmut, release,
-# shardsafe. See docs/LINTING.md.
+# big.Rat receivers, guarded-field locking, deterministic map-derived
+# output, context threading, goroutine termination, service error kinds,
+# shard bodies that write only their own part and engine goroutines only
+# in ParFill, cancel polling in sweeps and fixpoints). Dense-set
+# immutability and returned workers need no check: DenseSet exports no
+# writer, and Engine.Sweep releases in a defer. TestList in cmd/kpavet
+# pins the roster: bigimport, cancelpoll, ctxflow, errkind, floatprob,
+# goleak, lockguard, maprange, ratmut, shardsafe. See docs/LINTING.md.
 lint:
 	go vet ./...
 	go run ./cmd/kpavet ./...

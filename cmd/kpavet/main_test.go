@@ -26,14 +26,13 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// rosterNames is the pinned 12-analyzer roster, in roster order.
+// rosterNames is the pinned 10-analyzer roster, in roster order.
 var rosterNames = []string{
-	"bigimport", "cancelpoll", "ctxflow", "denseown", "errkind",
-	"floatprob", "goleak", "lockguard", "maprange", "ratmut",
-	"release", "shardsafe",
+	"bigimport", "cancelpoll", "ctxflow", "errkind", "floatprob",
+	"goleak", "lockguard", "maprange", "ratmut", "shardsafe",
 }
 
-// TestList pins the analyzer roster: each of the twelve analyzers
+// TestList pins the analyzer roster: each of the ten analyzers
 // must be present and documented.
 func TestList(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -20,7 +20,7 @@
 // Two loop shapes are checked, and only inside functions that hold a
 // cancel capability — a hook-typed parameter or local, or a receiver
 // whose struct carries a hook-typed field. Code without a hook in reach
-// (the reference evaluator, the parser, Gate's CAS retry loop) has
+// (the reference evaluator, the parser, logic's gate CAS retry loop) has
 // nothing to poll and is exempt by construction.
 //
 //   - Shard sweeps: a loop inside a ParFill or ParMap shard body that

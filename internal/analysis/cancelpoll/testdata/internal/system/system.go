@@ -55,7 +55,7 @@ func UnpolledExtension(workers int, stop func() bool, out []bool) {
 }
 
 // Retry is a condition-less loop with no hook anywhere in reach (the
-// Gate CAS pattern): exempt by construction.
+// gate CAS pattern): exempt by construction.
 func Retry(try func(int) bool) int {
 	n := 0
 	for {

@@ -9,8 +9,8 @@ import (
 // several goroutines at once. ParFill and ParMap hand each shard body
 // func(shard int, part []T, lo int) the part of a slice it may write;
 // Index.Select and PartitionBy call a per-point predicate func(id int)
-// and write the result themselves. shardsafe, cancelpoll and release all
-// find them here.
+// and write the result themselves. shardsafe and cancelpoll both find
+// them here.
 
 // fanOutBody maps each primitive to the position of its literal argument.
 var fanOutBody = map[string]int{"ParFill": 2, "ParMap": 2, "Select": 2, "PartitionBy": 2}

@@ -1,5 +1,6 @@
-// Package shardsafe implements the kpavet analyzer for writes inside the
-// bodies of internal/system's fan-outs.
+// Package shardsafe implements the kpavet analyzer for the engine's
+// fan-outs: writes inside the bodies of internal/system's fan-out
+// primitives, and goroutines started anywhere else in the engine.
 //
 // ParFill and ParMap hand each shard body the only memory it may write:
 // part, its own window of the destination with the capacity cut at its
@@ -12,13 +13,19 @@
 // A write is an assignment (= or op=), ++ or --, a range clause that
 // assigns, the first argument of append, copy, clear or delete, and a
 // call of a DenseSet method that writes its receiver. Those methods are
-// mined from internal/system's bodies and carried as WritesReceiver
-// facts. Rebinding a local declared inside the literal writes no shared
+// unexported, so only internal/system's own bodies can call them; they
+// are mined from those bodies and marked with WritesReceiver facts.
+// Rebinding a local declared inside the literal writes no shared
 // memory. Writing through a local does when some definition of the local
 // inside the literal binds it to a captured variable: x := shared,
 // x := shared[i], x := &shared, x := shared[a:b], the values of a range
 // over shared, and locals bound to such a local. Call results bound
 // inside the literal are the shard's own, the one leniency.
+//
+// Inside internal/logic and internal/system, a go statement outside
+// system.ParFill (analysis.FanOutRunner), the fan-out every other
+// primitive runs on, starts workers that logic.Engine's budget never
+// counted, and is flagged too.
 package shardsafe
 
 import (
@@ -45,17 +52,30 @@ func New() *Analyzer { return &Analyzer{} }
 func (*Analyzer) Name() string { return "shardsafe" }
 
 func (*Analyzer) Doc() string {
-	return "a body or predicate handed to " + analysis.FanOutNames + " writes no variable declared outside its literal, and nothing through a local bound to one; a shard writes only the part the fan-out hands it, or returns a value through ParMap"
+	return "a body or predicate handed to " + analysis.FanOutNames + " writes no variable declared outside its literal, and nothing through a local bound to one; a shard writes only the part the fan-out hands it, or returns a value through ParMap; engine goroutines start only in system.ParFill"
 }
 
 func (*Analyzer) Run(pass *analysis.Pass) error {
 	c := &checker{pass: pass, writers: make(map[*types.Func]bool)}
-	if pass.PkgPath == pass.Module+"/internal/system" {
+	system := pass.PkgPath == pass.Module+"/internal/system"
+	if system {
 		c.findWriters()
 	}
+	engine := system || pass.PkgPath == pass.Module+"/internal/logic"
 	for _, f := range pass.Files {
 		for _, fo := range analysis.FanOuts(pass, f) {
 			c.checkBody(fo.Body)
+		}
+		if engine {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					return !(system && n.Recv == nil && n.Name.Name == analysis.FanOutRunner)
+				case *ast.GoStmt:
+					pass.Report(n.Pos(), "hand-rolled goroutine fan-out inside the engine bypasses logic.Engine's worker budget; use "+analysis.FanOutNames)
+				}
+				return true
+			})
 		}
 	}
 	return nil
@@ -63,7 +83,7 @@ func (*Analyzer) Run(pass *analysis.Pass) error {
 
 type checker struct {
 	pass    *analysis.Pass
-	writers map[*types.Func]bool // this package's WritesReceiver methods
+	writers map[*types.Func]bool // internal/system's WritesReceiver methods
 }
 
 // findWriters exports WritesReceiver for every DenseSet method whose body
@@ -207,17 +227,13 @@ func (c *checker) eachWrite(body ast.Node, visit func(target ast.Expr, through b
 					}
 				}
 			case *ast.SelectorExpr:
-				if fn, ok := c.pass.Info.Uses[fun.Sel].(*types.Func); ok && c.writesReceiver(fn) {
+				if fn, ok := c.pass.Info.Uses[fun.Sel].(*types.Func); ok && c.writers[fn] {
 					visit(fun.X, true)
 				}
 			}
 		}
 		return true
 	})
-}
-
-func (c *checker) writesReceiver(fn *types.Func) bool {
-	return c.writers[fn] || c.pass.ImportObjectFact(fn, &WritesReceiver{})
 }
 
 // root returns the variable whose memory a write to e, or a binding of e,

@@ -1,7 +1,8 @@
 // Package logic exercises the captured-write rule inside fan-out bodies:
 // writes to the part a shard is handed, to its own locals and through
 // what it allocates stay clean; every write to captured state, or through
-// a local bound to it, is flagged.
+// a local bound to it, is flagged. A goroutine started outside the
+// fan-out primitives is flagged too.
 package logic
 
 import (
@@ -59,10 +60,6 @@ func scratchPair(n int) ([]int32, int) { return make([]int32, n), n }
 // local, stay clean.
 func ShardOwned(xs []int32, workers int) {
 	system.ParFill(xs, workers, func(shard int, part []int32, lo int) {
-		scratch := system.NewDense(len(part))
-		for j := range part {
-			scratch.Add(j)
-		}
 		var buf []int32
 		buf = make([]int32, len(part)+1)
 		buf[0] = int32(shard)
@@ -162,18 +159,6 @@ func CopyIntoCaptured(xs, buf []int32, workers int) {
 	})
 }
 
-// SetMethods call DenseSet methods that write their receiver on a
-// captured set, pointwise or whole.
-func SetMethods(xs []int32, out, extra *system.DenseSet, workers int) {
-	system.ParFill(xs, workers, func(_ int, part []int32, lo int) {
-		for j := range part {
-			out.Add(lo + j) // want `write through captured out`
-		}
-		out.Remove(len(xs) - 1) // want `write through captured out`
-		out.UnionWith(extra)    // want `write through captured out`
-	})
-}
-
 // SubsliceWindow writes through the shard's window of a captured slice
 // instead of the part it was handed.
 func SubsliceWindow(xs, buf []int32, workers int) {
@@ -226,4 +211,17 @@ func PredicateWrite(idx *system.Index, workers int) int {
 		return id%2 == 0
 	})
 	return calls
+}
+
+// HandRolledShards spawns a goroutine directly instead of going through
+// ParFill: the fan-out bypasses the engine's worker budget.
+func HandRolledShards(n int, out []int) {
+	done := make(chan struct{})
+	go func() { // want `hand-rolled goroutine fan-out`
+		for i := 0; i < n; i++ {
+			out[i] = i
+		}
+		close(done)
+	}()
+	<-done
 }

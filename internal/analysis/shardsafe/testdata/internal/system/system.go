@@ -1,7 +1,9 @@
 // Package system is the fixture's miniature parallel engine. shardsafe
-// mines the WritesReceiver facts from these method bodies — Add, Remove
-// and UnionWith write through the receiver, Contains does not — so the
+// mines the WritesReceiver facts from these method bodies — add, remove
+// and unionWith write through the receiver, Contains does not — so the
 // fixture exercises the same fact pipeline as the real internal/system.
+// The writers are unexported, as in the real package, so the fan-out
+// bodies that could misuse them live here too.
 package system
 
 import "sync"
@@ -70,20 +72,42 @@ func (x *Index) Select(workers int, stop func() bool, keep func(id int) bool) *D
 	return s
 }
 
-// Add inserts id.
-func (s *DenseSet) Add(id int) { s.bits[id/64] |= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
+// add inserts id.
+func (s *DenseSet) add(id int) { s.bits[id/64] |= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
 
-// Remove deletes id.
-func (s *DenseSet) Remove(id int) { s.bits[id/64] &^= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
+// remove deletes id.
+func (s *DenseSet) remove(id int) { s.bits[id/64] &^= 1 << uint(id%64) } // want-fact:"shardsafe:WritesReceiver"
 
 // Contains reports membership without writing.
 func (s *DenseSet) Contains(id int) bool {
 	return s.bits[id/64]&(1<<uint(id%64)) != 0
 }
 
-// UnionWith merges t into the receiver word by word.
-func (s *DenseSet) UnionWith(t *DenseSet) { // want-fact:"shardsafe:WritesReceiver"
+// unionWith merges t into the receiver word by word.
+func (s *DenseSet) unionWith(t *DenseSet) { // want-fact:"shardsafe:WritesReceiver"
 	for i := range s.bits {
 		s.bits[i] |= t.bits[i]
 	}
+}
+
+// ShardScratch fills a set each shard allocates itself: clean.
+func ShardScratch(xs []int32, workers int) {
+	ParFill(xs, workers, func(_ int, part []int32, _ int) {
+		scratch := NewDense(len(part))
+		for j := range part {
+			scratch.add(j)
+		}
+	})
+}
+
+// SetMethods call DenseSet methods that write their receiver on a
+// captured set, pointwise or whole.
+func SetMethods(xs []int32, out, extra *DenseSet, workers int) {
+	ParFill(xs, workers, func(_ int, part []int32, lo int) {
+		for j := range part {
+			out.add(lo + j) // want `write through captured out`
+		}
+		out.remove(len(xs) - 1) // want `write through captured out`
+		out.unionWith(extra)    // want `write through captured out`
+	})
 }

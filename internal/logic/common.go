@@ -73,14 +73,14 @@ func (e *Evaluator) CommonByIteration(group []system.AgentID, phi Formula) (syst
 	if err != nil {
 		return nil, err
 	}
-	conj := cur.Clone()
+	conj := cur
 	seen := map[string]bool{cur.Key(): true}
 	for {
 		cur, err = e.everyoneExtension(group, cur)
 		if err != nil {
 			return nil, err
 		}
-		conj.IntersectWith(cur)
+		conj = e.intersectPar(conj, cur)
 		s := cur.Key()
 		if seen[s] {
 			return conj.PointSet(), nil

@@ -354,7 +354,7 @@ func TestConcurrentParallelSharedIndex(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if eng.gate.TryAcquire(3) != 3 {
+	if eng.gate.tryAcquire(3) != 3 {
 		t.Fatal("gate tokens leaked: not all extra workers were released")
 	}
 	if eng.SerialPaths.Load()+eng.ParallelPaths.Load() == 0 {

@@ -296,10 +296,11 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		}
 		// With workers > 1 the fact's Holds is called from several
 		// goroutines; SetEngine documents that facts must tolerate that.
-		workers, release := e.eng.Workers(idx.NumPoints())
-		defer release()
 		ps, stop := e.stopFn()
-		out := idx.Select(workers, stop, func(id int) bool { return fact.Holds(idx.PointAt(id)) })
+		var out *system.DenseSet
+		e.eng.Sweep(idx.NumPoints(), func(workers int) {
+			out = idx.Select(workers, stop, func(id int) bool { return fact.Holds(idx.PointAt(id)) })
+		})
 		// A scan the hook aborted is partial: return before caching it.
 		if err := ps.Err(); err != nil {
 			return nil, err
@@ -358,17 +359,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := idx.NewDense()
-		// Runs are contiguous ID ranges, so "the next point on the run"
-		// is ID+1.
-		idx.EachRun(func(_ *system.Tree, _ int, start, n int) {
-			for k := 0; k < n-1; k++ {
-				if sub.Contains(start + k + 1) {
-					out.Add(start + k)
-				}
-			}
-		})
-		return out, nil
+		return idx.Next(sub), nil
 
 	case *UntilFormula:
 		return e.computeUntil(f.Left, f.Right)
@@ -497,8 +488,8 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 }
 
 // computeUntil computes the extension of φ U ψ over finite runs: ψ holds at
-// some point l ≥ k of the run and φ holds at all points in [k, l). Each run
-// is one backward sweep over its contiguous ID range.
+// some point l ≥ k of the run and φ holds at all points in [k, l)
+// (system.Index.Until).
 func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 	l, err := e.DenseExtension(phi)
 	if err != nil {
@@ -508,48 +499,36 @@ func (e *Evaluator) computeUntil(phi, psi Formula) (*system.DenseSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := e.idx.NewDense()
-	e.idx.EachRun(func(_ *system.Tree, _ int, start, n int) {
-		// until holds at k iff ψ at k, or (φ at k and until at k+1).
-		var h uint64
-		for id := start + n - 1; id >= start; id-- {
-			h = r.Bit(id) | l.Bit(id)&h
-			out.OrBit(id, h)
-		}
-	})
-	return out, nil
+	return e.idx.Until(l, r), nil
 }
 
 // intersectPar, unionPar, complementPar run one set-algebra combine on the
-// workers combineWorkers borrows; below its word threshold that is one
-// worker, the allocation-free serial loop.
-func (e *Evaluator) intersectPar(a, b *system.DenseSet) *system.DenseSet {
-	workers, release := e.combineWorkers()
-	defer release()
-	return a.Intersect(b, workers)
+// workers combine lends; below its word threshold that is one worker, the
+// allocation-free serial loop.
+func (e *Evaluator) intersectPar(a, b *system.DenseSet) (out *system.DenseSet) {
+	e.combine(func(workers int) { out = a.Intersect(b, workers) })
+	return out
 }
 
-func (e *Evaluator) unionPar(a, b *system.DenseSet) *system.DenseSet {
-	workers, release := e.combineWorkers()
-	defer release()
-	return a.Union(b, workers)
+func (e *Evaluator) unionPar(a, b *system.DenseSet) (out *system.DenseSet) {
+	e.combine(func(workers int) { out = a.Union(b, workers) })
+	return out
 }
 
-func (e *Evaluator) complementPar(a *system.DenseSet) *system.DenseSet {
-	workers, release := e.combineWorkers()
-	defer release()
-	return a.Complement(workers)
+func (e *Evaluator) complementPar(a *system.DenseSet) (out *system.DenseSet) {
+	e.combine(func(workers int) { out = a.Complement(workers) })
+	return out
 }
 
 // knowExtension computes {c : K_i(c) ⊆ ext} with the member-walk kernel
 // over the index's cached cell partition (system.Partition.KnowExtension),
 // sharded across the evaluator's workers.
 func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
-	workers, release := e.eng.Workers(e.idx.NumPoints())
-	defer release()
-	cells := e.idx.Cells(i, workers)
 	ps, stop := e.stopFn()
-	out := cells.KnowExtension(ext, workers, stop)
+	var out *system.DenseSet
+	e.eng.Sweep(e.idx.NumPoints(), func(workers int) {
+		out = e.idx.Cells(i, workers).KnowExtension(ext, workers, stop)
+	})
 	if err := ps.Err(); err != nil {
 		return nil, err
 	}
@@ -565,7 +544,7 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	}
 	sx := &spaceIndex{}
 	if pa, ok := e.prob.SampleAssignment().(core.PartitionAssignment); ok {
-		sx.part = e.blocks(pa, i)
+		e.eng.Sweep(e.idx.NumPoints(), func(workers int) { sx.part = pa.Blocks(e.idx, i, workers) })
 	}
 	var err error
 	if sx.part != nil {
@@ -578,14 +557,6 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	}
 	e.spaceIdx[i] = sx
 	return sx, nil
-}
-
-// blocks builds agent i's sample-space partition on borrowed workers. The
-// release is deferred so a panicking Blocks still returns the workers.
-func (e *Evaluator) blocks(pa core.PartitionAssignment, i system.AgentID) *system.Partition {
-	workers, release := e.eng.Workers(e.idx.NumPoints())
-	defer release()
-	return pa.Blocks(e.idx, i, workers)
 }
 
 // perPointSpaces fills sx from one serial ProbAssignment.Space call per
@@ -777,43 +748,49 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	}
 	num, den, intBound := bound.Frac64()
 	verdicts := make([]bool, len(sx.base))
-	workers, release := e.eng.Workers(e.idx.NumPoints())
-	defer release()
 	ps, stop := e.stopFn()
-	system.ParFill(verdicts, workers, func(_ int, part []bool, lo int) {
-		for j := range part {
-			si := lo + j
-			if stop != nil && si&15 == 0 && stop() {
-				return
+	var out *system.DenseSet
+	e.eng.Sweep(e.idx.NumPoints(), func(workers int) {
+		system.ParFill(verdicts, workers, func(_ int, part []bool, lo int) {
+			for j := range part {
+				si := lo + j
+				if stop != nil && si&15 == 0 && stop() {
+					return
+				}
+				if intBound && sx.base[si] != 0 {
+					part[j] = sx.intVerdict(si, ext, num, den, geq)
+				} else {
+					part[j] = sx.exactVerdict(e.idx, si, ext, bound, geq)
+				}
 			}
-			if intBound && sx.base[si] != 0 {
-				part[j] = sx.intVerdict(si, ext, num, den, geq)
-			} else {
-				part[j] = sx.exactVerdict(e.idx, si, ext, bound, geq)
-			}
-		}
+		})
+		out = sx.part.Spread(verdicts, workers, stop)
 	})
-	out := sx.part.Spread(verdicts, workers, stop)
 	if err := ps.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// everyoneExtension computes E_G's extension, ⋂_{i∈G} K_i(ext): the
+// first agent's set, intersected with each other agent's. The group is
+// non-empty (checkGroupIn).
 func (e *Evaluator) everyoneExtension(group []system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
-	out := e.idx.FullDense()
+	var out *system.DenseSet
 	for _, i := range group {
 		k, err := e.knowExtension(i, ext)
 		if err != nil {
 			return nil, err
 		}
-		out.IntersectWith(k)
+		out = e.meet(out, k)
 	}
 	return out, nil
 }
 
+// everyonePrExtension computes E_G^α's extension, ⋂_{i∈G} K_i(Pr_i(ext) ≥ α),
+// as everyoneExtension does.
 func (e *Evaluator) everyonePrExtension(group []system.AgentID, ext *system.DenseSet, alpha rat.Rat) (*system.DenseSet, error) {
-	out := e.idx.FullDense()
+	var out *system.DenseSet
 	for _, i := range group {
 		pr, err := e.prExtension(i, ext, alpha, true)
 		if err != nil {
@@ -823,7 +800,16 @@ func (e *Evaluator) everyonePrExtension(group []system.AgentID, ext *system.Dens
 		if err != nil {
 			return nil, err
 		}
-		out.IntersectWith(k)
+		out = e.meet(out, k)
 	}
 	return out, nil
+}
+
+// meet returns acc ∩ k, or k when acc is nil: the fold step of the group
+// operators.
+func (e *Evaluator) meet(acc, k *system.DenseSet) *system.DenseSet {
+	if acc == nil {
+		return k
+	}
+	return e.intersectPar(acc, k)
 }

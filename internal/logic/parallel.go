@@ -3,8 +3,6 @@ package logic
 import (
 	"sync"
 	"sync/atomic"
-
-	"kpa/internal/system"
 )
 
 // This file holds the evaluator's parallelism plumbing: Engine, the one
@@ -26,7 +24,7 @@ var (
 // Engine is the dense engine's worker budget, shared by every evaluator it
 // is attached to (see SetEngine). The budget is the maximum number of
 // goroutines, the caller included, one sweep may fan out to. The extra
-// workers come from one system.Gate of budget−1 tokens, so across every
+// workers come from one gate of budget−1 tokens, so across every
 // concurrent evaluation the engine runs at most budget−1 extra goroutines;
 // a sweep that finds the gate drained runs serially. The counters are
 // atomics, safe for concurrent evaluators.
@@ -34,7 +32,7 @@ var (
 // A nil *Engine is the default: budget 1, every sweep serial, no counters.
 type Engine struct {
 	budget int
-	gate   *system.Gate
+	gate   *gate
 
 	// ShardRounds counts fixpoint rounds executed by the common-knowledge
 	// operators (C_G and C_G^α), the loops whose per-round sweeps shard.
@@ -54,28 +52,72 @@ func NewEngine(par int) *Engine {
 	if par < 1 {
 		par = 1
 	}
-	return &Engine{budget: par, gate: system.NewGate(par - 1)}
+	return &Engine{budget: par, gate: newGate(par - 1)}
 }
 
-// Workers borrows workers for one sweep over the given number of points.
-// It returns the worker count and a release that must run (deferred) when
-// the sweep ends. Below parMinPoints, or at budget 1, it returns 1 and a
-// no-op release; otherwise 1 plus the extra workers the gate grants.
-func (g *Engine) Workers(points int) (int, func()) {
+// Sweep runs body with the workers one sweep over the given number of
+// points may use, and gives any extra workers back when body returns or
+// panics. Below parMinPoints, or at budget 1, body gets 1; otherwise 1
+// plus the extra workers the gate grants. A nil engine runs body(1).
+func (g *Engine) Sweep(points int, body func(workers int)) {
 	if g == nil {
-		return 1, func() {}
+		body(1)
+		return
 	}
-	if g.budget <= 1 || points < parMinPoints {
-		g.SerialPaths.Add(1)
-		return 1, func() {}
+	extra := 0
+	if g.budget > 1 && points >= parMinPoints {
+		extra = g.gate.tryAcquire(g.budget - 1)
 	}
-	extra := g.gate.TryAcquire(g.budget - 1)
 	if extra == 0 {
 		g.SerialPaths.Add(1)
-		return 1, func() {}
+		body(1)
+		return
 	}
 	g.ParallelPaths.Add(1)
-	return 1 + extra, func() { g.gate.Release(extra) }
+	defer g.gate.release(extra)
+	body(1 + extra)
+}
+
+// gate is a pool of goroutine tokens bounding how many extra shard workers
+// an engine may fan out to across all concurrent evaluations. Acquisition
+// never blocks: a contended gate degrades sweeps toward the serial path
+// instead of queueing them.
+type gate struct {
+	avail atomic.Int64
+}
+
+// newGate returns a gate holding n tokens (none for n ≤ 0).
+func newGate(n int) *gate {
+	g := &gate{}
+	if n > 0 {
+		g.avail.Store(int64(n))
+	}
+	return g
+}
+
+// tryAcquire takes up to k tokens without blocking and returns how many it
+// got (possibly 0).
+func (g *gate) tryAcquire(k int) int {
+	if k <= 0 {
+		return 0
+	}
+	for {
+		cur := g.avail.Load()
+		if cur <= 0 {
+			return 0
+		}
+		take := min(int64(k), cur)
+		if g.avail.CompareAndSwap(cur, cur-take) {
+			return int(take)
+		}
+	}
+}
+
+// release returns k tokens to the gate.
+func (g *gate) release(k int) {
+	if k > 0 {
+		g.avail.Add(int64(k))
+	}
 }
 
 // SetEngine attaches the worker budget the evaluator's sweeps borrow from.
@@ -89,15 +131,16 @@ func (g *Engine) Workers(points int) (int, func()) {
 // inside one evaluation, not across evaluations.
 func (e *Evaluator) SetEngine(g *Engine) { e.eng = g }
 
-// combineWorkers borrows workers for one set-algebra combine over the
-// index's backing words. Below parMinWords the combine will not shard, so
-// it asks Workers for nothing: no token is drawn and the sweep counts as
-// serial.
-func (e *Evaluator) combineWorkers() (int, func()) {
+// combine runs one set-algebra combine over the index's backing words
+// with the workers it may use. Below parMinWords the combine will not
+// shard, so it asks Sweep for nothing: no token is drawn and the sweep
+// counts as serial.
+func (e *Evaluator) combine(body func(workers int)) {
+	points := e.idx.NumPoints()
 	if e.idx.Words() < parMinWords {
-		return e.eng.Workers(0)
+		points = 0
 	}
-	return e.eng.Workers(e.idx.NumPoints())
+	e.eng.Sweep(points, body)
 }
 
 // parStop adapts the evaluator's cancellation hook to the stop-function

@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kpa/internal/core"
@@ -34,7 +36,7 @@ func TestBlocksPanicReleasesWorkers(t *testing.T) {
 		}()
 		_, _ = ev.DenseExtension(PrGeq(0, Prop("p"), rat.Half))
 	}()
-	if got := eng.gate.TryAcquire(3); got != 3 {
+	if got := eng.gate.tryAcquire(3); got != 3 {
 		t.Fatalf("gate holds %d of its 3 tokens after a panicking Blocks", got)
 	}
 }
@@ -67,7 +69,66 @@ func TestSmallCombineRunsSerial(t *testing.T) {
 	if d := eng.SerialPaths.Load() - ser; d != 1 {
 		t.Errorf("combine counted %d serial paths, want 1", d)
 	}
-	if got := eng.gate.TryAcquire(3); got != 3 {
+	if got := eng.gate.tryAcquire(3); got != 3 {
 		t.Errorf("gate holds %d of its 3 tokens after the combine", got)
+	}
+}
+
+func TestGate(t *testing.T) {
+	g := newGate(4)
+	if got := g.tryAcquire(3); got != 3 {
+		t.Fatalf("tryAcquire(3) = %d, want 3", got)
+	}
+	if got := g.tryAcquire(3); got != 1 {
+		t.Fatalf("tryAcquire(3) on 1-token gate = %d, want 1", got)
+	}
+	if got := g.tryAcquire(1); got != 0 {
+		t.Fatalf("tryAcquire on empty gate = %d, want 0", got)
+	}
+	g.release(4)
+	if got := g.tryAcquire(10); got != 4 {
+		t.Fatalf("tryAcquire(10) after release = %d, want 4", got)
+	}
+	if got := g.tryAcquire(0); got != 0 {
+		t.Fatalf("tryAcquire(0) = %d, want 0", got)
+	}
+	empty := newGate(0)
+	if got := empty.tryAcquire(1); got != 0 {
+		t.Fatalf("zero-capacity gate granted %d tokens", got)
+	}
+}
+
+func TestGateConcurrent(t *testing.T) {
+	g := newGate(8)
+	var wg sync.WaitGroup
+	var held atomic.Int64
+	var maxHeld atomic.Int64
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				k := g.tryAcquire(3)
+				if k == 0 {
+					continue
+				}
+				h := held.Add(int64(k))
+				for {
+					m := maxHeld.Load()
+					if h <= m || maxHeld.CompareAndSwap(m, h) {
+						break
+					}
+				}
+				held.Add(int64(-k))
+				g.release(k)
+			}
+		}()
+	}
+	wg.Wait()
+	if m := maxHeld.Load(); m > 8 {
+		t.Fatalf("gate allowed %d tokens held concurrently, capacity 8", m)
+	}
+	if got := g.tryAcquire(100); got != 8 {
+		t.Fatalf("tokens leaked: final capacity %d, want 8", got)
 	}
 }

@@ -19,7 +19,7 @@ type worker struct {
 
 	// poisoned is set when an evaluation on this worker panicked: the
 	// evaluator's internal state (memo maps mid-insert, half-built space
-	// tables) can no longer be trusted, so put discards the worker instead
+	// tables) can no longer be trusted, so lend discards the worker instead
 	// of lending it to the next request. Only the goroutine holding the
 	// checkout touches the flag.
 	poisoned bool
@@ -57,35 +57,11 @@ func newEvalPool(sys *system.System, sample core.SampleAssignment, props map[str
 	}
 }
 
-// get checks a worker out; the caller must return it with put.
-func (p *evalPool) get() *worker {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.reused++
-		p.mu.Unlock()
-		return w
-	}
-	p.created++
-	p.mu.Unlock()
-	// Build outside the lock: constructing the ProbAssignment is cheap but
-	// there is no reason to serialize concurrent cold checkouts. The index
-	// build comes first so the session's one-time point index is sharded
-	// under the engine budget instead of built serially inside NewEvaluator;
-	// the index is once-guarded, so only the first caller per system pays.
-	workers, release := p.eng.Workers(p.sys.NumPoints())
-	defer release()
-	p.sys.BuildIndex(workers)
-	prob := core.NewProbAssignment(p.sys, p.sample)
-	ev := logic.NewEvaluator(p.sys, prob, p.props)
-	ev.SetEngine(p.eng)
-	return &worker{eval: ev}
-}
-
-// put returns a worker to the pool, resetting it if its memo outgrew the
-// cap and discarding it if the pool is already full of idle workers. The cap
-// is measured in bitset words (MemoWords), so the budget tracks the real
+// lend checks a worker out, runs fn on it, and gives the worker back when
+// fn returns or panics. A warm idle worker is reused; otherwise a new one
+// is built. On the way back the worker is reset if its memo outgrew the
+// cap and dropped if the pool is already full of idle workers. The cap is
+// measured in bitset words (MemoWords), so the budget tracks the real
 // retained footprint: memos over big systems cost proportionally more than
 // memos over small ones.
 //
@@ -93,24 +69,48 @@ func (p *evalPool) get() *worker {
 // its half-mutated memo and tables cannot be trusted, so it is counted and
 // dropped for the garbage collector, and the next checkout builds a clean
 // replacement.
-func (p *evalPool) put(w *worker) {
-	if w.poisoned {
-		p.mu.Lock()
-		p.discarded++
-		p.mu.Unlock()
-		return
-	}
-	if w.eval.MemoWords() > p.memoCap {
-		w.eval.Reset()
-		p.mu.Lock()
-		p.resets++
-		p.mu.Unlock()
-	}
+func (p *evalPool) lend(fn func(w *worker) error) error {
+	var w *worker
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.idle) < maxIdle {
-		p.idle = append(p.idle, w)
+	if n := len(p.idle); n > 0 {
+		w = p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.reused++
+	} else {
+		p.created++
 	}
+	p.mu.Unlock()
+	if w == nil {
+		// Build outside the lock: constructing the ProbAssignment is cheap
+		// but there is no reason to serialize concurrent cold checkouts.
+		// The index build comes first so the session's one-time point index
+		// is sharded under the engine budget instead of built serially
+		// inside NewEvaluator; the index is once-guarded, so only the first
+		// caller per system pays.
+		p.eng.Sweep(p.sys.NumPoints(), func(workers int) { p.sys.BuildIndex(workers) })
+		ev := logic.NewEvaluator(p.sys, core.NewProbAssignment(p.sys, p.sample), p.props)
+		ev.SetEngine(p.eng)
+		w = &worker{eval: ev}
+	}
+	defer func() {
+		reset := !w.poisoned && w.eval.MemoWords() > p.memoCap
+		if reset {
+			w.eval.Reset()
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if w.poisoned {
+			p.discarded++
+			return
+		}
+		if reset {
+			p.resets++
+		}
+		if len(p.idle) < maxIdle {
+			p.idle = append(p.idle, w)
+		}
+	}()
+	return fn(w)
 }
 
 // PoolStats is a point-in-time snapshot of one evaluator pool's counters.

@@ -362,28 +362,28 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f log
 }
 
 // withWorker is the one checkout path for pooled workers: it runs the
-// pool-get seam, checks a worker out of pool, runs the eval seam with the
+// pool-get seam, borrows a worker from pool, runs the eval seam with the
 // canonical formula, and hands the worker to fn. A panic in the eval seam
-// or in fn poisons the worker — the recovery runs before the deferred put,
-// so put discards it instead of handing it to the next request — and
-// returns as a KindPanic error.
-func (s *Service) withWorker(pool *evalPool, canonical string, fn func(w *worker) error) (err error) {
+// or in fn poisons the worker — the recovery runs before lend gives the
+// worker back, so lend discards it instead of handing it to the next
+// request — and returns as a KindPanic error.
+func (s *Service) withWorker(pool *evalPool, canonical string, fn func(w *worker) error) error {
 	if err := s.cfg.Seams.poolGet(); err != nil {
 		return err
 	}
-	w := pool.get()
-	defer pool.put(w)
-	defer func() {
-		if r := recover(); r != nil {
-			w.poisoned = true
-			s.panics.Add(1)
-			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluator panicked checking %q: %v", canonical, r)}
+	return pool.lend(func(w *worker) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				w.poisoned = true
+				s.panics.Add(1)
+				err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluator panicked checking %q: %v", canonical, r)}
+			}
+		}()
+		if err := s.cfg.Seams.eval(canonical); err != nil {
+			return err
 		}
-	}()
-	if err := s.cfg.Seams.eval(canonical); err != nil {
-		return err
-	}
-	return fn(w)
+		return fn(w)
+	})
 }
 
 // admit acquires an evaluation slot: immediately when one is free,

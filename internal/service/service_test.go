@@ -301,9 +301,10 @@ func TestMemoCapResetsWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := pool.get()
-		_, err = w.eval.DenseExtension(f)
-		pool.put(w)
+		err = pool.lend(func(w *worker) error {
+			_, err := w.eval.DenseExtension(f)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

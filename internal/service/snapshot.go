@@ -281,6 +281,7 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		sys   *system.System
 		props map[string]system.Fact
 		desc  string
+		doc   []byte
 	)
 	if snap.Source == "registry" {
 		entry, err := registry.Lookup(snap.Registry)
@@ -294,7 +295,7 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		if derr != nil {
 			return 0, 0, fmt.Errorf("uploaded document: %w", derr)
 		}
-		desc = fmt.Sprintf("uploaded system (%d trees, %d points)", len(sys.Trees()), sys.NumPoints())
+		doc = snap.Doc
 	}
 	if h := canon.Hash(sys); h != snap.Hash {
 		return 0, 0, fmt.Errorf("rebuilt system hashes to %s, snapshot is keyed %s", h[:12], snap.Hash[:12])
@@ -305,23 +306,14 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 
 	// Build what the first uncached check would otherwise pay for: the
 	// dense index and every agent's cells, the same work a cold load does.
-	workers, release := s.engine.Workers(sys.NumPoints())
-	defer release()
-	idx := sys.BuildIndex(workers)
-	for i := 0; i < sys.NumAgents(); i++ {
-		idx.Cells(system.AgentID(i), workers)
-	}
+	s.engine.Sweep(sys.NumPoints(), func(workers int) {
+		idx := sys.BuildIndex(workers)
+		for i := 0; i < sys.NumAgents(); i++ {
+			idx.Cells(system.AgentID(i), workers)
+		}
+	})
 
-	sess := &session{
-		name:   snap.Names[0],
-		desc:   desc,
-		source: snap.Source,
-		hash:   snap.Hash,
-		sys:    sys,
-		props:  props,
-		doc:    snap.Doc,
-		pools:  make(map[string]*evalPool),
-	}
+	sess := newSession(snap.Names[0], snap.Hash, sys, props, desc, doc)
 	// Publish only now, fully built — and never after cancellation.
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err

@@ -33,6 +33,27 @@ type session struct {
 	pools map[string]*evalPool // guarded by mu
 }
 
+// newSession returns a session over sys, first loaded under name and
+// keyed by hash. doc is the uploaded document, or nil for a registry
+// system, which desc describes; an upload is described by its size.
+func newSession(name, hash string, sys *system.System, props map[string]system.Fact, desc string, doc []byte) *session {
+	source := "registry"
+	if doc != nil {
+		source = "upload"
+		desc = fmt.Sprintf("uploaded system (%d trees, %d points)", len(sys.Trees()), sys.NumPoints())
+	}
+	return &session{
+		name:   name,
+		desc:   desc,
+		source: source,
+		hash:   hash,
+		sys:    sys,
+		props:  props,
+		doc:    doc,
+		pools:  make(map[string]*evalPool),
+	}
+}
+
 // pool returns the session's evaluator pool for the assignment name,
 // resolving and creating it on first use. The canonical key is the resolved
 // assignment's own Name(), so "opp:1" and the post assignment it equals for
@@ -61,8 +82,8 @@ func (s *session) pool(assignName string, eng *logic.Engine) (*evalPool, error) 
 }
 
 func (s *session) poolStats() []PoolStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	keys := make([]string, 0, len(s.pools))
 	for k := range s.pools {
 		keys = append(keys, k)
@@ -117,15 +138,7 @@ func (st *store) get(name string) (*session, error) {
 	if err != nil {
 		return nil, &Error{Kind: KindNotFound, Err: err}
 	}
-	s = &session{
-		name:   name,
-		desc:   entry.Description,
-		source: "registry",
-		hash:   canon.Hash(entry.Sys),
-		sys:    entry.Sys,
-		props:  entry.Props,
-		pools:  make(map[string]*evalPool),
-	}
+	s = newSession(name, canon.Hash(entry.Sys), entry.Sys, entry.Props, entry.Description, nil)
 	return st.intern(name, s), nil
 }
 
@@ -143,16 +156,7 @@ func (st *store) upload(name string, doc []byte) (*session, error) {
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	s := &session{
-		name:   name,
-		desc:   fmt.Sprintf("uploaded system (%d trees, %d points)", len(sys.Trees()), sys.NumPoints()),
-		source: "upload",
-		hash:   canon.Hash(sys),
-		sys:    sys,
-		props:  props,
-		doc:    append([]byte(nil), doc...),
-		pools:  make(map[string]*evalPool),
-	}
+	s := newSession(name, canon.Hash(sys), sys, props, "", append([]byte(nil), doc...))
 	got := st.intern(name, s)
 	if got.hash != s.hash {
 		// The name was already taken — possibly by a concurrent upload —
@@ -214,7 +218,7 @@ func (s *session) info(name string) SystemInfo {
 // list returns every loaded name, sorted, with aliased names pointing at
 // their shared session.
 func (st *store) list() []SystemInfo {
-	st.mu.Lock()
+	st.mu.RLock()
 	names := make([]string, 0, len(st.byName))
 	for n := range st.byName {
 		names = append(names, n)
@@ -223,7 +227,7 @@ func (st *store) list() []SystemInfo {
 	for _, n := range names {
 		sessions[n] = st.byName[n]
 	}
-	st.mu.Unlock()
+	st.mu.RUnlock()
 	sort.Strings(names)
 	out := make([]SystemInfo, 0, len(names))
 	for _, n := range names {
@@ -249,8 +253,8 @@ func (st *store) namesOf(s *session) []string {
 
 // sessions returns a snapshot of the distinct loaded sessions.
 func (st *store) sessions() []*session {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	hashes := make([]string, 0, len(st.byHash))
 	for h := range st.byHash {
 		hashes = append(hashes, h)

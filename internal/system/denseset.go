@@ -9,11 +9,12 @@ import "math/bits"
 // checks inside model-checking fixpoints cost nanoseconds instead of
 // rebuilding hash maps.
 //
-// The allocating operations (Union, Intersect, Minus, Complement, Clone)
-// return fresh sets and never mutate their operands, so DenseSets handed
-// out of caches can be shared immutably. The in-place operations (Add,
-// OrBit, Remove, UnionWith, IntersectWith) must only be applied to sets
-// the caller owns exclusively.
+// Outside this package a DenseSet is read-only: every exported operation
+// either reads the set or returns a fresh one (Union, Intersect,
+// Complement, Clone, and the Index kernels that build sets), so a set
+// can be memoized and shared by every later reader once it is built. The
+// only writers, add and orBit, are unexported; the package's kernels use
+// them on the sets they are building, before returning them.
 //
 // Mixing sets from different indexes is a programming error; operations
 // panic on a universe mismatch rather than computing garbage.
@@ -34,18 +35,6 @@ func (x *Index) FullDense() *DenseSet {
 		s.bits[i] = ^uint64(0)
 	}
 	s.clearTail()
-	return s
-}
-
-// DenseOf converts a PointSet into a DenseSet over the index. Points not in
-// the indexed system are ignored.
-func (x *Index) DenseOf(ps PointSet) *DenseSet {
-	s := x.NewDense()
-	for p := range ps {
-		if id, ok := x.ID(p); ok {
-			s.bits[id/64] |= 1 << (id % 64)
-		}
-	}
 	return s
 }
 
@@ -95,15 +84,12 @@ func (s *DenseSet) Index() *Index { return s.idx }
 // memoized extensions in.
 func (s *DenseSet) Words() int { return len(s.bits) }
 
-// Add inserts the point with dense ID id.
-func (s *DenseSet) Add(id int) { s.bits[id/64] |= 1 << (id % 64) }
+// add inserts the point with dense ID id.
+func (s *DenseSet) add(id int) { s.bits[id/64] |= 1 << (id % 64) }
 
-// Remove deletes the point with dense ID id.
-func (s *DenseSet) Remove(id int) { s.bits[id/64] &^= 1 << (id % 64) }
-
-// OrBit ORs b, which must be 0 or 1, into the bit of the point with dense
-// ID id: Add without a branch on b.
-func (s *DenseSet) OrBit(id int, b uint64) { s.bits[id/64] |= b << (id % 64) }
+// orBit ORs b, which must be 0 or 1, into the bit of the point with dense
+// ID id: add without a branch on b.
+func (s *DenseSet) orBit(id int, b uint64) { s.bits[id/64] |= b << (id % 64) }
 
 // Contains reports whether the point with dense ID id is in the set.
 func (s *DenseSet) Contains(id int) bool { return s.bits[id/64]&(1<<(id%64)) != 0 }
@@ -172,16 +158,6 @@ func (s *DenseSet) Intersect(t *DenseSet, workers int) *DenseSet {
 	return u
 }
 
-// Minus returns s \ t as a fresh set.
-func (s *DenseSet) Minus(t *DenseSet) *DenseSet {
-	s.check(t)
-	u := s.Clone()
-	for i := range u.bits {
-		u.bits[i] &^= t.bits[i]
-	}
-	return u
-}
-
 // Complement returns the complement of s within the index's universe as
 // a fresh set, sharded like Union.
 func (s *DenseSet) Complement(workers int) *DenseSet {
@@ -193,23 +169,6 @@ func (s *DenseSet) Complement(workers int) *DenseSet {
 	})
 	u.clearTail()
 	return u
-}
-
-// UnionWith adds every point of t to s in place. The caller must own s.
-func (s *DenseSet) UnionWith(t *DenseSet) {
-	s.check(t)
-	for i := range s.bits {
-		s.bits[i] |= t.bits[i]
-	}
-}
-
-// IntersectWith removes from s, in place, every point not in t. The caller
-// must own s.
-func (s *DenseSet) IntersectWith(t *DenseSet) {
-	s.check(t)
-	for i := range s.bits {
-		s.bits[i] &= t.bits[i]
-	}
 }
 
 // Equal reports whether s and t contain exactly the same points.

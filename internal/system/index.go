@@ -9,7 +9,8 @@ import (
 // an integer ID in [0, NumPoints), ordered by tree (in the system's tree
 // order), then run, then time. Because the ordering nests runs inside trees
 // and times inside runs, the points of one run occupy a contiguous ID range,
-// so temporal operators can step along a run with ID arithmetic.
+// so the temporal kernels (Next, Until) step along a run with ID
+// arithmetic.
 //
 // An Index is immutable once built and safe for concurrent readers; it is
 // the backing universe for DenseSet. Obtain a system's index with
@@ -112,15 +113,51 @@ func (x *Index) ID(p Point) (int, bool) {
 	return x.runStart[ti][p.Run] + p.Time, true
 }
 
-// EachRun visits every run of the system in dense-ID order, passing the
+// eachRun visits every run of the system in dense-ID order, passing the
 // run's tree, run number, first dense ID, and length. The IDs
 // start..start+n-1 are exactly the run's points at times 0..n-1.
-func (x *Index) EachRun(visit func(t *Tree, run, start, n int)) {
+func (x *Index) eachRun(visit func(t *Tree, run, start, n int)) {
 	for ti, t := range x.sys.trees {
 		for r := 0; r < t.NumRuns(); r++ {
 			visit(t, r, x.runStart[ti][r], t.RunLen(r))
 		}
 	}
+}
+
+// Next returns {c : the point after c on its run is in sub}, the dense
+// extension of ○φ over sub = φ's extension. Runs are contiguous ID
+// ranges, so the next point of ID k is k+1 unless k ends its run, and a
+// run's last point has no successor.
+func (x *Index) Next(sub *DenseSet) *DenseSet {
+	out := x.NewDense()
+	out.check(sub)
+	x.eachRun(func(_ *Tree, _ int, start, n int) {
+		for k := 0; k < n-1; k++ {
+			if sub.Contains(start + k + 1) {
+				out.add(start + k)
+			}
+		}
+	})
+	return out
+}
+
+// Until returns the dense extension of φ U ψ over finite runs, given l =
+// φ's extension and r = ψ's: ψ holds at some point at or after c on c's
+// run, and φ at every point from c up to it. Each run is one backward
+// sweep over its ID range; until holds at k iff ψ at k, or φ at k and
+// until at k+1, folded into a branch-free bit recurrence.
+func (x *Index) Until(l, r *DenseSet) *DenseSet {
+	out := x.NewDense()
+	out.check(l)
+	out.check(r)
+	x.eachRun(func(_ *Tree, _ int, start, n int) {
+		var h uint64
+		for id := start + n - 1; id >= start; id-- {
+			h = r.Bit(id) | l.Bit(id)&h
+			out.orBit(id, h)
+		}
+	})
+	return out
 }
 
 // Cells returns agent i's information cells, the points grouped by i's

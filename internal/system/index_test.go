@@ -1,6 +1,7 @@
 package system
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -76,7 +77,7 @@ func TestIndexRunRangesContiguous(t *testing.T) {
 	idx := sys.Index()
 
 	total := 0
-	idx.EachRun(func(tree *Tree, run, start, n int) {
+	idx.eachRun(func(tree *Tree, run, start, n int) {
 		if n != tree.RunLen(run) {
 			t.Fatalf("run %s/%d: n = %d, want %d", tree.Adversary, run, n, tree.RunLen(run))
 		}
@@ -90,7 +91,48 @@ func TestIndexRunRangesContiguous(t *testing.T) {
 		total += n
 	})
 	if total != idx.NumPoints() {
-		t.Fatalf("EachRun covered %d points, want %d", total, idx.NumPoints())
+		t.Fatalf("eachRun covered %d points, want %d", total, idx.NumPoints())
+	}
+}
+
+// TestNextAndUntilKernels checks Index.Next and Index.Until against their
+// definitions walked point by point along each run, on a system whose runs
+// have 3 and 70 points (so runs end inside and across words) and for sets
+// of several densities.
+func TestNextAndUntilKernels(t *testing.T) {
+	idx := unevenSystem(t).Index()
+	n := idx.NumPoints()
+	// at reports whether s holds at time k of c's run, false past its end.
+	at := func(s *DenseSet, c Point, k int) bool {
+		if k >= c.Tree.RunLen(c.Run) {
+			return false
+		}
+		id, _ := idx.ID(Point{Tree: c.Tree, Run: c.Run, Time: k})
+		return s.Contains(id)
+	}
+	for _, mod := range []int{1, 2, 3, 7} {
+		l := idx.Select(1, nil, func(id int) bool { return id%mod != 0 })
+		r := idx.Select(1, nil, func(id int) bool { return id%(mod+4) == 0 })
+		next, until := idx.Next(r), idx.Until(l, r)
+		for id := 0; id < n; id++ {
+			c := idx.PointAt(id)
+			if want := at(r, c, c.Time+1); next.Contains(id) != want {
+				t.Fatalf("mod %d: Next at %v = %v, want %v", mod, c, !want, want)
+			}
+			want := false
+			for k := c.Time; k < c.Tree.RunLen(c.Run); k++ {
+				if at(r, c, k) {
+					want = true
+					break
+				}
+				if !at(l, c, k) {
+					break
+				}
+			}
+			if until.Contains(id) != want {
+				t.Fatalf("mod %d: Until at %v = %v, want %v", mod, c, !want, want)
+			}
+		}
 	}
 }
 
@@ -142,10 +184,10 @@ func TestDenseSetAlgebra(t *testing.T) {
 	b := idx.NewDense()
 	for id := 0; id < n; id++ {
 		if id%2 == 0 {
-			a.Add(id)
+			a.add(id)
 		}
 		if id%3 == 0 {
-			b.Add(id)
+			b.add(id)
 		}
 	}
 
@@ -159,17 +201,16 @@ func TestDenseSetAlgebra(t *testing.T) {
 	}
 	check("union", a.Union(b, 1), func(id int) bool { return id%2 == 0 || id%3 == 0 })
 	check("intersect", a.Intersect(b, 1), func(id int) bool { return id%6 == 0 })
-	check("minus", a.Minus(b), func(id int) bool { return id%2 == 0 && id%3 != 0 })
 	check("complement", a.Complement(1), func(id int) bool { return id%2 != 0 })
 
 	// Allocating ops left their operands alone.
 	check("a unchanged", a, func(id int) bool { return id%2 == 0 })
 	check("b unchanged", b, func(id int) bool { return id%3 == 0 })
 
-	if !a.Intersect(b, 1).Minus(a).IsEmpty() || !a.Minus(a.Union(b, 1)).IsEmpty() {
-		t.Error("Intersect, Union and Minus violate lattice laws")
+	if !a.Intersect(b, 1).Intersect(a.Complement(1), 1).IsEmpty() || !a.Intersect(a.Union(b, 1).Complement(1), 1).IsEmpty() {
+		t.Error("Intersect, Union and Complement violate lattice laws")
 	}
-	if a.Minus(b).IsEmpty() {
+	if a.Intersect(b.Complement(1), 1).IsEmpty() {
 		t.Error("a \\ b should be non-empty")
 	}
 
@@ -184,6 +225,27 @@ func TestDenseSetAlgebra(t *testing.T) {
 	}
 }
 
+// TestDenseSetReadOnlyAPI pins *DenseSet's exported methods to a written
+// list of methods that only read the set or return a fresh one. Sets are
+// memoized and shared once built, so no code outside this package may
+// change one: exporting a writer (add, orBit) must fail here and be a
+// visible edit of this list.
+func TestDenseSetReadOnlyAPI(t *testing.T) {
+	want := []string{
+		"Bit", "Clone", "Complement", "Contains", "ContainsPoint", "Equal",
+		"FirstN", "Index", "Intersect", "IsEmpty", "Iterate", "Key", "Len",
+		"PointSet", "Sorted", "Union", "Words",
+	}
+	typ := reflect.TypeOf((*DenseSet)(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*DenseSet exports %v, want the read-only API %v", got, want)
+	}
+}
+
 func TestDenseSetIterateAndConvert(t *testing.T) {
 	sys := twoTreeSystem(t)
 	idx := sys.Index()
@@ -194,9 +256,9 @@ func TestDenseSetIterateAndConvert(t *testing.T) {
 			ps.Add(p)
 		}
 	}
-	ds := idx.DenseOf(ps)
+	ds := idx.Select(1, nil, func(id int) bool { return idx.PointAt(id).Time == 0 })
 	if ds.Len() != ps.Len() {
-		t.Fatalf("DenseOf lost points: %d vs %d", ds.Len(), ps.Len())
+		t.Fatalf("Select lost points: %d vs %d", ds.Len(), ps.Len())
 	}
 	var ids []int
 	ds.Iterate(func(id int) { ids = append(ids, id) })

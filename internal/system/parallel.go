@@ -1,15 +1,11 @@
 package system
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file holds the package's parallel-execution primitives: the typed
 // fan-outs ParFill and ParMap, which hand each shard the only part of a
-// slice it may write, and Gate, the shared goroutine-token pool that makes
-// one parallelism budget compose across concurrent evaluators instead of
-// multiplying by the number of in-flight requests.
+// slice it may write. How many workers a sweep may use is the caller's
+// budget to decide (see logic.Engine).
 
 // ParFill splits dst into at most workers contiguous parts and calls
 // fill(shard, part, lo) on each, where part is dst[lo:lo+len(part)] with
@@ -67,56 +63,4 @@ func split(n, workers int) (chunk, count int) {
 	workers = max(workers, 1)
 	chunk = (n + workers - 1) / workers
 	return chunk, (n + chunk - 1) / chunk
-}
-
-// Gate is a shared pool of goroutine tokens bounding how many extra shard
-// workers the dense engine may fan out to across all concurrent
-// evaluations. logic.Engine draws up to budget−1 tokens for each sharded
-// sweep and runs it with 1 + acquired workers, so the total number of
-// extra engine goroutines never exceeds the gate's capacity no matter how
-// many evaluations are in flight — the composition rule the service's
-// admission control relies on.
-//
-// Acquisition never blocks: a contended gate degrades regions toward the
-// serial path instead of queueing them.
-type Gate struct {
-	avail atomic.Int64
-}
-
-// NewGate returns a gate holding n tokens (none for n ≤ 0).
-func NewGate(n int) *Gate {
-	g := &Gate{}
-	if n > 0 {
-		g.avail.Store(int64(n))
-	}
-	return g
-}
-
-// TryAcquire takes up to k tokens without blocking and returns how many it
-// got (possibly 0).
-func (g *Gate) TryAcquire(k int) int {
-	if k <= 0 {
-		return 0
-	}
-	for {
-		cur := g.avail.Load()
-		if cur <= 0 {
-			return 0
-		}
-		take := int64(k)
-		if take > cur {
-			take = cur
-		}
-		if g.avail.CompareAndSwap(cur, cur-take) {
-			return int(take)
-		}
-	}
-}
-
-// Release returns k tokens to the gate.
-func (g *Gate) Release(k int) {
-	if k <= 0 {
-		return
-	}
-	g.avail.Add(int64(k))
 }

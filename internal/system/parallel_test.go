@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"kpa/internal/rat"
@@ -174,75 +173,16 @@ func TestParRangeSerialWhenOneWorker(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	g := NewGate(4)
-	if got := g.TryAcquire(3); got != 3 {
-		t.Fatalf("TryAcquire(3) = %d, want 3", got)
-	}
-	if got := g.TryAcquire(3); got != 1 {
-		t.Fatalf("TryAcquire(3) on 1-token gate = %d, want 1", got)
-	}
-	if got := g.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire on empty gate = %d, want 0", got)
-	}
-	g.Release(4)
-	if got := g.TryAcquire(10); got != 4 {
-		t.Fatalf("TryAcquire(10) after release = %d, want 4", got)
-	}
-	if got := g.TryAcquire(0); got != 0 {
-		t.Fatalf("TryAcquire(0) = %d, want 0", got)
-	}
-	empty := NewGate(0)
-	if got := empty.TryAcquire(1); got != 0 {
-		t.Fatalf("zero-capacity gate granted %d tokens", got)
-	}
-}
-
-func TestGateConcurrent(t *testing.T) {
-	g := NewGate(8)
-	var wg sync.WaitGroup
-	var held atomic.Int64
-	var maxHeld atomic.Int64
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				k := g.TryAcquire(3)
-				if k == 0 {
-					continue
-				}
-				h := held.Add(int64(k))
-				for {
-					m := maxHeld.Load()
-					if h <= m || maxHeld.CompareAndSwap(m, h) {
-						break
-					}
-				}
-				held.Add(int64(-k))
-				g.Release(k)
-			}
-		}()
-	}
-	wg.Wait()
-	if m := maxHeld.Load(); m > 8 {
-		t.Fatalf("gate allowed %d tokens held concurrently, capacity 8", m)
-	}
-	if got := g.TryAcquire(100); got != 8 {
-		t.Fatalf("tokens leaked: final capacity %d, want 8", got)
-	}
-}
-
 func TestDenseAlgebraParMatchesSerial(t *testing.T) {
 	sys := broomSystem(t, 2, 40, 6, 4)
 	idx := sys.Index()
 	a, b := idx.NewDense(), idx.NewDense()
 	for id := 0; id < idx.NumPoints(); id++ {
 		if id%3 == 0 {
-			a.Add(id)
+			a.add(id)
 		}
 		if id%5 != 0 {
-			b.Add(id)
+			b.add(id)
 		}
 	}
 	for _, workers := range []int{2, 4, 7} {
@@ -382,7 +322,7 @@ func TestKnowExtensionKernel(t *testing.T) {
 		ext := idx.NewDense()
 		for id := 0; id < n; id++ {
 			if id%density != 0 || density == 1<<30 {
-				ext.Add(id)
+				ext.add(id)
 			}
 		}
 		for _, agent := range []AgentID{0, 1} {
@@ -395,7 +335,7 @@ func TestKnowExtensionKernel(t *testing.T) {
 					}
 				}
 				if knows {
-					want.Add(c)
+					want.add(c)
 				}
 			}
 			cells := idx.Cells(agent, 1)

@@ -62,7 +62,7 @@ func TestSpreadMatchesPerPoint(t *testing.T) {
 			want := idx.NewDense()
 			for id := 0; id < n; id++ {
 				if pass[p.BlockOf(id)] {
-					want.Add(id)
+					want.add(id)
 				}
 			}
 			check := func(path string, got *DenseSet) {
@@ -106,7 +106,7 @@ func TestSpreadStops(t *testing.T) {
 	prefix := func(end int) *DenseSet {
 		s := idx.NewDense()
 		for id := 0; id < end; id++ {
-			s.Add(id)
+			s.add(id)
 		}
 		return s
 	}

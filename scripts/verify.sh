@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the checks every PR must pass: vet, the kpavet contract
-# suite (all twelve analyzers, including the interprocedural ctxflow /
-# goleak / errkind concurrency contracts and the shardsafe / release /
-# cancelpoll parallelism contracts), then the full test suite under the
-# race detector. kpavet rejects the code shapes that break the
+# suite (all ten analyzers, including the interprocedural ctxflow /
+# goleak / errkind concurrency contracts and the shardsafe / cancelpoll
+# parallelism contracts), then the full test suite under the race
+# detector. kpavet rejects the code shapes that break the
 # repo's invariants (docs/LINTING.md); the -race run then validates the
 # pooling and cancellation contracts dynamically (internal/service's
 # concurrency tests hammer shared services from dozens of goroutines).
@@ -15,7 +15,7 @@ go vet ./...
 go run ./cmd/kpavet ./...
 # The parallelism-contract subset by itself: the -run fast path must
 # stay wired up and clean on the engine it was written for.
-go run ./cmd/kpavet -run shardsafe,release,cancelpoll ./...
+go run ./cmd/kpavet -run shardsafe,cancelpoll ./...
 # The analyzer fixture modules are real Go modules the main build never
 # compiles: keep them gofmt-clean and vet-clean so fixture rot can't
 # hide behind the want-comment matcher. vet's unreachable check is off:
@@ -39,9 +39,9 @@ go test -race ./...
 # The code that shares state across goroutines, repeated under the race
 # detector: a race shows only when the schedule cooperates, so one run
 # proves little. The fan-out contract, the sharded set algebra, index
-# fill, cell partition and K kernel, and logic's forceParallel
-# differential tests, ten times each.
-go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers)$' ./internal/system ./internal/logic
+# fill, cell partition and K kernel, the engine's token gate, and logic's
+# forceParallel differential tests, ten times each.
+go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers)$' ./internal/system ./internal/logic
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
