@@ -58,8 +58,8 @@ bench:
 # The million-point benchmark gate: runs the scale-tier benchmarks
 # (10^5-10^7-point broom systems x worker counts, one process per pair),
 # records BENCH_SCALE.json with peak RSS, and on >=4-CPU hosts enforces
-# the 3x parallel floor on the C_G / C_G^alpha fixpoints. See
-# docs/PERFORMANCE.md.
+# the 3x parallel floor on the K sweep over every cell member and the
+# C_G^alpha fixpoint. See docs/PERFORMANCE.md.
 scale-bench:
 	./scripts/scale_bench.sh
 

@@ -239,7 +239,9 @@ func TestStatsEngineBlock(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	var v service.Verdict
-	req := map[string]string{"system": "introcoin", "formula": "C{1,2} (heads | !heads)"}
+	// C_G^α is the one operator that spins fixpoint rounds (C_G is a
+	// single sweep over the group's component partition).
+	req := map[string]string{"system": "introcoin", "formula": "C{1,2}^1/2 (heads | !heads)"}
 	if code := postJSON(t, srv.URL+"/v1/check", req, &v); code != http.StatusOK {
 		t.Fatalf("/v1/check status %d", code)
 	}
@@ -267,7 +269,7 @@ func TestStatsEngineBlock(t *testing.T) {
 	// The 4-point introcoin system is far below the sharding threshold, so
 	// the check above must have taken serial paths and spun fixpoint rounds.
 	if sr, _ := raw.Engine["shardRounds"].Int64(); sr == 0 {
-		t.Fatal("engine.shardRounds is 0 after a common-knowledge check")
+		t.Fatal("engine.shardRounds is 0 after a probabilistic common-knowledge check")
 	}
 	if sp, _ := raw.Engine["serialPaths"].Int64(); sp == 0 {
 		t.Fatal("engine.serialPaths is 0 after a small-system check")

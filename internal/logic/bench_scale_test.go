@@ -198,7 +198,9 @@ func BenchmarkScaleKnowledgeAllPass(b *testing.B) {
 	scaleBenchFormula(b, K(0, True))
 }
 
-// BenchmarkScaleCommon is the C_G fixpoint, the headline sharded loop.
+// BenchmarkScaleCommon is C_G: one K sweep over the group's component
+// partition, which the untimed first evaluation builds and the index
+// caches.
 func BenchmarkScaleCommon(b *testing.B) {
 	scaleSetup(b)
 	scaleBenchFormula(b, Common(scaleFix.group, Prop("p")))

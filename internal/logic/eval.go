@@ -32,11 +32,12 @@ var (
 // Internally the evaluator runs on the system's dense point index
 // (system.Index): subformula extensions are DenseSet bitsets combined by
 // word-wise arithmetic, K_i walks the members of each information cell in
-// the index's cached cell partition, and Pr_i resolves the assignment's
-// sample spaces once into a per-agent partition and run table that
-// every later probability query — in particular every iteration of the
-// E_G^α/C_G^α fixpoints — reuses. The exported API still speaks PointSet;
-// conversion happens only at this boundary and is memoized.
+// the index's cached cell partition, C_G is K over the group's cached
+// component partition, and Pr_i resolves the assignment's sample spaces
+// once into a per-agent table that every later probability query — in
+// particular every iteration of the C_G^α fixpoint — reuses. The exported
+// API still speaks PointSet; conversion happens only at this boundary and
+// is memoized.
 //
 // An Evaluator memoizes formula extensions (the set of points where each
 // subformula holds) by node identity, so reusing formula objects across
@@ -84,25 +85,29 @@ type Evaluator struct {
 // spaceIndex is one agent's probability-space table in dense form. Block s
 // of part holds the points whose space is s, so per-space work (verdicts)
 // parallelizes over spaces and the fan-out to points is Partition.Spread.
+// base[s] is the integer weight of all of R(S_ic) (system.Tree.RunWeights),
+// so space s assigns a set of runs of weight w the conditional probability
+// w/base[s]. base[s] == 0 marks a space whose tree has no integer weights,
+// or that has no runs; its verdicts take the exact path.
 //
-// The rest is the probability kernels' table in compressed-row form.
-// Space s owns the rows runOff[s] ≤ k < runOff[s+1], one per run of
-// R(S_ic): row k is the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense IDs
-// of the sample points on its run, and weight[k] is that run's integer
-// weight (system.Tree.RunWeights). When every fiber is one point, as in
-// every synchronous system under the canonical assignments, fibOff is nil
-// and row k's fiber is fibIDs[k] alone. base[s] is the weight of all of
-// R(S_ic), so space s assigns a set of runs of weight w the conditional
-// probability w/base[s]. base[s] == 0 marks a space whose tree has no
-// integer weights, or that has no rows; its verdicts take the exact path.
+// When every space's sample is its block and no run meets a space twice,
+// as in every synchronous system under the canonical assignments, the
+// table is part and base alone: a space's measure of ext is the weight of
+// its members in ext, which Partition.WeightIn sums for every space in one
+// pass over ext's words. Any other table keeps one row per run of R(S_ic),
+// in compressed-row form: space s owns the rows runOff[s] ≤ k <
+// runOff[s+1]; row k is the fiber fibIDs[fibOff[k]:fibOff[k+1]], the dense
+// IDs of the sample points on its run, and weight[k] is that run's integer
+// weight. When every fiber is one point fibOff is nil and row k's fiber is
+// fibIDs[k] alone.
 type spaceIndex struct {
 	part *system.Partition
+	base []uint64
 
-	runOff []int
+	runOff []int // nil when the spaces are part's blocks, one point per run
 	weight []uint64
 	fibOff []int
 	fibIDs []int32
-	base   []uint64
 }
 
 // cancelStride is how many points a linear scan (proposition extension,
@@ -152,9 +157,9 @@ func (e *Evaluator) Reset() {
 }
 
 // SetCancel installs a cooperative-cancellation hook. The evaluator calls
-// the hook at every subformula boundary, on every fixpoint round of the
-// common-knowledge operators, and every cancelStride points of the linear
-// scans (proposition extensions, probability-table sweeps); the first
+// the hook at every subformula boundary, on every fixpoint round of C_G^α,
+// and every cancelStride points of the linear scans (proposition
+// extensions, probability sums, component-partition builds); the first
 // non-nil return aborts the evaluation with exactly that error. The hook
 // must be cheap (it runs on hot paths) and must not touch the evaluator.
 // With a parallelism budget above 1 (SetEngine) the sharded kernels
@@ -424,26 +429,20 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Greatest fixed point of X = E_G(φ ∧ X), from X = all points.
-		// Each round's knowledge sweeps and set combines are sharded
-		// independently, drawing workers from the gate as they go.
-		x := idx.FullDense()
-		for {
-			if err := e.checkCancel(); err != nil {
-				return nil, err
+		// C_G φ holds at c iff φ holds on c's whole component under
+		// ⋃_{i∈G} ~_i: one K sweep over the group's component partition,
+		// with no fixpoint rounds (ReferenceEvaluator keeps the fixpoint).
+		ps, stop := e.stopFn()
+		var out *system.DenseSet
+		e.eng.Sweep(idx.NumPoints(), func(workers int) {
+			if comps := idx.CommonCells(f.Group, workers, stop); comps != nil {
+				out = comps.KnowExtension(sub, workers, stop)
 			}
-			if e.eng != nil {
-				e.eng.ShardRounds.Add(1)
-			}
-			next, err := e.everyoneExtension(f.Group, e.intersectPar(sub, x))
-			if err != nil {
-				return nil, err
-			}
-			if next.Equal(x) {
-				return x, nil
-			}
-			x = next
+		})
+		if err := ps.Err(); err != nil {
+			return nil, err
 		}
+		return out, nil
 
 	case *EveryonePrFormula:
 		if err := checkGroupIn(e.sys, f.Group); err != nil {
@@ -463,8 +462,10 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Greatest fixed point of X = E_G^α(φ ∧ X).
-		x := idx.FullDense()
+		// Greatest fixed point of X = E_G^α(φ ∧ X), from X = all points
+		// (x nil), where φ ∧ X is φ itself.
+		var x *system.DenseSet
+		in := sub
 		for {
 			if err := e.checkCancel(); err != nil {
 				return nil, err
@@ -472,14 +473,14 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 			if e.eng != nil {
 				e.eng.ShardRounds.Add(1)
 			}
-			next, err := e.everyonePrExtension(f.Group, e.intersectPar(sub, x), f.Alpha)
+			next, err := e.everyonePrExtension(f.Group, in, f.Alpha)
 			if err != nil {
 				return nil, err
 			}
-			if next.Equal(x) {
-				return x, nil
+			if x == nil && next.Len() == idx.NumPoints() || x != nil && next.Equal(x) {
+				return next, nil
 			}
-			x = next
+			x, in = next, e.intersectPar(sub, next)
 		}
 
 	default:
@@ -547,10 +548,14 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 		e.eng.Sweep(e.idx.NumPoints(), func(workers int) { sx.part = pa.Blocks(e.idx, i, workers) })
 	}
 	var err error
-	if sx.part != nil {
-		err = e.addRows(sx, sx.part.Members)
-	} else {
+	if sx.part == nil {
 		err = e.perPointSpaces(sx, i)
+	} else {
+		ps, stop := e.stopFn()
+		sx.base = sx.part.RunWeightSums(stop)
+		if err = ps.Err(); err == nil && sx.base == nil {
+			err = e.addRows(sx, sx.part.Members) // some run meets a space twice
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -679,14 +684,12 @@ func (sx *spaceIndex) rowBit(k int, ext *system.DenseSet, geq bool) uint64 {
 	return c
 }
 
-// intVerdict decides space s's verdict on the integer kernel: Pr ≥ num/den
-// (geq) or Pr ≤ num/den (!geq). The inner measure of ext (geq) sums the
-// weights of the runs whose fiber lies inside ext, the outer measure (!geq)
-// those whose fiber meets it, each row adding weight[k] & -rowBit, so no
-// row branches on its verdict; the measure is then w/base[s], and one
-// exact 128-bit cross-multiplication decides w·den ⋈ num·base[s]. A table
-// of one-point fibers reads each row's one bit directly.
-func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, geq bool) bool {
+// rowWeight sums, over space s's rows, the weights of the runs that count
+// toward the inner measure of ext (geq: the fiber lies inside ext) or the
+// outer one (!geq: it meets ext). Each row adds weight[k] & -rowBit, so no
+// row branches on its verdict; a table of one-point fibers reads each
+// row's one bit directly.
+func (sx *spaceIndex) rowWeight(s int, ext *system.DenseSet, geq bool) uint64 {
 	var w uint64
 	lo, hi := sx.runOff[s], sx.runOff[s+1]
 	if sx.fibOff == nil {
@@ -694,13 +697,20 @@ func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, g
 		for k, id := range sx.fibIDs[lo:hi] {
 			w += weight[k] & -ext.Bit(int(id))
 		}
-	} else {
-		for k := lo; k < hi; k++ {
-			w += sx.weight[k] & -sx.rowBit(k, ext, geq)
-		}
+		return w
 	}
+	for k := lo; k < hi; k++ {
+		w += sx.weight[k] & -sx.rowBit(k, ext, geq)
+	}
+	return w
+}
+
+// intVerdict decides Pr ≥ num/den (geq) or Pr ≤ num/den (!geq) for a space
+// whose runs in ext weigh w out of base: one exact 128-bit
+// cross-multiplication decides w·den ⋈ num·base.
+func intVerdict(w, base, num, den uint64, geq bool) bool {
 	lhi, llo := bits.Mul64(w, den)
-	rhi, rlo := bits.Mul64(num, sx.base[s])
+	rhi, rlo := bits.Mul64(num, base)
 	if lhi == rhi && llo == rlo {
 		return true
 	}
@@ -709,15 +719,25 @@ func (sx *spaceIndex) intVerdict(s int, ext *system.DenseSet, num, den uint64, g
 }
 
 // exactVerdict is intVerdict in exact rationals, summing Tree.RunProb over
-// the same rows. A space with no rows measures every set as 0.
+// space s's runs: its members on a table of blocks, its rows otherwise. A
+// space with no runs measures every set as 0.
 func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet, bound rat.Rat, geq bool) bool {
 	w, base := rat.Zero, rat.Zero
-	for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
-		p := x.PointAt(int(sx.fiber(k)[0]))
+	add := func(id int32, in bool) {
+		p := x.PointAt(int(id))
 		pr := p.Tree.RunProb(p.Run)
 		base = base.Add(pr)
-		if sx.rowBit(k, ext, geq) == 1 {
+		if in {
 			w = w.Add(pr)
+		}
+	}
+	if sx.runOff == nil {
+		for _, id := range sx.part.Members(s) {
+			add(id, ext.Contains(int(id)))
+		}
+	} else {
+		for k := sx.runOff[s]; k < sx.runOff[s+1]; k++ {
+			add(sx.fiber(k)[0], sx.rowBit(k, ext, geq) == 1)
 		}
 	}
 	if !base.IsZero() {
@@ -734,10 +754,12 @@ func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet,
 // space (phase A, parallel over spaces), then the space partition's
 // fan-out of the verdicts to the points (phase B, Partition.Spread, which
 // writes only the smaller of the passing and failing sides). Phase A
-// decides a space on the branch-free integer kernel (intVerdict) when its
-// tree has integer run weights and the bound fits uint64 parts, and on the
-// exact-rational exactVerdict otherwise. Either way a verdict costs a walk
-// over the space's own rows, so nothing is memoized across calls.
+// decides a space on intVerdict when its tree has integer run weights and
+// the bound fits uint64 parts, and on the exact-rational exactVerdict
+// otherwise. On a table of blocks, every space's weight in ext comes from
+// one Partition.WeightIn pass over ext's words, where inner and outer
+// measure agree; a table of rows walks each space's own rows. Nothing is
+// memoized across calls.
 func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
 	if e.prob == nil {
 		return nil, ErrNoProbability
@@ -751,16 +773,23 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	ps, stop := e.stopFn()
 	var out *system.DenseSet
 	e.eng.Sweep(e.idx.NumPoints(), func(workers int) {
+		var sums []uint64
+		if intBound && sx.runOff == nil {
+			sums = sx.part.WeightIn(ext, sx.base, workers, stop)
+		}
 		system.ParFill(verdicts, workers, func(_ int, part []bool, lo int) {
 			for j := range part {
 				si := lo + j
 				if stop != nil && si&15 == 0 && stop() {
 					return
 				}
-				if intBound && sx.base[si] != 0 {
-					part[j] = sx.intVerdict(si, ext, num, den, geq)
-				} else {
+				switch {
+				case !intBound || sx.base[si] == 0:
 					part[j] = sx.exactVerdict(e.idx, si, ext, bound, geq)
+				case sums != nil:
+					part[j] = intVerdict(sums[si], sx.base[si], num, den, geq)
+				default:
+					part[j] = intVerdict(sx.rowWeight(si, ext, geq), sx.base[si], num, den, geq)
 				}
 			}
 		})
@@ -772,44 +801,40 @@ func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound ra
 	return out, nil
 }
 
-// everyoneExtension computes E_G's extension, ⋂_{i∈G} K_i(ext): the
-// first agent's set, intersected with each other agent's. The group is
-// non-empty (checkGroupIn).
+// everyoneExtension computes E_G's extension, ⋂_{i∈G} K_i(ext), in one
+// set (system.Index.Everyone). The group is non-empty (checkGroupIn).
 func (e *Evaluator) everyoneExtension(group []system.AgentID, ext *system.DenseSet) (*system.DenseSet, error) {
-	var out *system.DenseSet
-	for _, i := range group {
-		k, err := e.knowExtension(i, ext)
-		if err != nil {
-			return nil, err
-		}
-		out = e.meet(out, k)
+	exts := make([]*system.DenseSet, len(group))
+	for k := range exts {
+		exts[k] = ext
 	}
-	return out, nil
+	return e.everyone(group, exts)
 }
 
-// everyonePrExtension computes E_G^α's extension, ⋂_{i∈G} K_i(Pr_i(ext) ≥ α),
-// as everyoneExtension does.
+// everyonePrExtension computes E_G^α's extension,
+// ⋂_{i∈G} K_i(Pr_i(ext) ≥ α), as everyoneExtension does.
 func (e *Evaluator) everyonePrExtension(group []system.AgentID, ext *system.DenseSet, alpha rat.Rat) (*system.DenseSet, error) {
-	var out *system.DenseSet
-	for _, i := range group {
+	exts := make([]*system.DenseSet, len(group))
+	for k, i := range group {
 		pr, err := e.prExtension(i, ext, alpha, true)
 		if err != nil {
 			return nil, err
 		}
-		k, err := e.knowExtension(i, pr)
-		if err != nil {
-			return nil, err
-		}
-		out = e.meet(out, k)
+		exts[k] = pr
 	}
-	return out, nil
+	return e.everyone(group, exts)
 }
 
-// meet returns acc ∩ k, or k when acc is nil: the fold step of the group
-// operators.
-func (e *Evaluator) meet(acc, k *system.DenseSet) *system.DenseSet {
-	if acc == nil {
-		return k
+// everyone runs system.Index.Everyone, ⋂_k K_{group[k]}(exts[k]), on the
+// evaluator's workers.
+func (e *Evaluator) everyone(group []system.AgentID, exts []*system.DenseSet) (*system.DenseSet, error) {
+	ps, stop := e.stopFn()
+	var out *system.DenseSet
+	e.eng.Sweep(e.idx.NumPoints(), func(workers int) {
+		out = e.idx.Everyone(group, exts, workers, stop)
+	})
+	if err := ps.Err(); err != nil {
+		return nil, err
 	}
-	return e.intersectPar(acc, k)
+	return out, nil
 }

@@ -34,8 +34,10 @@ type Engine struct {
 	budget int
 	gate   *gate
 
-	// ShardRounds counts fixpoint rounds executed by the common-knowledge
-	// operators (C_G and C_G^α), the loops whose per-round sweeps shard.
+	// ShardRounds counts fixpoint rounds executed by C_G^α, the one
+	// operator that still iterates, each round a set of sharded sweeps.
+	// C_G runs no rounds: it is one K sweep over the group's component
+	// partition.
 	ShardRounds atomic.Uint64
 	// ParallelPaths counts sweeps (index builds, knowledge and probability
 	// sweeps, proposition scans, set-algebra combines) that ran with more

@@ -593,8 +593,9 @@ type ResilienceStats struct {
 type EngineStats struct {
 	// Parallelism is the configured engine budget (Config.Parallelism).
 	Parallelism int `json:"parallelism"`
-	// ShardRounds counts fixpoint rounds executed by the common-knowledge
-	// operators C_G and C_G^α.
+	// ShardRounds counts fixpoint rounds executed by C_G^α, the one
+	// common-knowledge operator that iterates; C_G is a single sweep over
+	// the group's component partition and adds none.
 	ShardRounds uint64 `json:"shardRounds"`
 	// ParallelPaths counts engine sweeps (index builds, knowledge and
 	// probability sweeps, proposition scans, set-algebra combines) that ran

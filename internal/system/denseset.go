@@ -12,9 +12,9 @@ import "math/bits"
 // Outside this package a DenseSet is read-only: every exported operation
 // either reads the set or returns a fresh one (Union, Intersect,
 // Complement, Clone, and the Index kernels that build sets), so a set
-// can be memoized and shared by every later reader once it is built. The
-// only writers, add and orBit, are unexported; the package's kernels use
-// them on the sets they are building, before returning them.
+// can be memoized and shared by every later reader once it is built. Only
+// this package's kernels write a set, and only one they are building,
+// before returning it (the one writer method, add, is unexported).
 //
 // Mixing sets from different indexes is a programming error; operations
 // panic on a universe mismatch rather than computing garbage.
@@ -86,10 +86,6 @@ func (s *DenseSet) Words() int { return len(s.bits) }
 
 // add inserts the point with dense ID id.
 func (s *DenseSet) add(id int) { s.bits[id/64] |= 1 << (id % 64) }
-
-// orBit ORs b, which must be 0 or 1, into the bit of the point with dense
-// ID id: add without a branch on b.
-func (s *DenseSet) orBit(id int, b uint64) { s.bits[id/64] |= b << (id % 64) }
 
 // Contains reports whether the point with dense ID id is in the set.
 func (s *DenseSet) Contains(id int) bool { return s.bits[id/64]&(1<<(id%64)) != 0 }

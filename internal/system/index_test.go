@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -77,47 +79,84 @@ func TestIndexRunRangesContiguous(t *testing.T) {
 	idx := sys.Index()
 
 	total := 0
-	idx.eachRun(func(tree *Tree, run, start, n int) {
-		if n != tree.RunLen(run) {
-			t.Fatalf("run %s/%d: n = %d, want %d", tree.Adversary, run, n, tree.RunLen(run))
-		}
-		for k := 0; k < n; k++ {
-			p := idx.PointAt(start + k)
-			want := Point{Tree: tree, Run: run, Time: k}
-			if p != want {
-				t.Fatalf("PointAt(%d) = %v, want %v", start+k, p, want)
+	for ti, tree := range sys.Trees() {
+		for run, start := range idx.runStart[ti] {
+			if start != total {
+				t.Fatalf("run %s/%d starts at %d, want %d", tree.Adversary, run, start, total)
 			}
+			n := tree.RunLen(run)
+			for k := 0; k < n; k++ {
+				p := idx.PointAt(start + k)
+				want := Point{Tree: tree, Run: run, Time: k}
+				if p != want {
+					t.Fatalf("PointAt(%d) = %v, want %v", start+k, p, want)
+				}
+				// runEnd marks exactly the run's last point.
+				id := start + k
+				if end := idx.runEnd[id/64]>>(id%64)&1 == 1; end != (k == n-1) {
+					t.Fatalf("run %s/%d time %d: run-end bit %v", tree.Adversary, run, k, end)
+				}
+			}
+			total += n
 		}
-		total += n
-	})
+	}
 	if total != idx.NumPoints() {
-		t.Fatalf("eachRun covered %d points, want %d", total, idx.NumPoints())
+		t.Fatalf("runs cover %d points, want %d", total, idx.NumPoints())
 	}
 }
 
-// TestNextAndUntilKernels checks Index.Next and Index.Until against their
-// definitions walked point by point along each run, on a system whose runs
-// have 3 and 70 points (so runs end inside and across words) and for sets
-// of several densities.
-func TestNextAndUntilKernels(t *testing.T) {
-	idx := unevenSystem(t).Index()
-	n := idx.NumPoints()
-	// at reports whether s holds at time k of c's run, false past its end.
-	at := func(s *DenseSet, c Point, k int) bool {
-		if k >= c.Tree.RunLen(c.Run) {
-			return false
+// randomLayout builds a system of several trees whose runs have random
+// lengths from 1 to maxLen: a tree is a single point (one run of length 1)
+// or a broom of probability-1 chains below a root. With enough runs, runs
+// start and end at every bit offset of a word and span up to three words.
+func randomLayout(t testing.TB, rng *rand.Rand, trees, maxLen int) *System {
+	t.Helper()
+	var built []*Tree
+	for ti := 0; ti < trees; ti++ {
+		env := func(r, k int) string { return fmt.Sprintf("t%d.r%d.%d", ti, r, k) }
+		tb := NewTree(fmt.Sprintf("t%d", ti), gs(env(0, 0), "a:root"))
+		if ti%4 != 3 { // every fourth tree is a lone root
+			runs := 1 + rng.Intn(12)
+			for r := 0; r < runs; r++ {
+				id := tb.Child(0, rat.New(1, int64(runs)), gs(env(r, 1), "a:1"))
+				for k, n := 2, 2+rng.Intn(maxLen-1); k < n; k++ {
+					id = tb.Child(id, rat.One, gs(env(r, k), fmt.Sprintf("a:%d", k)))
+				}
+			}
 		}
-		id, _ := idx.ID(Point{Tree: c.Tree, Run: c.Run, Time: k})
-		return s.Contains(id)
+		built = append(built, tb.MustBuild())
 	}
-	for _, mod := range []int{1, 2, 3, 7} {
-		l := idx.Select(1, nil, func(id int) bool { return id%mod != 0 })
-		r := idx.Select(1, nil, func(id int) bool { return id%(mod+4) == 0 })
+	sys, err := New(1, built...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return sys
+}
+
+// TestNextAndUntilKernels checks Index.Next and Index.Until against their
+// definitions walked point by point along each run: on a system whose runs
+// have 3 and 70 points, for sets of several densities, and on random
+// layouts of several trees with runs of 1 to 130 points, which start and
+// end at every bit offset and span up to three words, for random sets.
+// Both results must leave the bits past the last point clear.
+func TestNextAndUntilKernels(t *testing.T) {
+	check := func(label string, idx *Index, l, r *DenseSet) {
+		t.Helper()
+		n := idx.NumPoints()
+		// at reports whether s holds at time k of c's run, false past its
+		// end.
+		at := func(s *DenseSet, c Point, k int) bool {
+			if k >= c.Tree.RunLen(c.Run) {
+				return false
+			}
+			id, _ := idx.ID(Point{Tree: c.Tree, Run: c.Run, Time: k})
+			return s.Contains(id)
+		}
 		next, until := idx.Next(r), idx.Until(l, r)
 		for id := 0; id < n; id++ {
 			c := idx.PointAt(id)
 			if want := at(r, c, c.Time+1); next.Contains(id) != want {
-				t.Fatalf("mod %d: Next at %v = %v, want %v", mod, c, !want, want)
+				t.Fatalf("%s: Next at %v = %v, want %v", label, c, !want, want)
 			}
 			want := false
 			for k := c.Time; k < c.Tree.RunLen(c.Run); k++ {
@@ -130,9 +169,48 @@ func TestNextAndUntilKernels(t *testing.T) {
 				}
 			}
 			if until.Contains(id) != want {
-				t.Fatalf("mod %d: Until at %v = %v, want %v", mod, c, !want, want)
+				t.Fatalf("%s: Until at %v = %v, want %v", label, c, !want, want)
 			}
 		}
+		if rem := n % 64; rem != 0 {
+			for name, s := range map[string]*DenseSet{"Next": next, "Until": until} {
+				if s.bits[len(s.bits)-1]>>rem != 0 {
+					t.Fatalf("%s: %s set bits past NumPoints", label, name)
+				}
+			}
+		}
+	}
+	idx := unevenSystem(t).Index()
+	for _, mod := range []int{1, 2, 3, 7} {
+		l := idx.Select(1, nil, func(id int) bool { return id%mod != 0 })
+		r := idx.Select(1, nil, func(id int) bool { return id%(mod+4) == 0 })
+		check(fmt.Sprintf("mod %d", mod), idx, l, r)
+	}
+	rng := rand.New(rand.NewSource(24))
+	offsets := make(map[[2]int]bool) // (start, end) bit offsets of runs seen
+	longest := 0
+	for layout := 0; layout < 40; layout++ {
+		idx := randomLayout(t, rng, 2+rng.Intn(4), 130).Index()
+		for ti, tree := range idx.System().Trees() {
+			for run, start := range idx.runStart[ti] {
+				end := start + tree.RunLen(run) - 1
+				offsets[[2]int{start % 64, end % 64}] = true
+				longest = max(longest, end/64-start/64+1)
+			}
+		}
+		for _, density := range []int{2, 4, 16} {
+			// l holds with probability 1 − 1/density, r with 1/density.
+			l := idx.Select(1, nil, func(int) bool { return rng.Intn(density) != 0 })
+			r := idx.Select(1, nil, func(int) bool { return rng.Intn(density) == 0 })
+			check(fmt.Sprintf("layout %d density %d", layout, density), idx, l, r)
+		}
+	}
+	starts, ends := make(map[int]bool), make(map[int]bool)
+	for o := range offsets {
+		starts[o[0]], ends[o[1]] = true, true
+	}
+	if len(starts) != 64 || len(ends) != 64 || longest < 3 {
+		t.Fatalf("random layouts: runs start at %d and end at %d bit offsets and span up to %d words, want 64, 64 and 3", len(starts), len(ends), longest)
 	}
 }
 
@@ -228,7 +306,7 @@ func TestDenseSetAlgebra(t *testing.T) {
 // TestDenseSetReadOnlyAPI pins *DenseSet's exported methods to a written
 // list of methods that only read the set or return a fresh one. Sets are
 // memoized and shared once built, so no code outside this package may
-// change one: exporting a writer (add, orBit) must fail here and be a
+// change one: exporting a writer (such as add) must fail here and be a
 // visible edit of this list.
 func TestDenseSetReadOnlyAPI(t *testing.T) {
 	want := []string{

@@ -45,6 +45,10 @@ func ParFill[T any](dst []T, workers int, fill func(shard int, part []T, lo int)
 func ParMap[T, R any](dst []T, workers int, f func(shard int, part []T, lo int) R) []R {
 	chunk, count := split(len(dst), workers)
 	out := make([]R, count)
+	if count == 1 {
+		out[0] = f(0, dst, 0) // on the caller, as ParFill runs one part
+		return out
+	}
 	// count workers over count slots hand shard s exactly out[s:s+1].
 	ParFill(out, count, func(s int, slot []R, _ int) {
 		lo := s * chunk

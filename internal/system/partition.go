@@ -1,6 +1,9 @@
 package system
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Partition is a partition of an index's points into blocks numbered in
 // order of first occurrence by dense ID, in compressed-row form: the one
@@ -101,6 +104,12 @@ func newPartition(x *Index, numBlocks int, blockOf []int32) *Partition {
 // non-nil, is polled every 16 blocks and by Spread; returning true
 // abandons the sweep early (the partial result must be discarded).
 func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
+	return p.Spread(p.knowVerdicts(ext, workers, stop), workers, stop)
+}
+
+// knowVerdicts returns, per block, whether all its members are in ext:
+// KnowExtension's member walks.
+func (p *Partition) knowVerdicts(ext *DenseSet, workers int, stop func() bool) []bool {
 	pass := make([]bool, p.NumBlocks())
 	ParFill(pass, workers, func(_ int, part []bool, lo int) {
 		for j := range part {
@@ -117,7 +126,56 @@ func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) 
 			}
 		}
 	})
-	return p.Spread(pass, workers, stop)
+	return pass
+}
+
+// Everyone returns ⋂_k x.Cells(group[k]).KnowExtension(exts[k]): over a
+// group's cells, the dense extension of E_G when every exts[k] is φ's, and
+// of E_G^α when exts[k] is agent group[k]'s Pr(φ) ≥ α. The first agent's
+// verdicts spread into a fresh set, and every further agent's failing
+// cells are then cleared from that set in place (spreadOut), so the group
+// builds one set, not one per agent. workers and stop are as for
+// KnowExtension; a stopped sweep's partial result must be discarded.
+func (x *Index) Everyone(group []AgentID, exts []*DenseSet, workers int, stop func() bool) *DenseSet {
+	cells := x.Cells(group[0], workers)
+	out := cells.KnowExtension(exts[0], workers, stop)
+	for k, i := range group[1:] {
+		cells = x.Cells(i, workers)
+		cells.spreadOut(out, cells.knowVerdicts(exts[k+1], workers, stop), workers, stop)
+	}
+	return out
+}
+
+// spreadOut clears from out every member of a block whose verdict fails:
+// out ∩ Spread(pass), written in place into a set the package is building.
+// It walks the failing blocks' members when (blocks + failing members) ×
+// workers ≤ n, as Spread does, and otherwise ANDs each word of out with
+// the word the verdicts assemble. stop is polled as by Spread.
+func (p *Partition) spreadOut(out *DenseSet, pass []bool, workers int, stop func() bool) {
+	failing := 0
+	for k, ok := range pass {
+		if !ok {
+			failing += int(p.off[k+1] - p.off[k])
+		}
+	}
+	if failing == 0 {
+		return
+	}
+	if (len(pass)+failing)*workers > len(p.blockOf) {
+		p.sweepWords(out, pass, true, workers, stop)
+		return
+	}
+	for k, ok := range pass {
+		if stop != nil && k&15 == 0 && stop() {
+			return
+		}
+		if ok {
+			continue
+		}
+		for _, id := range p.ids[p.off[k]:p.off[k+1]] {
+			out.bits[id>>6] &^= 1 << (id & 63)
+		}
+	}
 }
 
 // Spread returns {c : pass[block(c)]}: the one fan-out from per-block
@@ -181,14 +239,21 @@ func (p *Partition) spreadWalk(pass []bool, full bool, stop func() bool) *DenseS
 	return out
 }
 
-// spreadSweep assembles every word of the result from the verdicts of its
-// 64 points' blocks, four independent accumulators of 16 bits each for a
-// whole word. The sweep writes each word once, so the tail past the last
-// point stays clear.
+// spreadSweep is Spread's sweep, from an empty set.
 func (p *Partition) spreadSweep(pass []bool, workers int, stop func() bool) *DenseSet {
 	out := p.idx.NewDense()
+	p.sweepWords(out, pass, false, workers, stop)
+	return out
+}
+
+// sweepWords assembles, for every word of out, the verdicts of its 64
+// points' blocks with four independent accumulators of 16 bits each, and
+// stores the word, or ANDs it into out's when meet is set: out ∩
+// Spread(pass) in place. The tail past the last point assembles to zero,
+// so it stays clear.
+func (p *Partition) sweepWords(out *DenseSet, pass []bool, meet bool, workers int, stop func() bool) {
 	if stop != nil && stop() {
-		return out
+		return
 	}
 	verdict := make([]uint8, len(pass))
 	for k, ok := range pass {
@@ -221,8 +286,89 @@ func (p *Partition) spreadSweep(pass []bool, workers int, stop func() bool) *Den
 					word |= uint64(verdict[b]) << k
 				}
 			}
+			if meet {
+				word &= part[j]
+			}
 			part[j] = word
 		}
 	})
+}
+
+// RunWeightSums returns, per block k, the sum of the integer run weights
+// (Tree.RunWeights, 0 in a tree without them) of block k's members: the
+// base of the blocks' probability sums. It returns nil when some run has
+// two points in one block, which the sum would count twice; in a
+// synchronous system's cells and canonical sample spaces no run does. One
+// pass over the IDs adds the weights and stamps each block with the run
+// that last met it. stop, when non-nil, is polled every 4096 IDs;
+// returning true abandons the pass, which returns nil.
+func (p *Partition) RunWeightSums(stop func() bool) []uint64 {
+	weight := p.idx.runWeights()
+	sums := make([]uint64, p.NumBlocks())
+	metBy := make([]int32, p.NumBlocks()) // 1 + the last run to meet block b
+	run := int32(1)
+	for id, b := range p.blockOf {
+		if stop != nil && id&4095 == 0 && id > 0 && stop() {
+			return nil
+		}
+		if metBy[b] == run {
+			return nil
+		}
+		metBy[b] = run
+		sums[b] += weight[id]
+		run += int32(p.idx.runEnd[id/64] >> (id % 64) & 1)
+	}
+	return sums
+}
+
+// WeightIn returns, per block k, the sum of the run weights of block k's
+// members in ext, given base = RunWeightSums(nil), so the weight of the
+// block's runs that meet ext. The sum visits
+// only the set bits of the smaller of ext and its complement: it adds the
+// members in ext, or subtracts those outside it from base. It shards over
+// ext's words across up to workers goroutines, each with its own
+// accumulators, added up at the end. stop, when non-nil, is polled every
+// 64 words; returning true abandons the sum (the partial result must be
+// discarded).
+func (p *Partition) WeightIn(ext *DenseSet, base []uint64, workers int, stop func() bool) []uint64 {
+	n := len(p.blockOf)
+	weight := p.idx.runWeights()
+	outside := 2*ext.Len() > n // sum the complement, then subtract
+	tail := ^uint64(0)
+	if n%64 != 0 {
+		tail = 1<<(n%64) - 1
+	}
+	last := len(ext.bits) - 1
+	sums := ParMap(ext.bits, workers, func(_ int, part []uint64, lo int) []uint64 {
+		acc := make([]uint64, len(base))
+		for j, word := range part {
+			if stop != nil && j&63 == 0 && j > 0 && stop() {
+				return acc
+			}
+			if outside {
+				word = ^word
+				if lo+j == last {
+					word &= tail
+				}
+			}
+			id0 := (lo + j) * 64
+			for ; word != 0; word &= word - 1 {
+				id := id0 + bits.TrailingZeros64(word)
+				acc[p.blockOf[id]] += weight[id]
+			}
+		}
+		return acc
+	})
+	out := sums[0]
+	for _, acc := range sums[1:] {
+		for k, w := range acc {
+			out[k] += w
+		}
+	}
+	if outside {
+		for k, w := range out {
+			out[k] = base[k] - w
+		}
+	}
 	return out
 }
