@@ -243,13 +243,20 @@ func (x *Index) CommonCells(group []AgentID, workers int, stop func() bool) *Par
 		key = strconv.AppendInt(append(key, ','), int64(a), 10)
 	}
 	x.commonMu.Lock()
-	defer x.commonMu.Unlock()
-	if c, ok := x.common[string(key)]; ok {
+	c, ok := x.common[string(key)]
+	x.commonMu.Unlock()
+	if ok {
 		return c
 	}
-	c := x.buildCommon(agents, workers, stop)
-	if c == nil {
+	// Build without the lock, which stop must not run under; of two
+	// concurrent builds of one group, the first stored is kept.
+	if c = x.buildCommon(agents, workers, stop); c == nil {
 		return nil
+	}
+	x.commonMu.Lock()
+	defer x.commonMu.Unlock()
+	if prev, ok := x.common[string(key)]; ok {
+		return prev
 	}
 	if x.common == nil {
 		x.common = make(map[string]*Partition)
@@ -286,8 +293,8 @@ func (x *Index) buildCommon(agents []AgentID, workers int, stop func() bool) *Pa
 		if k == base {
 			continue
 		}
-		// rep[b] is a first-cell that c's cell b meets; every other
-		// first-cell b meets joins its set.
+		// rep[b] is the set, by a root seen last, of the first-cells that
+		// c's cell b meets; every other first-cell b meets joins it.
 		rep := make([]int32, c.NumBlocks())
 		for b := range rep {
 			rep[b] = -1
@@ -297,14 +304,15 @@ func (x *Index) buildCommon(agents []AgentID, workers int, stop func() bool) *Pa
 				return nil
 			}
 			a := first.blockOf[id]
-			switch r := rep[b]; {
-			case r < 0:
+			if r := rep[b]; r < 0 {
 				rep[b] = a
-			case r != a:
-				if ra, rb := find(a), find(r); ra != rb {
+			} else if r != a {
+				ra, rb := find(a), find(r)
+				if ra != rb {
 					parent[ra] = rb
 					merged = true
 				}
+				rep[b] = rb
 			}
 		}
 	}

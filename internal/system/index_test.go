@@ -369,7 +369,7 @@ func TestIndexConcurrent(t *testing.T) {
 	sys := twoTreeSystem(t)
 	var wg sync.WaitGroup
 	indexes := make([]*Index, 16)
-	cells := make([][2]*Partition, 16)
+	cells := make([][3]*Partition, 16) // agent 1's cells, agent 2's, the pair's components
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -383,6 +383,7 @@ func TestIndexConcurrent(t *testing.T) {
 				}
 				cells[g][agent] = c
 			}
+			cells[g][2] = idx.CommonCells([]AgentID{1 - AgentID(g%2), AgentID(g % 2)}, 1+g%3, nil)
 		}(g)
 	}
 	wg.Wait()

@@ -148,9 +148,11 @@ func (x *Index) Everyone(group []AgentID, exts []*DenseSet, workers int, stop fu
 
 // spreadOut clears from out every member of a block whose verdict fails:
 // out ∩ Spread(pass), written in place into a set the package is building.
-// It walks the failing blocks' members when (blocks + failing members) ×
-// workers ≤ n, as Spread does, and otherwise ANDs each word of out with
-// the word the verdicts assemble. stop is polled as by Spread.
+// Like Spread it costs what it selects. It walks the failing blocks'
+// members when (blocks + failing members) × workers ≤ |out|; otherwise it
+// visits out's own members, sharded over out's words across up to workers
+// goroutines, and clears those whose block fails. stop is polled every 16
+// blocks of the walk and every 4096 IDs of the visit.
 func (p *Partition) spreadOut(out *DenseSet, pass []bool, workers int, stop func() bool) {
 	failing := 0
 	for k, ok := range pass {
@@ -161,8 +163,21 @@ func (p *Partition) spreadOut(out *DenseSet, pass []bool, workers int, stop func
 	if failing == 0 {
 		return
 	}
-	if (len(pass)+failing)*workers > len(p.blockOf) {
-		p.sweepWords(out, pass, true, workers, stop)
+	if (len(pass)+failing)*workers > out.Len() {
+		ParFill(out.bits, workers, func(_ int, part []uint64, lo int) {
+			for j, word := range part {
+				if stop != nil && j&63 == 0 && j > 0 && stop() {
+					return
+				}
+				id0 := (lo + j) * 64
+				for ; word != 0; word &= word - 1 {
+					k := bits.TrailingZeros64(word)
+					if !pass[p.blockOf[id0+k]] {
+						part[j] &^= 1 << k
+					}
+				}
+			}
+		})
 		return
 	}
 	for k, ok := range pass {
@@ -239,21 +254,14 @@ func (p *Partition) spreadWalk(pass []bool, full bool, stop func() bool) *DenseS
 	return out
 }
 
-// spreadSweep is Spread's sweep, from an empty set.
+// spreadSweep assembles every word of the result from the verdicts of its
+// 64 points' blocks, four independent accumulators of 16 bits each for a
+// whole word. The sweep writes each word once, so the tail past the last
+// point stays clear.
 func (p *Partition) spreadSweep(pass []bool, workers int, stop func() bool) *DenseSet {
 	out := p.idx.NewDense()
-	p.sweepWords(out, pass, false, workers, stop)
-	return out
-}
-
-// sweepWords assembles, for every word of out, the verdicts of its 64
-// points' blocks with four independent accumulators of 16 bits each, and
-// stores the word, or ANDs it into out's when meet is set: out ∩
-// Spread(pass) in place. The tail past the last point assembles to zero,
-// so it stays clear.
-func (p *Partition) sweepWords(out *DenseSet, pass []bool, meet bool, workers int, stop func() bool) {
 	if stop != nil && stop() {
-		return
+		return out
 	}
 	verdict := make([]uint8, len(pass))
 	for k, ok := range pass {
@@ -286,12 +294,10 @@ func (p *Partition) sweepWords(out *DenseSet, pass []bool, meet bool, workers in
 					word |= uint64(verdict[b]) << k
 				}
 			}
-			if meet {
-				word &= part[j]
-			}
 			part[j] = word
 		}
 	})
+	return out
 }
 
 // RunWeightSums returns, per block k, the sum of the integer run weights
