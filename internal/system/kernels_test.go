@@ -81,9 +81,14 @@ func TestCommonCellsComponents(t *testing.T) {
 	for name, sys := range systems {
 		idx := sys.Index()
 		for _, g := range groups(sys) {
-			for _, workers := range []int{1, 3} {
-				p := idx.CommonCells(g, workers, nil)
-				want := componentsByBFS(idx, g)
+			want := componentsByBFS(idx, g)
+			// The cached partition, and for a group of several agents an
+			// uncached build on three workers.
+			parts := []*Partition{idx.CommonCells(g, 1, nil)}
+			if len(g) > 1 {
+				parts = append(parts, idx.buildCommon(g, 3, nil))
+			}
+			for _, p := range parts {
 				if p.NumBlocks() != len(want) {
 					t.Fatalf("%s group %v: %d components, want %d", name, g, p.NumBlocks(), len(want))
 				}
