@@ -30,11 +30,13 @@ verify:
 # Coverage-guided fuzzing of the trust boundaries that have targets: the
 # formula parser, the upload decoder behind /v1/systems, the snapshot
 # decoder, the search-checkpoint decoder, kpad's JSON handlers and the
-# upload envelope scan, 30 s each. Plain `go test` replays their seed
-# corpora; a crasher found here goes under the package's
+# upload envelope scan; plus the dense engine against the reference
+# evaluator on generated systems. 30 s each. Plain `go test` replays their
+# seed corpora; a crasher found here goes under the package's
 # testdata/fuzz/<Target>/ once fixed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/logic
+	go test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 30s ./internal/logic
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/encode
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s ./internal/search

@@ -3,6 +3,7 @@ package logic
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,6 +185,54 @@ func BenchmarkScaleSpaceBuild(b *testing.B) {
 	}
 	b.StopTimer()
 	reportPeakRSS(b)
+}
+
+// BenchmarkScaleCheckout times what a further evaluator costs once a first
+// one has warmed the model, as a pool's further cold checkout does: a new
+// evaluator over the model that answers Pr_i(p) ≥ 1/3 for every agent,
+// under post, fut, prior and opp(p2). The first evaluator, untimed, builds
+// the proposition extension and the space tables. retained-B is the live
+// heap one more such evaluator holds once its memo is reset, measured
+// after a GC on either side of it.
+func BenchmarkScaleCheckout(b *testing.B) {
+	scaleSetup(b)
+	sys := scaleFix.sys
+	sys.BuildIndex(scaleFix.workers)
+	var formulas []Formula
+	for _, i := range scaleFix.group {
+		formulas = append(formulas, PrGeq(i, Prop("p"), rat.New(1, 3)))
+	}
+	for _, sa := range []core.SampleAssignment{core.Post(sys), core.Future(sys), core.Prior(sys), core.Opponent(sys, 1)} {
+		b.Run(strings.TrimSuffix(sa.Name(), "(p2)"), func(b *testing.B) {
+			m := NewModel(sys, core.NewProbAssignment(sys, sa), scaleFix.props)
+			checkout := func() *Evaluator {
+				e := m.NewEvaluator()
+				e.SetEngine(NewEngine(scaleFix.workers))
+				for _, f := range formulas {
+					if _, err := e.DenseExtension(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return e
+			}
+			checkout()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checkout()
+			}
+			b.StopTimer()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			e := checkout()
+			e.Reset()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(e)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "retained-B")
+		})
+	}
 }
 
 // BenchmarkScaleKnowledge is one K_i sweep: a member walk per information

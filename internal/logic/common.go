@@ -57,7 +57,7 @@ func (e *Evaluator) InductionRuleHolds(group []system.AgentID, psi, phi Formula)
 // definitions can differ in general, but they agree here; tests check the
 // agreement).
 func (e *Evaluator) CommonByIteration(group []system.AgentID, phi Formula) (system.PointSet, error) {
-	if err := checkGroupIn(e.sys, group); err != nil {
+	if err := checkGroupIn(e.m.sys, group); err != nil {
 		return nil, err
 	}
 	sub, err := e.DenseExtension(phi)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"kpa/internal/core"
 	"kpa/internal/measure"
@@ -24,20 +25,84 @@ var (
 	ErrBadAgent = errors.New("logic: agent index out of range")
 )
 
-// Evaluator model-checks formulas of L(Φ) over a finite system. Probability
-// formulas are interpreted with respect to a probability assignment (the
-// induced assignment of a sample-space assignment); different assignments
-// give different truths, which is the point of the paper.
+// Model is the part of model checking that depends only on the system, the
+// sample-space assignment and the propositions, never on a formula: each
+// primitive proposition's extension and each agent's probability-space
+// table (the induced assignment P of §5 in dense form). Every evaluator
+// over a model reads the same tables. A slot is filled by the first
+// evaluator that needs it and published by compare-and-swap, so the first
+// complete build wins and is never replaced; a build that is canceled or
+// panics publishes nothing, and the next evaluator that needs the slot
+// builds it afresh. A Model is safe for concurrent use by any number of
+// evaluators; its facts are then called from several goroutines at once,
+// so they must be safe for that, as SetEngine also asks.
+type Model struct {
+	sys    *system.System
+	sample core.SampleAssignment // nil: no probability assignment
+	props  map[string]*propSlot  // fixed by NewModel
+	spaces []atomic.Pointer[spaceIndex]
+}
+
+// propSlot is one primitive proposition: its fact and, once scanned, its
+// extension.
+type propSlot struct {
+	fact system.Fact
+	ext  atomic.Pointer[system.DenseSet]
+}
+
+// NewModel binds a system to a probability assignment and a proposition
+// table. prob may be nil if no probability operators will be evaluated;
+// props maps primitive proposition names to facts. Nothing is built until
+// an evaluator needs it; the system's point index is built by the first
+// NewEvaluator, if not before.
+func NewModel(sys *system.System, prob *core.ProbAssignment, props map[string]system.Fact) *Model {
+	m := &Model{
+		sys:    sys,
+		props:  make(map[string]*propSlot, len(props)),
+		spaces: make([]atomic.Pointer[spaceIndex], sys.NumAgents()),
+	}
+	if prob != nil {
+		m.sample = prob.SampleAssignment()
+	}
+	for name, fact := range props {
+		m.props[name] = &propSlot{fact: fact}
+	}
+	return m
+}
+
+// NewEvaluator returns an evaluator over the model with an empty memo.
+func (m *Model) NewEvaluator() *Evaluator {
+	return &Evaluator{
+		m:       m,
+		idx:     m.sys.Index(),
+		memo:    make(map[Formula]*system.DenseSet),
+		extMemo: make(map[Formula]system.PointSet),
+	}
+}
+
+// publish stores v in the empty slot and returns it, or returns what a
+// concurrent build stored there first.
+func publish[T any](slot *atomic.Pointer[T], v *T) *T {
+	if slot.CompareAndSwap(nil, v) {
+		return v
+	}
+	return slot.Load()
+}
+
+// Evaluator model-checks formulas of L(Φ) over a Model. Probability
+// formulas are interpreted with respect to the model's probability
+// assignment (the induced assignment of a sample-space assignment);
+// different assignments give different truths, which is the point of the
+// paper.
 //
 // Internally the evaluator runs on the system's dense point index
 // (system.Index): subformula extensions are DenseSet bitsets combined by
 // word-wise arithmetic, K_i walks the members of each information cell in
 // the index's cached cell partition, C_G is K over the group's cached
-// component partition, and Pr_i resolves the assignment's sample spaces
-// once into a per-agent table that every later probability query — in
-// particular every iteration of the C_G^α fixpoint — reuses. The exported
-// API still speaks PointSet; conversion happens only at this boundary and
-// is memoized.
+// component partition, and Pr_i reads the model's per-agent space table,
+// which every later probability query — in particular every iteration of
+// the C_G^α fixpoint — reuses. The exported API still speaks PointSet;
+// conversion happens only at this boundary and is memoized.
 //
 // An Evaluator memoizes formula extensions (the set of points where each
 // subformula holds) by node identity, so reusing formula objects across
@@ -46,32 +111,17 @@ var (
 // the memo.
 //
 // Evaluators are NOT safe for concurrent use: callers that share a system
-// across goroutines must give each goroutine its own Evaluator, or check
-// evaluators in and out of a pool (see internal/service). A pooled
-// evaluator stays warm — its memo survives between checkouts — and can be
-// cheaply demoted to cold with Reset when the memo grows past a cap; the
-// underlying System, its point index, and props are read-only and may be
-// shared freely.
+// across goroutines give each goroutine its own Evaluator over one shared
+// Model, or check evaluators in and out of a pool (see internal/service).
+// The memo is the evaluator's only state of its own; Reset drops it. The
+// System, its point index and the model's tables are read-only once built
+// and are shared freely.
 type Evaluator struct {
-	sys   *system.System
-	idx   *system.Index
-	prob  *core.ProbAssignment
-	props map[string]system.Fact
+	m   *Model
+	idx *system.Index
 
 	memo    map[Formula]*system.DenseSet // dense extensions, by node identity
 	extMemo map[Formula]system.PointSet  // boundary conversions of memo entries
-
-	// propExt holds the extension of each primitive proposition scanned so
-	// far, by name. It depends only on the system and the proposition
-	// table, so Reset keeps it (a pooled evaluator rescans no facts after
-	// its memo is dropped) and DefineProp clears it.
-	propExt map[string]*system.DenseSet
-
-	// spaceIdx[i] holds agent i's probability spaces resolved into a dense
-	// table: the distinct spaces in first-occurrence order plus a dense-ID →
-	// space-index map, built lazily once per agent. The table depends only
-	// on the system and the assignment, so it survives Reset and DefineProp.
-	spaceIdx map[system.AgentID]*spaceIndex
 
 	// cancel is the optional cooperative-cancellation hook installed by
 	// SetCancel; nil means evaluation runs to completion.
@@ -115,42 +165,17 @@ type spaceIndex struct {
 // two so the hot loops can test id&(cancelStride-1) == 0.
 const cancelStride = 4096
 
-// NewEvaluator builds an evaluator for the system. prob may be nil if no
-// probability operators will be evaluated; props maps primitive proposition
-// names to facts.
+// NewEvaluator builds an evaluator over a model of its own: shorthand for
+// NewModel(sys, prob, props).NewEvaluator().
 func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[string]system.Fact) *Evaluator {
-	cp := make(map[string]system.Fact, len(props))
-	for k, v := range props {
-		cp[k] = v
-	}
-	return &Evaluator{
-		sys:      sys,
-		idx:      sys.Index(),
-		prob:     prob,
-		props:    cp,
-		memo:     make(map[Formula]*system.DenseSet),
-		extMemo:  make(map[Formula]system.PointSet),
-		propExt:  make(map[string]*system.DenseSet),
-		spaceIdx: make(map[system.AgentID]*spaceIndex),
-	}
+	return NewModel(sys, prob, props).NewEvaluator()
 }
 
 // System returns the evaluator's system.
-func (e *Evaluator) System() *system.System { return e.sys }
-
-// DefineProp adds (or replaces) a primitive proposition. Replacing a
-// proposition invalidates the memo.
-func (e *Evaluator) DefineProp(name string, fact system.Fact) {
-	e.props[name] = fact
-	e.memo = make(map[Formula]*system.DenseSet)
-	e.extMemo = make(map[Formula]system.PointSet)
-	e.propExt = make(map[string]*system.DenseSet)
-}
+func (e *Evaluator) System() *system.System { return e.m.sys }
 
 // Reset drops the memo table. Pools call this when a long-lived
-// evaluator's memo exceeds their cap; the proposition table, the scanned
-// proposition extensions and the per-agent space tables (which depend only
-// on the immutable system, assignment and propositions) are kept.
+// evaluator's memo exceeds their cap; the model's tables are untouched.
 func (e *Evaluator) Reset() {
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
@@ -168,8 +193,8 @@ func (e *Evaluator) Reset() {
 // service's context-backed hook does, qualifies.
 //
 // Aborting is safe: the memo only ever holds completed, correct
-// extensions, so a canceled evaluator can be pooled and reused without a
-// Reset. SetCancel(nil) removes the hook; pools install a fresh hook per
+// extensions, and an aborted build publishes nothing to the model, so a
+// canceled evaluator can be pooled and reused without a Reset. SetCancel(nil) removes the hook; pools install a fresh hook per
 // checkout (see internal/service) so a stale hook never outlives its
 // request. ReferenceEvaluator deliberately has no cancellation — it stays
 // the straight-line executable specification.
@@ -292,13 +317,14 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 	idx := e.idx
 	switch f := f.(type) {
 	case *PropFormula:
-		if ext, ok := e.propExt[f.Name]; ok {
-			return ext, nil
-		}
-		fact, ok := e.props[f.Name]
+		slot, ok := e.m.props[f.Name]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownProp, f.Name)
 		}
+		if ext := slot.ext.Load(); ext != nil {
+			return ext, nil
+		}
+		fact := slot.fact
 		// With workers > 1 the fact's Holds is called from several
 		// goroutines; SetEngine documents that facts must tolerate that.
 		ps, stop := e.stopFn()
@@ -306,12 +332,11 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		e.eng.Sweep(idx.NumPoints(), func(workers int) {
 			out = idx.Select(workers, stop, func(id int) bool { return fact.Holds(idx.PointAt(id)) })
 		})
-		// A scan the hook aborted is partial: return before caching it.
+		// A scan the hook aborted is partial: return before publishing it.
 		if err := ps.Err(); err != nil {
 			return nil, err
 		}
-		e.propExt[f.Name] = out
-		return out, nil
+		return publish(&slot.ext, out), nil
 
 	case *BoolFormula:
 		if f.Value {
@@ -382,7 +407,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.complementPar(ev), nil
 
 	case *KnowFormula:
-		if err := checkAgentIn(e.sys, f.Agent); err != nil {
+		if err := checkAgentIn(e.m.sys, f.Agent); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -392,7 +417,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.knowExtension(f.Agent, sub)
 
 	case *PrGeqFormula:
-		if err := checkAgentIn(e.sys, f.Agent); err != nil {
+		if err := checkAgentIn(e.m.sys, f.Agent); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -402,7 +427,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.prExtension(f.Agent, sub, f.Alpha, true)
 
 	case *PrLeqFormula:
-		if err := checkAgentIn(e.sys, f.Agent); err != nil {
+		if err := checkAgentIn(e.m.sys, f.Agent); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -412,7 +437,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.prExtension(f.Agent, sub, f.Beta, false)
 
 	case *EveryoneFormula:
-		if err := checkGroupIn(e.sys, f.Group); err != nil {
+		if err := checkGroupIn(e.m.sys, f.Group); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -422,7 +447,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.everyoneExtension(f.Group, sub)
 
 	case *CommonFormula:
-		if err := checkGroupIn(e.sys, f.Group); err != nil {
+		if err := checkGroupIn(e.m.sys, f.Group); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -445,7 +470,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return out, nil
 
 	case *EveryonePrFormula:
-		if err := checkGroupIn(e.sys, f.Group); err != nil {
+		if err := checkGroupIn(e.m.sys, f.Group); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -455,7 +480,7 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.everyonePrExtension(f.Group, sub, f.Alpha)
 
 	case *CommonPrFormula:
-		if err := checkGroupIn(e.sys, f.Group); err != nil {
+		if err := checkGroupIn(e.m.sys, f.Group); err != nil {
 			return nil, err
 		}
 		sub, err := e.DenseExtension(f.Sub)
@@ -536,15 +561,17 @@ func (e *Evaluator) knowExtension(i system.AgentID, ext *system.DenseSet) (*syst
 	return out, nil
 }
 
-// spaceIndexFor returns (building on first use) agent i's dense space
-// table. A core.PartitionAssignment's blocks are the sample spaces
-// themselves; any other assignment takes perPointSpaces.
+// spaceIndexFor returns agent i's dense space table from the model,
+// building and publishing it on first use. A core.PartitionAssignment's
+// blocks are the sample spaces themselves; any other assignment takes
+// perPointSpaces.
 func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
-	if sx, ok := e.spaceIdx[i]; ok {
+	slot := &e.m.spaces[i]
+	if sx := slot.Load(); sx != nil {
 		return sx, nil
 	}
 	sx := &spaceIndex{}
-	if pa, ok := e.prob.SampleAssignment().(core.PartitionAssignment); ok {
+	if pa, ok := e.m.sample.(core.PartitionAssignment); ok {
 		e.eng.Sweep(e.idx.NumPoints(), func(workers int) { sx.part = pa.Blocks(e.idx, i, workers) })
 	}
 	var err error
@@ -560,15 +587,17 @@ func (e *Evaluator) spaceIndexFor(i system.AgentID) (*spaceIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.spaceIdx[i] = sx
-	return sx, nil
+	return publish(slot, sx), nil
 }
 
 // perPointSpaces fills sx from one serial ProbAssignment.Space call per
 // point, grouping the points by the space object they get, and each
-// block's rows from its space's fibers. A space whose tree is not in the
-// index (a sample that breaks REQ1) gets no rows, so it measures 0.
+// block's rows from its space's fibers. The ProbAssignment is the build's
+// own: Space writes its cache, and the model is shared. A space whose tree
+// is not in the index (a sample that breaks REQ1) gets no rows, so it
+// measures 0.
 func (e *Evaluator) perPointSpaces(sx *spaceIndex, i system.AgentID) error {
+	prob := core.NewProbAssignment(e.m.sys, e.m.sample)
 	spaceOf := make([]*measure.Space, e.idx.NumPoints())
 	for id := range spaceOf {
 		if id&(cancelStride-1) == 0 && id > 0 {
@@ -577,7 +606,7 @@ func (e *Evaluator) perPointSpaces(sx *spaceIndex, i system.AgentID) error {
 			}
 		}
 		c := e.idx.PointAt(id)
-		sp, err := e.prob.Space(i, c)
+		sp, err := prob.Space(i, c)
 		if err != nil {
 			return fmt.Errorf("Pr%d at %v: %w", i+1, c, err)
 		}
@@ -761,7 +790,7 @@ func (sx *spaceIndex) exactVerdict(x *system.Index, s int, ext *system.DenseSet,
 // measure agree; a table of rows walks each space's own rows. Nothing is
 // memoized across calls.
 func (e *Evaluator) prExtension(i system.AgentID, ext *system.DenseSet, bound rat.Rat, geq bool) (*system.DenseSet, error) {
-	if e.prob == nil {
+	if e.m.sample == nil {
 		return nil, ErrNoProbability
 	}
 	sx, err := e.spaceIndexFor(i)

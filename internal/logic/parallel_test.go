@@ -20,7 +20,8 @@ func (panicBlocks) Blocks(*system.Index, system.AgentID, int) *system.Partition 
 
 // TestBlocksPanicReleasesWorkers: the workers borrowed to build a sample
 // space partition come back even when the build panics, so a recovered
-// panic does not shrink the engine's budget for the rest of the process.
+// panic does not shrink the engine's budget for the rest of the process,
+// and the model gets no space table from the failed build.
 func TestBlocksPanicReleasesWorkers(t *testing.T) {
 	defer forceParallel()()
 	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 2, NumRuns: 64, RunLen: 4, Buckets: 8})
@@ -38,6 +39,9 @@ func TestBlocksPanicReleasesWorkers(t *testing.T) {
 	}()
 	if got := eng.gate.tryAcquire(3); got != 3 {
 		t.Fatalf("gate holds %d of its 3 tokens after a panicking Blocks", got)
+	}
+	if ev.m.spaces[0].Load() != nil {
+		t.Fatal("a panicking Blocks published a space table")
 	}
 }
 

@@ -197,20 +197,25 @@ func TestPrGeqAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestPropExtensionsSurviveReset checks the proposition cache's lifetime:
-// Reset keeps scanned proposition extensions (the fact is not consulted
-// again), DefineProp drops them, and a scan the cancel hook aborted is
-// never cached.
+// TestPropExtensionsSurviveReset checks the lifetime of the model's
+// proposition extensions: Reset keeps them and a second evaluator over the
+// model reads the same set (neither calls the fact again), while a scan
+// that the cancel hook aborted, or whose fact panicked, publishes nothing,
+// so the next evaluator over that model rescans in full.
 func TestPropExtensionsSurviveReset(t *testing.T) {
 	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 1, NumRuns: 2048, RunLen: 4, Buckets: 4})
-	scans := 0
+	n := sys.NumPoints()
+	calls, panicAt := 0, 0
 	fact := system.NewFact("p", func(p system.Point) bool {
-		if p.Run == 0 && p.Time == 0 {
-			scans++
+		calls++
+		if calls == panicAt {
+			panic("fact failed")
 		}
 		return p.Run%3 == 0
 	})
-	e := NewEvaluator(sys, nil, map[string]system.Fact{"p": fact})
+	props := map[string]system.Fact{"p": fact}
+	m := NewModel(sys, nil, props)
+	e := m.NewEvaluator()
 	want, err := e.DenseExtension(Prop("p"))
 	if err != nil {
 		t.Fatal(err)
@@ -220,43 +225,135 @@ func TestPropExtensionsSurviveReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scans != 1 || !got.Equal(want) {
-		t.Fatalf("after Reset: %d scans (want 1), equal extension %v", scans, got.Equal(want))
+	if calls != n || got != want {
+		t.Fatalf("after Reset: %d fact calls (want %d), same extension %v", calls, n, got == want)
 	}
 	if e.MemoLen() != 1 {
 		t.Fatalf("MemoLen after re-evaluation = %d, want 1", e.MemoLen())
 	}
-
-	e.DefineProp("p", fact)
-	if _, err := e.DenseExtension(Prop("p")); err != nil {
+	if got, err = m.NewEvaluator().DenseExtension(Prop("p")); err != nil {
 		t.Fatal(err)
 	}
-	if scans != 2 {
-		t.Fatalf("DefineProp kept the scanned extension: %d scans, want 2", scans)
+	if calls != n || got != want {
+		t.Fatalf("second evaluator: %d fact calls (want %d), same extension %v", calls, n, got == want)
 	}
 
-	// Abort the scan partway: the hook passes the subformula boundary,
-	// then fails at the first stride inside the scan (8192 points, two
-	// strides).
-	e.DefineProp("p", fact)
-	calls := 0
+	// Abort the scan partway on a fresh model: the hook passes the
+	// subformula boundary, then fails at the first stride inside the scan
+	// (8192 points, two strides).
+	m = NewModel(sys, nil, props)
+	e = m.NewEvaluator()
+	hooks := 0
 	e.SetCancel(func() error {
-		calls++
-		if calls > 1 {
+		hooks++
+		if hooks > 1 {
 			return errCancelTest
 		}
 		return nil
 	})
+	calls = 0
 	if _, err := e.DenseExtension(Prop("p")); !errors.Is(err, errCancelTest) {
 		t.Fatalf("aborted scan returned %v, want the hook's error", err)
 	}
-	e.SetCancel(nil)
-	got, err = e.DenseExtension(Prop("p"))
+	if calls == 0 || calls >= n {
+		t.Fatalf("the aborted scan made %d fact calls, want part of %d", calls, n)
+	}
+	rescan := func(label string) {
+		t.Helper()
+		calls = 0
+		got, err := m.NewEvaluator().DenseExtension(Prop("p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != n || !got.Equal(want) {
+			t.Fatalf("after %s: %d fact calls (want a full rescan, %d), equal extension %v", label, calls, n, got.Equal(want))
+		}
+	}
+	rescan("an aborted scan")
+
+	// A scan whose fact panics on its first call publishes nothing either.
+	m = NewModel(sys, nil, props)
+	calls, panicAt = 0, 1
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the fact's panic did not reach the caller")
+			}
+		}()
+		_, _ = m.NewEvaluator().DenseExtension(Prop("p"))
+	}()
+	panicAt = 0
+	rescan("a panicked scan")
+}
+
+// TestAbortedSpaceBuildPublishesNothing: a space-table build that the
+// cancel hook aborts, or whose assignment panics, publishes nothing to the
+// model, so the next evaluator over it builds the table in full and
+// answers as an evaluator over a model of its own does.
+func TestAbortedSpaceBuildPublishesNothing(t *testing.T) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 1, NumRuns: 2048, RunLen: 4, Buckets: 4})
+	props := map[string]system.Fact{"p": gen.ScaleFact("p", 3)}
+	f := PrGeq(0, Prop("p"), rat.New(1, 3))
+	post := core.Post(sys)
+	want, err := NewEvaluator(sys, core.NewProbAssignment(sys, post), props).DenseExtension(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scans != 4 || !got.Equal(want) {
-		t.Fatalf("after an aborted scan: %d scans (want 4), equal extension %v", scans, got.Equal(want))
+	samples, panicking := 0, false
+	// The keyed post assignment without its partition form: the per-point
+	// build, which polls the hook every 4,096 points.
+	sa := core.NewKeyedAssignment("post-keyed", func(i system.AgentID, c system.Point) system.PointSet {
+		samples++
+		if panicking {
+			panic("sample failed")
+		}
+		return post.Sample(i, c)
+	}, post.(core.KeyedAssignment).SampleKey)
+
+	for _, abort := range []string{"canceled", "panicked"} {
+		m := NewModel(sys, core.NewProbAssignment(sys, sa), props)
+		e := m.NewEvaluator()
+		if _, err := e.DenseExtension(Prop("p")); err != nil {
+			t.Fatal(err)
+		}
+		samples = 0
+		if abort == "canceled" {
+			// The first call is the Pr node's boundary; the second is the
+			// build's first stride (8192 points).
+			hooks := 0
+			e.SetCancel(func() error {
+				hooks++
+				if hooks > 1 {
+					return errCancelTest
+				}
+				return nil
+			})
+			if _, err := e.DenseExtension(f); !errors.Is(err, errCancelTest) {
+				t.Fatalf("canceled build returned %v, want the hook's error", err)
+			}
+		} else {
+			panicking = true
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the assignment's panic did not reach the caller")
+					}
+				}()
+				_, _ = e.DenseExtension(f)
+			}()
+			panicking = false
+		}
+		if samples == 0 || m.spaces[0].Load() != nil {
+			t.Fatalf("%s build: %d Sample calls, published table %v; want some calls and no table",
+				abort, samples, m.spaces[0].Load() != nil)
+		}
+		got, err := m.NewEvaluator().DenseExtension(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || m.spaces[0].Load() == nil {
+			t.Fatalf("after a %s build: equal extension %v, table published %v", abort, got.Equal(want), m.spaces[0].Load() != nil)
+		}
 	}
 }
 

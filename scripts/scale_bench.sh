@@ -3,14 +3,16 @@
 # benchmarks (internal/logic/bench_scale_test.go) over the gen.ScaleTiers
 # broom systems for every (tier, workers) pair and records
 # BENCH_SCALE.json, keyed "tier/wN/op" with ns/op, B/op, allocs/op and
-# peak RSS. The test binary is built once, and each (tier, workers,
-# benchmark) row runs in a process of its own. A benchmark is then timed
-# on a fresh heap, not on whatever an earlier benchmark of the same
-# process left behind: with IndexBuild first in one process, one build's
-# 1m Common read 0.76 ms and another's 1.08 ms, while each alone read
-# 0.85 and 0.81 ms. The peak-RSS metric reads VmHWM from
-# /proc/self/status, which is monotonic over a process's life, so each
-# row's peak RSS is its own benchmark's (system build included).
+# peak RSS, plus retained heap where a benchmark reports it. The test
+# binary is built once, and each (tier, workers, benchmark) row runs in a
+# process of its own. A benchmark is then timed on a fresh heap, not on
+# whatever an earlier benchmark of the same process left behind: with
+# IndexBuild first in one process, one build's 1m Common read 0.76 ms and
+# another's 1.08 ms, while each alone read 0.85 and 0.81 ms. The peak-RSS
+# metric reads VmHWM from /proc/self/status, which is monotonic over a
+# process's life, so each row's peak RSS is its own benchmark's (system
+# build included). The sub-benchmarks of one benchmark (Checkout/post,
+# Checkout/fut, ...) share its process, so they report no peak RSS.
 #
 # On hosts with ≥ 4 CPUs the script enforces the parallel-engine floor:
 # the K sweep over every member of every cell (KnowledgeAllPass) and the
@@ -83,6 +85,7 @@ $1 ~ /^[0-9a-z]+\/w[0-9]+\// {
         if ($(i+1) == "B/op")       bop[name] = $i
         if ($(i+1) == "allocs/op")  aop[name] = $i
         if ($(i+1) == "peakRSS-KB") rss[name] = $i
+        if ($(i+1) == "retained-B") ret[name] = $i
     }
     if (!(name in seen)) { seen[name] = 1; order[n++] = name }
 }
@@ -90,10 +93,11 @@ END {
     printf "{\n"
     for (i = 0; i < n; i++) {
         name = order[i]
-        printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"peak_rss_kb\": %s}%s\n", \
+        printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"peak_rss_kb\": %s%s}%s\n", \
             name, ns[name], (name in bop ? bop[name] : "null"), \
             (name in aop ? aop[name] : "null"), \
-            (name in rss ? rss[name] : "null"), (i < n-1 ? "," : "")
+            (name in rss ? rss[name] : "null"), \
+            (name in ret ? ", \"retained_bytes\": " ret[name] : ""), (i < n-1 ? "," : "")
     }
     printf "}\n"
 }' "$RAW" > "$OUT"

@@ -40,9 +40,10 @@ go test -race ./...
 # detector: a race shows only when the schedule cooperates, so one run
 # proves little. The fan-out contract, the sharded set algebra, index
 # fill, the index's shared caches, cell partition, K, E_G, component and
-# Pr-sum kernels, the engine's token gate, and logic's forceParallel
-# differential tests, ten times each.
-go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentParallelSharedIndex|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/system ./internal/logic
+# Pr-sum kernels, the engine's token gate, logic's forceParallel
+# differential tests, and the model's tables shared by concurrent
+# evaluators and kept empty by aborted builds, ten times each.
+go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentSharedIndex|TestConcurrentParallelSharedIndex|TestPropExtensionsSurviveReset|TestAbortedSpaceBuildPublishesNothing|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/system ./internal/logic
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
