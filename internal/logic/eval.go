@@ -194,9 +194,9 @@ func (e *Evaluator) Reset() {
 //
 // Aborting is safe: the memo only ever holds completed, correct
 // extensions, and an aborted build publishes nothing to the model, so a
-// canceled evaluator can be pooled and reused without a Reset. SetCancel(nil) removes the hook; pools install a fresh hook per
-// checkout (see internal/service) so a stale hook never outlives its
-// request. ReferenceEvaluator deliberately has no cancellation — it stays
+// canceled evaluator can be pooled and reused without a Reset.
+// SetCancel(nil) removes the hook; pools install a fresh hook per checkout
+// (see internal/service) so a stale hook never outlives its request. ReferenceEvaluator deliberately has no cancellation — it stays
 // the straight-line executable specification.
 func (e *Evaluator) SetCancel(cancel func() error) { e.cancel = cancel }
 
@@ -324,13 +324,12 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		if ext := slot.ext.Load(); ext != nil {
 			return ext, nil
 		}
-		fact := slot.fact
 		// With workers > 1 the fact's Holds is called from several
 		// goroutines; SetEngine documents that facts must tolerate that.
 		ps, stop := e.stopFn()
 		var out *system.DenseSet
 		e.eng.Sweep(idx.NumPoints(), func(workers int) {
-			out = idx.Select(workers, stop, func(id int) bool { return fact.Holds(idx.PointAt(id)) })
+			out = idx.Select(workers, stop, func(id int) bool { return slot.fact.Holds(idx.PointAt(id)) })
 		})
 		// A scan the hook aborted is partial: return before publishing it.
 		if err := ps.Err(); err != nil {

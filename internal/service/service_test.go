@@ -11,6 +11,7 @@ import (
 	"kpa/internal/encode"
 	"kpa/internal/logic"
 	"kpa/internal/registry"
+	"kpa/internal/system"
 )
 
 // introDoc returns the introduction's coin system as an encode document, so
@@ -311,6 +312,52 @@ func TestMemoCapResetsWorker(t *testing.T) {
 	}
 	if st := pool.stats(); st.Resets != 2 {
 		t.Fatalf("resets = %d, want 2 (one per return): %+v", st.Resets, st)
+	}
+}
+
+// TestColdCheckoutSharesModel: a worker made while another is checked out
+// is a new evaluator over the pool's model, so it reads the proposition
+// extension the first worker scanned instead of calling the fact again.
+func TestColdCheckoutSharesModel(t *testing.T) {
+	entry, err := registry.Lookup("introcoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, err := registry.Assignment(entry.Sys, "post")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	heads := entry.Props["heads"]
+	props := map[string]system.Fact{"heads": system.NewFact("heads", func(p system.Point) bool {
+		calls++
+		return heads.Holds(p)
+	})}
+	pool := newEvalPool(entry.Sys, sample, props, memoCap, nil)
+	var exts []*system.DenseSet
+	check := func(w *worker) error {
+		if _, err := w.eval.DenseExtension(logic.MustParse("K1^1/2 heads")); err != nil {
+			return err
+		}
+		ext, err := w.eval.DenseExtension(logic.Prop("heads"))
+		exts = append(exts, ext)
+		return err
+	}
+	err = pool.lend(func(w *worker) error {
+		if err := check(w); err != nil {
+			return err
+		}
+		return pool.lend(check)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.stats(); st.Created != 2 {
+		t.Fatalf("created = %d, want 2 workers: %+v", st.Created, st)
+	}
+	if calls != entry.Sys.NumPoints() || exts[0] != exts[1] {
+		t.Fatalf("two workers made %d fact calls (want one scan, %d) and share the extension: %v",
+			calls, entry.Sys.NumPoints(), exts[0] == exts[1])
 	}
 }
 
