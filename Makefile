@@ -23,7 +23,7 @@ lint:
 	go run ./cmd/kpavet ./...
 
 # vet + full test suite under the race detector (validates the concurrent
-# query service's pooling contract).
+# query service's model-sharing contract).
 verify:
 	./scripts/verify.sh
 

@@ -34,7 +34,7 @@ func chaosStatusOK(code int) bool {
 }
 
 // TestChaosHTTPDaemon runs the full daemon under a seeded injector — slow
-// worker checkouts, periodic evaluator panics, a starved admission queue —
+// evaluator set-ups, periodic evaluator panics, a starved admission queue —
 // and mixed concurrent HTTP traffic. Every response must be well-formed
 // JSON with a status from the taxonomy; error bodies must carry a kind;
 // 503s must carry Retry-After; and afterwards /v1/stats must reconcile

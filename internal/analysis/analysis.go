@@ -4,19 +4,24 @@
 // The contracts this reproduction rests on are invisible to the Go type
 // system: every probability is an exact rational (DESIGN.md trades real
 // numbers for big.Rat), rat.Rat values are immutable and freely shareable,
-// in-place DenseSet operations are legal only on exclusively owned sets,
-// lazily-built index state is valid only under its mutex, and the
-// evaluator pools in internal/service lend out non-thread-safe workers
-// that must come back. An Analyzer turns one such contract into a
-// machine-checked invariant: it inspects the type-checked syntax of one
-// package and reports diagnostics wherever the contract is violated.
+// mutex-guarded fields are touched only under their lock, map iteration
+// order never reaches output, context-aware functions stay cancellable,
+// every goroutine has a visible end, errors leaving internal/service carry
+// a kind, sharded sweeps write only the part they are handed, and sweeps
+// and fixpoint loops poll their cancel hook. An Analyzer turns one such
+// contract into a machine-checked invariant: it inspects the type-checked
+// syntax of one package and reports diagnostics wherever the contract is
+// violated.
 //
 // Beyond single-package syntax, a Pass offers two dataflow services.
 // CFG returns the cached control-flow graph of a function body (see the
 // sibling cfg package), the substrate for flow-sensitive checks. Object
 // facts let an analyzer publish typed conclusions about named objects —
-// "this function returns a caller-owned fresh set", "this method mutates
-// its receiver" — that the driver carries to later passes of the same
+// "this function polls a cancel hook" (PollsCancel), "this function can
+// block on a channel" (BlockingFunc), "this function reaches a termination
+// signal" (Signals), "this function can return a kindless error"
+// (NakedErrReturn), "this DenseSet method writes its receiver"
+// (WritesReceiver) — that the driver carries to later passes of the same
 // analyzer on importing packages; the driver schedules packages in import-
 // dependency order, so an imported object's facts are always complete
 // before the importer is analyzed.

@@ -35,9 +35,9 @@ var benchOnce = sync.OnceValue(func() (fix struct {
 	return
 })
 
-// The Dense* benchmarks measure a warm pooled evaluator: built once, memo
-// dropped per iteration (Reset), index/cells/spaces retained — the service's
-// steady state. The Naive* baselines rebuild per iteration, which costs them
+// The Dense* benchmarks measure a warm evaluator: built once, memo dropped
+// per iteration (Reset), index/cells/spaces retained — the service's steady
+// state, where each evaluation's fresh evaluator reads a warm model. The Naive* baselines rebuild per iteration, which costs them
 // only a map copy: the naive design re-derives cells and spaces inside every
 // call, warm or not.
 

@@ -188,7 +188,7 @@ func BenchmarkScaleSpaceBuild(b *testing.B) {
 }
 
 // BenchmarkScaleCheckout times what a further evaluator costs once a first
-// one has warmed the model, as a pool's further cold checkout does: a new
+// one has warmed the model, as each evaluation in the service makes: a new
 // evaluator over the model that answers Pr_i(p) ≥ 1/3 for every agent,
 // under post, fut, prior and opp(p2). The first evaluator, untimed, builds
 // the proposition extension and the space tables. retained-B is the live
@@ -204,7 +204,7 @@ func BenchmarkScaleCheckout(b *testing.B) {
 	}
 	for _, sa := range []core.SampleAssignment{core.Post(sys), core.Future(sys), core.Prior(sys), core.Opponent(sys, 1)} {
 		b.Run(strings.TrimSuffix(sa.Name(), "(p2)"), func(b *testing.B) {
-			m := NewModel(sys, core.NewProbAssignment(sys, sa), scaleFix.props)
+			m := NewModel(sys, sa, scaleFix.props)
 			checkout := func() *Evaluator {
 				e := m.NewEvaluator()
 				e.SetEngine(NewEngine(scaleFix.workers))

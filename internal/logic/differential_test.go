@@ -191,7 +191,7 @@ func FuzzDifferential(f *testing.F) {
 		sa := sas[int(assign)%len(sas)]
 		P := core.NewProbAssignment(sys, sa)
 		want, errN := NewReferenceEvaluator(sys, P, props).Extension(phi)
-		m := NewModel(sys, P, props)
+		m := NewModel(sys, sa, props)
 		for k, e := range []*Evaluator{m.NewEvaluator(), m.NewEvaluator()} {
 			got, errD := e.Extension(phi)
 			if (errN == nil) != (errD == nil) {
@@ -291,7 +291,7 @@ func shareModel(t *testing.T, label string, sys *system.System, sa core.SampleAs
 	}
 
 	var holds, builds atomic.Int64
-	m := NewModel(sys, core.NewProbAssignment(sys, buildCounter{sa, &builds}), countingFacts(props, &holds))
+	m := NewModel(sys, buildCounter{sa, &builds}, countingFacts(props, &holds))
 	names := make([]string, 0, len(props))
 	for name := range props {
 		names = append(names, name)

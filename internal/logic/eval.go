@@ -50,19 +50,18 @@ type propSlot struct {
 	ext  atomic.Pointer[system.DenseSet]
 }
 
-// NewModel binds a system to a probability assignment and a proposition
-// table. prob may be nil if no probability operators will be evaluated;
+// NewModel binds a system to a sample-space assignment, whose induced
+// probability assignment the model's space tables hold, and a proposition
+// table. sample may be nil if no probability operators will be evaluated;
 // props maps primitive proposition names to facts. Nothing is built until
 // an evaluator needs it; the system's point index is built by the first
 // NewEvaluator, if not before.
-func NewModel(sys *system.System, prob *core.ProbAssignment, props map[string]system.Fact) *Model {
+func NewModel(sys *system.System, sample core.SampleAssignment, props map[string]system.Fact) *Model {
 	m := &Model{
 		sys:    sys,
+		sample: sample,
 		props:  make(map[string]*propSlot, len(props)),
 		spaces: make([]atomic.Pointer[spaceIndex], sys.NumAgents()),
-	}
-	if prob != nil {
-		m.sample = prob.SampleAssignment()
 	}
 	for name, fact := range props {
 		m.props[name] = &propSlot{fact: fact}
@@ -112,8 +111,8 @@ func publish[T any](slot *atomic.Pointer[T], v *T) *T {
 //
 // Evaluators are NOT safe for concurrent use: callers that share a system
 // across goroutines give each goroutine its own Evaluator over one shared
-// Model, or check evaluators in and out of a pool (see internal/service).
-// The memo is the evaluator's only state of its own; Reset drops it. The
+// Model, as internal/service does with one evaluator per evaluation. The
+// memo is the evaluator's only state of its own; Reset drops it. The
 // System, its point index and the model's tables are read-only once built
 // and are shared freely.
 type Evaluator struct {
@@ -166,16 +165,21 @@ type spaceIndex struct {
 const cancelStride = 4096
 
 // NewEvaluator builds an evaluator over a model of its own: shorthand for
-// NewModel(sys, prob, props).NewEvaluator().
+// NewModel(sys, prob.SampleAssignment(), props).NewEvaluator(). prob may
+// be nil if no probability operators will be evaluated.
 func NewEvaluator(sys *system.System, prob *core.ProbAssignment, props map[string]system.Fact) *Evaluator {
-	return NewModel(sys, prob, props).NewEvaluator()
+	var sample core.SampleAssignment
+	if prob != nil {
+		sample = prob.SampleAssignment()
+	}
+	return NewModel(sys, sample, props).NewEvaluator()
 }
 
 // System returns the evaluator's system.
 func (e *Evaluator) System() *system.System { return e.m.sys }
 
-// Reset drops the memo table. Pools call this when a long-lived
-// evaluator's memo exceeds their cap; the model's tables are untouched.
+// Reset drops the memo table; the model's tables are untouched, so later
+// queries rebuild only their own subformulas.
 func (e *Evaluator) Reset() {
 	e.memo = make(map[Formula]*system.DenseSet)
 	e.extMemo = make(map[Formula]system.PointSet)
@@ -194,10 +198,11 @@ func (e *Evaluator) Reset() {
 //
 // Aborting is safe: the memo only ever holds completed, correct
 // extensions, and an aborted build publishes nothing to the model, so a
-// canceled evaluator can be pooled and reused without a Reset.
-// SetCancel(nil) removes the hook; pools install a fresh hook per checkout
-// (see internal/service) so a stale hook never outlives its request. ReferenceEvaluator deliberately has no cancellation — it stays
-// the straight-line executable specification.
+// canceled evaluator can be reused without a Reset. SetCancel(nil)
+// removes the hook.
+//
+// ReferenceEvaluator deliberately has no cancellation — it stays the
+// straight-line executable specification.
 func (e *Evaluator) SetCancel(cancel func() error) { e.cancel = cancel }
 
 // checkCancel consults the cancellation hook, if any.
@@ -210,13 +215,6 @@ func (e *Evaluator) checkCancel() error {
 
 // MemoLen reports the number of memoized subformula extensions.
 func (e *Evaluator) MemoLen() int { return len(e.memo) }
-
-// MemoWords reports the evaluator's memo footprint in 64-bit words across
-// the memoized dense extensions, so pools can bound a pooled evaluator's
-// memory rather than just its entry count.
-func (e *Evaluator) MemoWords() int {
-	return len(e.memo) * e.idx.Words()
-}
 
 // Holds reports whether the formula is true at the point.
 func (e *Evaluator) Holds(f Formula, at system.Point) (bool, error) {

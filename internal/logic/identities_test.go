@@ -88,7 +88,7 @@ func TestIdentities(t *testing.T) {
 				}
 				consistent = core.IsConsistent(fx.sys, sa)
 			}
-			m := NewModel(fx.sys, core.NewProbAssignment(fx.sys, sa), fx.props)
+			m := NewModel(fx.sys, sa, fx.props)
 			warm := m.NewEvaluator()
 			for _, phi := range fx.phis {
 				for _, i := range fx.sys.Agents() {

@@ -9,7 +9,7 @@ import (
 
 // Hash-consing of formula nodes. Evaluator memos are keyed by node
 // identity, so two structurally-equal formulas built separately — two
-// parses of the same query text hitting a pooled evaluator, or the fresh
+// parses of the same query text checked on one evaluator, or the fresh
 // Not/True nodes the Always/Eventually desugarings used to allocate — would
 // miss each other's memo entries. The constructors below intern every node
 // in a package-level table: structurally equal formulas are pointer-equal,
@@ -19,7 +19,7 @@ import (
 // tag, child pointers, scalar attributes) suffices for deep structural
 // equality. Rationals are keyed by rat.Key (canonical a/b form) and agent
 // groups by their normalized rendering. The table is guarded by a mutex —
-// construction is cheap next to evaluation, and pooled evaluators parse
+// construction is cheap next to evaluation, and concurrent requests parse
 // concurrently.
 //
 // A server that checks ever-new formulas would grow the table without

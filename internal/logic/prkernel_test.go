@@ -311,7 +311,7 @@ func TestAbortedSpaceBuildPublishesNothing(t *testing.T) {
 	}, post.(core.KeyedAssignment).SampleKey)
 
 	for _, abort := range []string{"canceled", "panicked"} {
-		m := NewModel(sys, core.NewProbAssignment(sys, sa), props)
+		m := NewModel(sys, sa, props)
 		e := m.NewEvaluator()
 		if _, err := e.DenseExtension(Prop("p")); err != nil {
 			t.Fatal(err)

@@ -15,15 +15,15 @@ import (
 
 // BenchmarkServiceCheck baselines the serving layer for future perf PRs:
 // cold measures a full evaluation per request (fresh service each time),
-// warm measures the verdict-cache path, and warm_pool measures a cache miss
-// served by a warm pooled evaluator (distinct formulas, shared memoized
-// subformulas). batch measures the fan-out path.
+// warm measures the verdict-cache path, and warm_model measures a cache
+// miss evaluated over a warm model (distinct formulas, shared proposition
+// extensions and space tables). batch measures the fan-out path.
 
 func BenchmarkServiceCheck(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
-		// New service per iteration: no verdict cache, no warm pool.
+		// New service per iteration: no verdict cache, no warm model.
 		for i := 0; i < b.N; i++ {
 			svc := New(Config{})
 			if _, err := svc.Check(ctx, CheckRequest{System: "async:6", Formula: "K1^1/2 lastHeads"}); err != nil {
@@ -50,10 +50,10 @@ func BenchmarkServiceCheck(b *testing.B) {
 		}
 	})
 
-	b.Run("warm_pool", func(b *testing.B) {
-		// Rotate distinct formulas over one pooled evaluator: every request
-		// misses the verdict cache but hits the evaluator's subformula
-		// memo (the extensions of lastHeads and Pr1 are shared).
+	b.Run("warm_model", func(b *testing.B) {
+		// Rotate distinct formulas over one session: every request misses
+		// the verdict cache, and its fresh evaluator reads the model's
+		// lastHeads extension and agent 1's space table.
 		svc := New(Config{CacheSize: 1})
 		reqs := []CheckRequest{
 			{System: "async:6", Formula: "K1^1/2 lastHeads"},
@@ -217,8 +217,8 @@ func missFormulas(rng *rand.Rand, n int) []string {
 }
 
 // BenchmarkCheckMiss is kpabench's miss workload in process, without HTTP:
-// one kpabench-shaped upload, a warm pool, and one never-seen formula per
-// Check, so every check misses the verdict cache and runs the evaluator.
+// one kpabench-shaped upload, a warm model, and one never-seen formula per
+// Check, so every check misses the verdict cache and runs an evaluator.
 func BenchmarkCheckMiss(b *testing.B) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
@@ -252,8 +252,8 @@ func BenchmarkCheckMiss(b *testing.B) {
 // a fresh service per iteration takes the kpabench-shaped upload outside
 // the timer, then answers the set-up's 24 checks, each a cold formula on a
 // cold session. The timed part is what the first checks build (the index,
-// the agents' cells, space tables and group partitions, the pooled
-// evaluator) plus their evaluation.
+// the agents' cells, space tables and group partitions) plus their
+// evaluation.
 func BenchmarkCheckWarm(b *testing.B) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))

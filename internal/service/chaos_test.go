@@ -84,15 +84,11 @@ func TestChaosServiceMixedTraffic(t *testing.T) {
 	wg.Wait()
 
 	// Counters reconcile with the injector, interleaving notwithstanding:
-	// every fired eval-seam panic was contained exactly once and discarded
-	// exactly one worker; every eval-seam call that did not fire reached
-	// the evaluator.
+	// every fired eval-seam panic was contained exactly once; every
+	// eval-seam call that did not fire reached the evaluator.
 	st := svc.Stats()
 	if got, want := st.Resilience.Panics, inj.Fired("eval"); got != want {
 		t.Fatalf("contained panics = %d, injector fired %d", got, want)
-	}
-	if got, want := st.Resilience.Discards, inj.Fired("eval"); got != want {
-		t.Fatalf("discarded workers = %d, injector fired %d panics", got, want)
 	}
 	if got, want := st.Eval.Evals, inj.Calls("eval")-inj.Fired("eval"); got != want {
 		t.Fatalf("evals = %d, want calls-fired = %d", got, want)

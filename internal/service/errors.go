@@ -30,7 +30,7 @@ const (
 	// KindCanceled means the caller went away before the verdict.
 	KindCanceled
 	// KindPanic means an evaluator panicked; the panic was contained and
-	// the worker discarded.
+	// the request's evaluator dropped.
 	KindPanic
 )
 

@@ -11,14 +11,15 @@ type Seams struct {
 	// BeforeStoreGet runs at the top of every session lookup with the
 	// requested system name. An error fails the lookup.
 	BeforeStoreGet func(name string) error
-	// BeforePoolGet runs just before a worker is checked out — for a
-	// check's evaluation and for a search job's φ — inside panic
+	// BeforePoolGet runs just before an evaluation makes its evaluator —
+	// for a check's evaluation and for a search job's φ — inside panic
 	// containment.
 	BeforePoolGet func() error
-	// BeforeEval runs after checkout, just before the evaluator is invoked
-	// with the canonical formula — for a check's evaluation and for a
-	// search job's φ — inside panic containment, so panics here are
-	// contained and poison the worker like a real evaluator panic would.
+	// BeforeEval runs after the evaluator is made, just before it is
+	// invoked with the canonical formula — for a check's evaluation and
+	// for a search job's φ — inside the evaluation's own panic
+	// containment, so panics here are contained like a real evaluator
+	// panic would be.
 	BeforeEval func(formula string) error
 	// BeforeCheckpoint runs before every search-checkpoint file operation
 	// with the operation ("write" or "load") and the job id. An error

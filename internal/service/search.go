@@ -192,7 +192,7 @@ func (j *searchJob) status() SearchStatus {
 // searchSpec is a validated, compiled-enough request, built synchronously
 // in StartSearch so client mistakes fail the POST instead of the job.
 type searchSpec struct {
-	pool      *evalPool
+	model     *modelEntry
 	sess      *session
 	phi       logic.Formula
 	canonical string
@@ -295,7 +295,7 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := sess.pool(orPost(req.Assign), s.engine)
+	m, err := sess.model(orPost(req.Assign), s.engine)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 		every = searchCheckpointEvery
 	}
 	return &searchSpec{
-		pool:      pool,
+		model:     m,
 		sess:      sess,
 		phi:       f,
 		canonical: f.String(),
@@ -403,10 +403,10 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 		return
 	}
 	spec.rule.Phi = phi
-	// The problem gets its own ProbAssignment: the compile step writes the
-	// assignment's space cache, which is not safe to share with pooled
-	// evaluators mid-request.
-	prob := core.NewProbAssignment(spec.sess.sys, spec.pool.sample)
+	// The problem compiles against a ProbAssignment, whose space cache the
+	// compile step writes; the model keeps only the sample assignment, so
+	// the job makes a ProbAssignment of its own.
+	prob := core.NewProbAssignment(spec.sess.sys, spec.model.sample)
 	p, err := search.NewProblem(prob, spec.i, spec.j, spec.c, spec.rule, spec.payoffs, spec.mode)
 	if err != nil {
 		s.finishSearch(job, nil, badRequest(err))
@@ -471,11 +471,11 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 	s.finishSearch(job, eng, nil)
 }
 
-// searchFact evaluates φ's extension on a pooled worker and freezes it as
-// a fact: the engine never touches an evaluator afterwards.
+// searchFact evaluates φ's extension on a fresh evaluator and freezes it
+// as a fact: the engine never touches an evaluator afterwards.
 func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
-	err = s.withWorker(spec.pool, spec.canonical, func(w *worker) error {
-		ext, err := w.eval.Extension(spec.phi)
+	err = s.withEvaluator(spec.model, spec.canonical, nil, func(ev *logic.Evaluator) error {
+		ext, err := ev.Extension(spec.phi)
 		if err != nil {
 			return s.classifyEvalErr(err)
 		}

@@ -671,10 +671,9 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 }
 
 // TestSearchFactPanicPoisonsWorker injects a panic into the evaluation of
-// a search job's φ: the job must fail with a typed KindPanic error, the
-// worker it ran on must be discarded rather than repooled, and the next
-// check on the same pool must get a newly created worker and a correct
-// verdict.
+// a search job's φ: the job must fail with a typed KindPanic error, and
+// the next check on the same model entry must make an evaluator of its own
+// and get a correct verdict.
 func TestSearchFactPanicPoisonsWorker(t *testing.T) {
 	svc := New(Config{Seams: &Seams{BeforeEval: func(formula string) error {
 		if formula == "phi" {
@@ -718,8 +717,8 @@ func TestSearchFactPanicPoisonsWorker(t *testing.T) {
 	if len(stats.Pools) != 1 {
 		t.Fatalf("have %d pools, want the one post pool: %+v", len(stats.Pools), stats.Pools)
 	}
-	if p := stats.Pools[0]; p.Discarded != 1 || p.Created != 2 || p.Reused != 0 {
-		t.Fatalf("pool after the poisoned search: %+v, want 1 discarded, 2 created, 0 reused", p)
+	if p := stats.Pools[0]; p.Created != 2 {
+		t.Fatalf("pool after the poisoned search: %+v, want 2 created", p)
 	}
 	if stats.Resilience.Panics != 1 {
 		t.Fatalf("panics = %d, want 1", stats.Resilience.Panics)

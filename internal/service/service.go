@@ -1,10 +1,10 @@
 // Package service is the concurrent query-serving layer over the
 // Halpern–Tuttle model-checking stack: it loads systems into a session
 // store (registry names plus uploaded internal/encode documents, deduped by
-// canonical content hash), lends warm non-thread-safe logic.Evaluators out
-// of per-(system, assignment) pools, and memoizes verdicts in a bounded LRU
-// cache keyed by (system hash, assignment, canonical formula). cmd/kpad
-// exposes it over HTTP.
+// canonical content hash), keeps one logic.Model per (system, assignment)
+// and runs each evaluation on a fresh logic.Evaluator over it, and memoizes
+// verdicts in a bounded LRU cache keyed by (system hash, assignment,
+// canonical formula). cmd/kpad exposes it over HTTP.
 package service
 
 import (
@@ -68,13 +68,6 @@ type Config struct {
 
 // Fixed serving limits.
 const (
-	// maxIdle bounds the idle evaluators kept per (system, assignment)
-	// pool.
-	maxIdle = 8
-	// memoCap is the memoized-extension budget, in 64-bit bitset words
-	// (formulas memoized × words per extension), above which a returned
-	// evaluator's memo is dropped.
-	memoCap = 4096
 	// searchCheckpointEvery is the default search checkpoint cadence in
 	// expanded nodes; a request's CheckpointEvery overrides it.
 	searchCheckpointEvery = 4096
@@ -125,7 +118,8 @@ func (c Config) withDefaults() Config {
 // misses onto one evaluation, evaluations whose waiters have all gone are
 // cooperatively canceled (logic.Evaluator.SetCancel) instead of burning
 // CPU to completion, and evaluator panics are contained to the request,
-// poisoning only the one worker. docs/RESILIENCE.md states the contract.
+// losing only that request's evaluator. docs/RESILIENCE.md states the
+// contract.
 type Service struct {
 	cfg    Config
 	store  *store
@@ -268,11 +262,11 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	if assign == "" {
 		assign = "post"
 	}
-	pool, err := sess.pool(assign, s.engine)
+	m, err := sess.model(assign, s.engine)
 	if err != nil {
 		return Verdict{}, err
 	}
-	key := cacheKey{sysHash: sess.hash, assign: pool.sample.Name(), formula: canonical}
+	key := cacheKey{sysHash: sess.hash, assign: m.sample.Name(), formula: canonical}
 	// Fast path: verdict-cache hits bypass admission control and
 	// singleflight entirely.
 	if v, ok := s.cache.get(key); ok {
@@ -287,7 +281,7 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	c, leader := s.flight.join(key)
 	defer s.flight.leave(key, c)
 	if leader {
-		go s.runEval(c, key, pool, sess, f)
+		go s.runEval(c, key, m, sess, f)
 	} else {
 		s.dedups.Add(1)
 	}
@@ -306,12 +300,12 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 }
 
 // runEval is the evaluation goroutine behind one flight call: it queues
-// for an admission slot, checks a worker out, evaluates f, caches a
-// successful verdict, and publishes the result to every waiter. It is
-// detached from any single request — it stops early only when all waiters
-// abandon the call (admission select, evaluator cancellation hook).
-func (s *Service) runEval(c *flightCall, key cacheKey, pool *evalPool, sess *session, f logic.Formula) {
-	v, err := s.leaderEval(c, pool, sess, f, key)
+// for an admission slot, evaluates f, caches a successful verdict, and
+// publishes the result to every waiter. It is detached from any single
+// request — it stops early only when all waiters abandon the call
+// (admission select, evaluator cancellation hook).
+func (s *Service) runEval(c *flightCall, key cacheKey, m *modelEntry, sess *session, f logic.Formula) {
+	v, err := s.leaderEval(c, m, sess, f, key)
 	if err == nil && !c.canceled() {
 		s.cache.put(key, v)
 	}
@@ -320,8 +314,8 @@ func (s *Service) runEval(c *flightCall, key cacheKey, pool *evalPool, sess *ses
 
 // leaderEval runs one admission-controlled, panic-contained evaluation of
 // f, whose canonical text and assignment name key carries.
-func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
-	// Containment for faults outside the worker region (an injected
+func (s *Service) leaderEval(c *flightCall, m *modelEntry, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
+	// Containment for faults outside the evaluator region (an injected
 	// pool-seam panic, an admission bug): no panic on this goroutine may
 	// kill the daemon.
 	defer func() {
@@ -337,17 +331,16 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f log
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	err = s.withWorker(pool, key.formula, func(w *worker) error {
-		w.eval.SetCancel(func() error {
-			if c.canceled() {
-				return context.Canceled
-			}
-			return nil
-		})
-		defer w.eval.SetCancel(nil)
+	cancel := func() error {
+		if c.canceled() {
+			return context.Canceled
+		}
+		return nil
+	}
+	err = s.withEvaluator(m, key.formula, cancel, func(ev *logic.Evaluator) error {
 		start := time.Now()
 		var err error
-		v, err = s.evaluate(w, sess, f, key.formula, key.assign)
+		v, err = s.evaluate(ev, sess, f, key.formula, key.assign)
 		s.evals.Add(1)
 		s.evalNanos.Add(uint64(time.Since(start).Nanoseconds()))
 		if err != nil {
@@ -361,29 +354,31 @@ func (s *Service) leaderEval(c *flightCall, pool *evalPool, sess *session, f log
 	return v, nil
 }
 
-// withWorker is the one checkout path for pooled workers: it runs the
-// pool-get seam, borrows a worker from pool, runs the eval seam with the
-// canonical formula, and hands the worker to fn. A panic in the eval seam
-// or in fn poisons the worker — the recovery runs before lend gives the
-// worker back, so lend discards it instead of handing it to the next
-// request — and returns as a KindPanic error.
-func (s *Service) withWorker(pool *evalPool, canonical string, fn func(w *worker) error) error {
+// withEvaluator is the one evaluation path, for checks, batch items and
+// search jobs' φ: it runs the pool-get seam, makes a fresh evaluator over
+// m's model with the service's engine and the cancel hook (nil for none),
+// runs the eval seam with the canonical formula, and hands the evaluator
+// to fn. A panic in the eval seam or in fn returns as a KindPanic error
+// and loses only this evaluator: its memo is all it held of its own, and
+// a model build that panics publishes nothing.
+func (s *Service) withEvaluator(m *modelEntry, canonical string, cancel func() error, fn func(ev *logic.Evaluator) error) (err error) {
 	if err := s.cfg.Seams.poolGet(); err != nil {
 		return err
 	}
-	return pool.lend(func(w *worker) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				w.poisoned = true
-				s.panics.Add(1)
-				err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluator panicked checking %q: %v", canonical, r)}
-			}
-		}()
-		if err := s.cfg.Seams.eval(canonical); err != nil {
-			return err
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluator panicked checking %q: %v", canonical, r)}
 		}
-		return fn(w)
-	})
+	}()
+	m.created.Add(1)
+	ev := m.model.NewEvaluator()
+	ev.SetEngine(s.engine)
+	ev.SetCancel(cancel)
+	if err := s.cfg.Seams.eval(canonical); err != nil {
+		return err
+	}
+	return fn(ev)
 }
 
 // admit acquires an evaluation slot: immediately when one is free,
@@ -438,14 +433,14 @@ func (s *Service) classifyEvalErr(err error) error {
 	return &Error{Kind: KindInternal, Err: err}
 }
 
-// evaluate runs f, whose canonical text is canonical, on a checked-out
-// worker. The verdict it returns carries the session's canonical name;
-// Check overwrites System with the requested alias.
-func (s *Service) evaluate(w *worker, sess *session, f logic.Formula, canonical, assignName string) (Verdict, error) {
+// evaluate runs f, whose canonical text is canonical, on ev. The verdict
+// it returns carries the session's canonical name; Check overwrites System
+// with the requested alias.
+func (s *Service) evaluate(ev *logic.Evaluator, sess *session, f logic.Formula, canonical, assignName string) (Verdict, error) {
 	// The whole path stays dense: extension, counts and counterexamples
 	// come from the bitset, so a million-point system never materializes
 	// its map-based point set just to serve a verdict.
-	ext, err := w.eval.DenseExtension(f)
+	ext, err := ev.DenseExtension(f)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -493,7 +488,7 @@ type BatchItem struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// Batch fans the formulas out across pooled evaluators and joins the
+// Batch fans the formulas out across concurrent evaluations and joins the
 // results in input order. Formula-level failures (parse errors, unknown
 // propositions) are reported per item; system- or assignment-level failures
 // fail the whole batch.
@@ -512,7 +507,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) ([]BatchItem, err
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sess.pool(orPost(req.Assign), s.engine); err != nil {
+	if _, err := sess.model(orPost(req.Assign), s.engine); err != nil {
 		return nil, err
 	}
 
@@ -584,8 +579,6 @@ type ResilienceStats struct {
 	// Dedups counts cache misses collapsed onto an in-flight identical
 	// evaluation by singleflight.
 	Dedups uint64 `json:"dedups"`
-	// Discards counts poisoned workers dropped instead of repooled.
-	Discards uint64 `json:"discards"`
 }
 
 // EngineStats snapshots the parallel dense engine: the configured budget
@@ -621,7 +614,7 @@ type Stats struct {
 	Pools         []PoolStats     `json:"pools"`
 }
 
-// Stats snapshots the cache, pool and request counters.
+// Stats snapshots the cache, model-entry and request counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
 		Checks:        s.checks.Load(),
@@ -655,11 +648,7 @@ func (s *Service) Stats() Stats {
 	sessions := s.store.sessions()
 	st.Systems = len(sessions)
 	for _, sess := range sessions {
-		ps := sess.poolStats()
-		for _, p := range ps {
-			st.Resilience.Discards += p.Discarded
-		}
-		st.Pools = append(st.Pools, ps...)
+		st.Pools = append(st.Pools, sess.poolStats()...)
 	}
 	return st
 }

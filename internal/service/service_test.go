@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kpa/internal/canon"
@@ -262,102 +264,97 @@ func TestCheckContextCancelled(t *testing.T) {
 	}
 }
 
+// TestPoolWarmReuse: every evaluation makes an evaluator of its own over
+// the session's one model entry, and a cache hit makes none.
 func TestPoolWarmReuse(t *testing.T) {
 	svc := New(Config{})
 	ctx := context.Background()
 	// Distinct formulas so the verdict cache cannot absorb the requests:
-	// the pool must still only build one evaluator when requests are
-	// sequential.
+	// each is an evaluation, and each makes its own evaluator.
 	for _, f := range []string{"K1^1/2 heads", "K2^1/2 heads", "K1 heads", "heads | tails"} {
 		if _, err := svc.Check(ctx, CheckRequest{System: "introcoin", Formula: f}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	v, err := svc.Check(ctx, CheckRequest{System: "introcoin", Formula: "K1 heads"})
+	if err != nil || !v.Cached {
+		t.Fatalf("repeated check: %+v, %v, want a cache hit", v, err)
 	}
 	st := svc.Stats()
 	if len(st.Pools) != 1 {
 		t.Fatalf("pools = %+v, want exactly one", st.Pools)
 	}
 	p := st.Pools[0]
-	if p.Created != 1 || p.Reused != 3 {
-		t.Fatalf("pool stats %+v, want created=1 reused=3", p)
+	if p.Created != 4 {
+		t.Fatalf("pool stats %+v, want created=4: one evaluator per miss, none for the hit", p)
 	}
 	if p.System != "introcoin" || p.Assignment != "post" {
 		t.Fatalf("pool identity %+v", p)
 	}
 }
 
-func TestMemoCapResetsWorker(t *testing.T) {
-	// A one-word memo cap forces a reset on every return.
-	entry, err := registry.Lookup("introcoin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sample, err := registry.Assignment(entry.Sys, "post")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := newEvalPool(entry.Sys, sample, entry.Props, 1, nil)
-	for _, src := range []string{"K1^1/2 heads", "K2^1/2 heads"} {
-		f, err := logic.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = pool.lend(func(w *worker) error {
-			_, err := w.eval.DenseExtension(f)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := pool.stats(); st.Resets != 2 {
-		t.Fatalf("resets = %d, want 2 (one per return): %+v", st.Resets, st)
-	}
-}
-
-// TestColdCheckoutSharesModel: a worker made while another is checked out
-// is a new evaluator over the pool's model, so it reads the proposition
-// extension the first worker scanned instead of calling the fact again.
+// TestColdCheckoutSharesModel: each evaluation through the service's
+// evaluation path makes a new evaluator over the session's model, so the
+// second reads the proposition extension the first scanned instead of
+// calling the fact again, and evaluations running at once all read it.
 func TestColdCheckoutSharesModel(t *testing.T) {
 	entry, err := registry.Lookup("introcoin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := registry.Assignment(entry.Sys, "post")
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
+	var calls atomic.Int64
 	heads := entry.Props["heads"]
 	props := map[string]system.Fact{"heads": system.NewFact("heads", func(p system.Point) bool {
-		calls++
+		calls.Add(1)
 		return heads.Holds(p)
 	})}
-	pool := newEvalPool(entry.Sys, sample, props, memoCap, nil)
-	var exts []*system.DenseSet
-	check := func(w *worker) error {
-		if _, err := w.eval.DenseExtension(logic.MustParse("K1^1/2 heads")); err != nil {
-			return err
-		}
-		ext, err := w.eval.DenseExtension(logic.Prop("heads"))
-		exts = append(exts, ext)
-		return err
-	}
-	err = pool.lend(func(w *worker) error {
-		if err := check(w); err != nil {
-			return err
-		}
-		return pool.lend(check)
-	})
+	svc := New(Config{})
+	sess := newSession("introcoin", "", entry.Sys, props, entry.Description, nil)
+	m, err := sess.model("post", svc.engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := pool.stats(); st.Created != 2 {
-		t.Fatalf("created = %d, want 2 workers: %+v", st.Created, st)
+	const canonical = "K1^1/2 heads"
+	check := func(ext **system.DenseSet) func(ev *logic.Evaluator) error {
+		return func(ev *logic.Evaluator) error {
+			if _, err := ev.DenseExtension(logic.MustParse(canonical)); err != nil {
+				return err
+			}
+			var err error
+			*ext, err = ev.DenseExtension(logic.Prop("heads"))
+			return err
+		}
 	}
-	if calls != entry.Sys.NumPoints() || exts[0] != exts[1] {
-		t.Fatalf("two workers made %d fact calls (want one scan, %d) and share the extension: %v",
-			calls, entry.Sys.NumPoints(), exts[0] == exts[1])
+	exts := make([]*system.DenseSet, 10)
+	for k := 0; k < 2; k++ {
+		if err := svc.withEvaluator(m, canonical, nil, check(&exts[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls.Load(); n != int64(entry.Sys.NumPoints()) || exts[0] != exts[1] {
+		t.Fatalf("two evaluations made %d fact calls (want one scan, %d) and share the extension: %v",
+			n, entry.Sys.NumPoints(), exts[0] == exts[1])
+	}
+	errs := make([]error, len(exts))
+	var wg sync.WaitGroup
+	for k := 2; k < len(exts); k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = svc.withEvaluator(m, canonical, nil, check(&exts[k]))
+		}(k)
+	}
+	wg.Wait()
+	for k, ext := range exts {
+		if errs[k] != nil || ext != exts[0] {
+			t.Fatalf("evaluation %d: err %v, shares the extension: %v", k, errs[k], ext == exts[0])
+		}
+	}
+	if n := calls.Load(); n != int64(entry.Sys.NumPoints()) {
+		t.Fatalf("concurrent evaluations over the warm model made %d fact calls, want none", n-int64(entry.Sys.NumPoints()))
+	}
+	if got := m.created.Load(); got != uint64(len(exts)) {
+		t.Fatalf("created = %d, want %d: one evaluator per evaluation", got, len(exts))
 	}
 }
 

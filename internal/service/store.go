@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"kpa/internal/canon"
+	"kpa/internal/core"
 	"kpa/internal/encode"
 	"kpa/internal/logic"
 	"kpa/internal/registry"
@@ -13,8 +15,8 @@ import (
 )
 
 // session is a loaded system: the store's unit of sharing. The system,
-// propositions and hash are immutable after construction; pools holds the
-// lazily-created evaluator pool per canonical assignment name.
+// propositions and hash are immutable after construction; models holds the
+// lazily-created model entry per canonical assignment name.
 type session struct {
 	name   string // the name the session was first loaded under
 	desc   string
@@ -29,8 +31,19 @@ type session struct {
 	// rebuild the system after a restart.
 	doc []byte
 
-	mu    sync.RWMutex
-	pools map[string]*evalPool // guarded by mu
+	mu     sync.RWMutex
+	models map[string]*modelEntry // guarded by mu
+}
+
+// modelEntry is one (session, assignment) pair: the logic.Model that every
+// evaluation over the pair reads, the sample assignment it was built from,
+// and how many evaluators have been made over it. Each evaluation makes an
+// evaluator of its own (Service.withEvaluator), so the model is the only
+// evaluation state concurrent requests share.
+type modelEntry struct {
+	model   *logic.Model
+	sample  core.SampleAssignment
+	created atomic.Uint64
 }
 
 // newSession returns a session over sys, first loaded under name and
@@ -50,50 +63,61 @@ func newSession(name, hash string, sys *system.System, props map[string]system.F
 		sys:    sys,
 		props:  props,
 		doc:    doc,
-		pools:  make(map[string]*evalPool),
+		models: make(map[string]*modelEntry),
 	}
 }
 
-// pool returns the session's evaluator pool for the assignment name,
+// model returns the session's model entry for the assignment name,
 // resolving and creating it on first use. The canonical key is the resolved
 // assignment's own Name(), so "opp:1" and the post assignment it equals for
-// agent 1 still get distinct pools (their verdicts coincide but their
-// sample keys differ), while repeated requests share one pool.
-func (s *session) pool(assignName string, eng *logic.Engine) (*evalPool, error) {
+// agent 1 still get distinct entries (their verdicts coincide but their
+// sample keys differ), while repeated requests share one entry.
+func (s *session) model(assignName string, eng *logic.Engine) (*modelEntry, error) {
 	sa, err := registry.Assignment(s.sys, assignName)
 	if err != nil {
 		return nil, badRequest(err)
 	}
 	key := sa.Name()
 	s.mu.RLock()
-	p, ok := s.pools[key]
+	m, ok := s.models[key]
 	s.mu.RUnlock()
 	if ok {
-		return p, nil
+		return m, nil
 	}
+	// The session's one-time point index is built here, outside the lock
+	// and sharded under the engine budget, instead of serially inside the
+	// first NewEvaluator; the index is once-guarded, so only the first
+	// entry per system pays.
+	eng.Sweep(s.sys.NumPoints(), func(workers int) { s.sys.BuildIndex(workers) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.pools[key]; ok {
-		return p, nil
+	if m, ok := s.models[key]; ok {
+		return m, nil
 	}
-	p = newEvalPool(s.sys, sa, s.props, memoCap, eng)
-	s.pools[key] = p
-	return p, nil
+	m = &modelEntry{model: logic.NewModel(s.sys, sa, s.props), sample: sa}
+	s.models[key] = m
+	return m, nil
+}
+
+// PoolStats reports one (system, assignment) model entry. Created counts
+// the evaluators made over its model: one per evaluation.
+type PoolStats struct {
+	System     string `json:"system"`
+	Assignment string `json:"assignment"`
+	Created    uint64 `json:"created"`
 }
 
 func (s *session) poolStats() []PoolStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.pools))
-	for k := range s.pools {
+	keys := make([]string, 0, len(s.models))
+	for k := range s.models {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]PoolStats, 0, len(keys))
 	for _, k := range keys {
-		ps := s.pools[k].stats()
-		ps.System = s.name
-		out = append(out, ps)
+		out = append(out, PoolStats{System: s.name, Assignment: k, Created: s.models[k].created.Load()})
 	}
 	return out
 }
@@ -102,7 +126,7 @@ func (s *session) poolStats() []PoolStats {
 // names and upload names) and by canonical content hash, so identical
 // systems — a registry system re-uploaded as JSON, or the same document
 // uploaded twice under different names — share one session and hence one
-// set of warm evaluator pools and one slice of the verdict cache.
+// set of models and one slice of the verdict cache.
 type store struct {
 	seams  *Seams
 	mu     sync.RWMutex

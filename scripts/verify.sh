@@ -5,7 +5,7 @@
 # parallelism contracts), then the full test suite under the race
 # detector. kpavet rejects the code shapes that break the
 # repo's invariants (docs/LINTING.md); the -race run then validates the
-# pooling and cancellation contracts dynamically (internal/service's
+# model-sharing and cancellation contracts dynamically (internal/service's
 # concurrency tests hammer shared services from dozens of goroutines).
 set -eux
 
@@ -44,6 +44,11 @@ go test -race ./...
 # differential tests, and the model's tables shared by concurrent
 # evaluators and kept empty by aborted builds, ten times each.
 go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentSharedIndex|TestConcurrentParallelSharedIndex|TestPropExtensionsSurviveReset|TestAbortedSpaceBuildPublishesNothing|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/system ./internal/logic
+# The service's side of the same sharing: every evaluation makes its own
+# evaluator, so a session's model is the only evaluation state concurrent
+# checks share. Mixed concurrent traffic and evaluations over one model,
+# ten times each.
+go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel)$' ./internal/service
 # Smoke the benchmark trajectory: one iteration each, so a broken or
 # bit-rotted benchmark fails verification without paying for a full run.
 go test -run '^$' -bench . -benchtime 1x ./...
