@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"kpa/internal/measure"
 	"kpa/internal/rat"
@@ -112,6 +113,23 @@ type PartitionAssignment interface {
 	Blocks(x *system.Index, i system.AgentID, workers int) *system.Partition
 }
 
+// sharedBlocks holds the one partition of an assignment whose blocks do
+// not depend on the agent (fut, prior), so every agent gets the same one.
+// Blocks checks that the index is of the assignment's system, and a system
+// has one index. The first complete build is kept; a panicking one keeps
+// nothing.
+type sharedBlocks struct {
+	part atomic.Pointer[system.Partition]
+}
+
+func (s *sharedBlocks) get(build func() *system.Partition) *system.Partition {
+	if p := s.part.Load(); p != nil {
+		return p
+	}
+	s.part.CompareAndSwap(nil, build())
+	return s.part.Load()
+}
+
 // blockKey names a canonical assignment's block by its tree and up to two
 // cells, a node or a time: no strings to hash.
 type blockKey struct {
@@ -175,6 +193,7 @@ func Opponent(sys *system.System, j system.AgentID) SampleAssignment {
 // decided before c have probability 0 or 1; future events keep nontrivial
 // probabilities. Blocks: (tree, node).
 func Future(sys *system.System) SampleAssignment {
+	var nodes sharedBlocks
 	return funcAssignment{
 		name: "fut",
 		fn: func(_ system.AgentID, c system.Point) system.PointSet {
@@ -187,9 +206,11 @@ func Future(sys *system.System) SampleAssignment {
 		},
 		sys: sys,
 		blocks: func(x *system.Index, _ system.AgentID, workers int) *system.Partition {
-			return system.PartitionBy(x, workers, func(id int) blockKey {
-				p := x.PointAt(id)
-				return blockKey{tree: p.Tree, a: int32(p.Tree.Run(p.Run)[p.Time])}
+			return nodes.get(func() *system.Partition {
+				return system.PartitionBy(x, workers, func(id int) blockKey {
+					p := x.PointAt(id)
+					return blockKey{tree: p.Tree, a: int32(p.Tree.Run(p.Run)[p.Time])}
+				})
 			})
 		},
 	}
@@ -200,6 +221,7 @@ func Future(sys *system.System) SampleAssignment {
 // the runs; the assignment is inconsistent (S_ic ⊄ K_i(c) in general) —
 // using it, an agent ignores everything it has learned. Blocks: (tree, time).
 func Prior(sys *system.System) SampleAssignment {
+	var times sharedBlocks
 	return funcAssignment{
 		name: "prior",
 		fn: func(_ system.AgentID, c system.Point) system.PointSet {
@@ -210,9 +232,11 @@ func Prior(sys *system.System) SampleAssignment {
 		},
 		sys: sys,
 		blocks: func(x *system.Index, _ system.AgentID, workers int) *system.Partition {
-			return system.PartitionBy(x, workers, func(id int) blockKey {
-				p := x.PointAt(id)
-				return blockKey{tree: p.Tree, a: int32(p.Time)}
+			return times.get(func() *system.Partition {
+				return system.PartitionBy(x, workers, func(id int) blockKey {
+					p := x.PointAt(id)
+					return blockKey{tree: p.Tree, a: int32(p.Time)}
+				})
 			})
 		},
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"kpa/internal/canon"
@@ -79,5 +80,42 @@ func TestPartitionAssignmentForeignIndex(t *testing.T) {
 	sys, other := canon.AsyncCoins(2), canon.AsyncCoins(2)
 	if Post(sys).(PartitionAssignment).Blocks(other.Index(), 0, 1) != nil {
 		t.Fatal("Blocks returned a partition over a foreign index")
+	}
+}
+
+// TestAgentFreeBlocksBuiltOnce: fut's and prior's blocks do not depend on
+// the agent, so one assignment gives every agent, at any worker count and
+// from concurrent callers, the same partition. Two further assignments'
+// own builds, with one and four workers, number the blocks identically.
+func TestAgentFreeBlocksBuiltOnce(t *testing.T) {
+	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 3, NumRuns: 64, RunLen: 4, Buckets: 4})
+	x := sys.Index()
+	for _, mk := range []func(*system.System) SampleAssignment{Future, Prior} {
+		sa := mk(sys)
+		got := make([]*system.Partition, 8)
+		var wg sync.WaitGroup
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k] = sa.(PartitionAssignment).Blocks(x, system.AgentID(k%3), 1+k%4)
+			}()
+		}
+		wg.Wait()
+		for k, p := range got {
+			if p != got[0] {
+				t.Fatalf("%s: caller %d (agent %d) got a partition of its own", sa.Name(), k, k%3)
+			}
+		}
+		one := mk(sys).(PartitionAssignment).Blocks(x, 0, 1)
+		four := mk(sys).(PartitionAssignment).Blocks(x, 2, 4)
+		if one == four || one == got[0] || one.NumBlocks() != four.NumBlocks() {
+			t.Fatalf("%s: separate assignments share a build, or their builds differ", sa.Name())
+		}
+		for id := 0; id < x.NumPoints(); id++ {
+			if one.BlockOf(id) != four.BlockOf(id) {
+				t.Fatalf("%s: builds with 1 and 4 workers number point %d differently", sa.Name(), id)
+			}
+		}
 	}
 }

@@ -104,10 +104,9 @@ func publish[T any](slot *atomic.Pointer[T], v *T) *T {
 // conversion happens only at this boundary and is memoized.
 //
 // An Evaluator memoizes formula extensions (the set of points where each
-// subformula holds) by node identity, so reusing formula objects across
-// queries is cheap; since the package hash-conses formula constructors,
-// re-parsing the same formula text reuses the same nodes and hence hits
-// the memo.
+// subformula holds) by node identity, so a node reached twice, within one
+// formula or across queries, is computed once. A re-parse of the same text
+// builds new nodes and is computed again.
 //
 // Evaluators are NOT safe for concurrent use: callers that share a system
 // across goroutines give each goroutine its own Evaluator over one shared
@@ -395,8 +394,8 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.computeUntil(True, f.Sub)
 
 	case *AlwaysFormula:
-		// □φ = ¬◇¬φ. Not(f.Sub) is hash-consed, so the inner extension
-		// memoizes across queries; only the final complement is fresh.
+		// □φ = ¬◇¬φ. The ¬φ node is new on every call, but the □ node's
+		// own memo entry means it is built once per □ node.
 		ev, err := e.computeUntil(True, Not(f.Sub))
 		if err != nil {
 			return nil, err

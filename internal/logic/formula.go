@@ -133,12 +133,12 @@ func (*CommonPrFormula) isFormula()   {}
 // Constructors. Agents are named 1-based in the concrete syntax (K1 is
 // agent p_1, i.e. system.AgentID 0) but the Go API uses AgentIDs directly.
 //
-// All constructors hash-cons: structurally equal formulas are pointer-equal
-// (see intern.go), so evaluator memos keyed by node identity hit across
-// separately-built copies of the same formula.
+// Every call returns a fresh node. Evaluator memos are keyed by node
+// identity, so a node shared by pointer is evaluated once; a separately
+// built copy of the same formula is evaluated again.
 
 // Prop returns the primitive proposition with the given name.
-func Prop(name string) Formula { return internProp(name) }
+func Prop(name string) Formula { return &PropFormula{Name: name} }
 
 // True and False are the boolean constants.
 var (
@@ -147,7 +147,7 @@ var (
 )
 
 // Not returns ¬φ.
-func Not(phi Formula) Formula { return internNot(phi) }
+func Not(phi Formula) Formula { return &NotFormula{Sub: phi} }
 
 // And returns the conjunction of the arguments (true for none).
 func And(phis ...Formula) Formula {
@@ -156,7 +156,7 @@ func And(phis ...Formula) Formula {
 	}
 	out := phis[0]
 	for _, phi := range phis[1:] {
-		out = internAnd(out, phi)
+		out = &AndFormula{Left: out, Right: phi}
 	}
 	return out
 }
@@ -168,13 +168,13 @@ func Or(phis ...Formula) Formula {
 	}
 	out := phis[0]
 	for _, phi := range phis[1:] {
-		out = internOr(out, phi)
+		out = &OrFormula{Left: out, Right: phi}
 	}
 	return out
 }
 
 // Implies returns φ → ψ.
-func Implies(phi, psi Formula) Formula { return internImplies(phi, psi) }
+func Implies(phi, psi Formula) Formula { return &ImpliesFormula{Left: phi, Right: psi} }
 
 // Iff returns (φ → ψ) ∧ (ψ → φ).
 func Iff(phi, psi Formula) Formula {
@@ -182,28 +182,28 @@ func Iff(phi, psi Formula) Formula {
 }
 
 // Next returns ◯φ.
-func Next(phi Formula) Formula { return internNext(phi) }
+func Next(phi Formula) Formula { return &NextFormula{Sub: phi} }
 
 // Until returns φ U ψ.
-func Until(phi, psi Formula) Formula { return internUntil(phi, psi) }
+func Until(phi, psi Formula) Formula { return &UntilFormula{Left: phi, Right: psi} }
 
 // Eventually returns ◇φ.
-func Eventually(phi Formula) Formula { return internEventually(phi) }
+func Eventually(phi Formula) Formula { return &EventuallyFormula{Sub: phi} }
 
 // Always returns □φ.
-func Always(phi Formula) Formula { return internAlways(phi) }
+func Always(phi Formula) Formula { return &AlwaysFormula{Sub: phi} }
 
 // K returns K_i φ.
-func K(i system.AgentID, phi Formula) Formula { return internK(i, phi) }
+func K(i system.AgentID, phi Formula) Formula { return &KnowFormula{Agent: i, Sub: phi} }
 
 // PrGeq returns Pr_i(φ) ≥ α.
 func PrGeq(i system.AgentID, phi Formula, alpha rat.Rat) Formula {
-	return internPrGeq(i, phi, alpha)
+	return &PrGeqFormula{Agent: i, Alpha: alpha, Sub: phi}
 }
 
 // PrLeq returns Pr_i(φ) ≤ β.
 func PrLeq(i system.AgentID, phi Formula, beta rat.Rat) Formula {
-	return internPrLeq(i, phi, beta)
+	return &PrLeqFormula{Agent: i, Beta: beta, Sub: phi}
 }
 
 // KPr returns K_i^α φ = K_i(Pr_i(φ) ≥ α).
@@ -219,22 +219,22 @@ func KInterval(i system.AgentID, phi Formula, alpha, beta rat.Rat) Formula {
 
 // Everyone returns E_G φ.
 func Everyone(group []system.AgentID, phi Formula) Formula {
-	return internEveryone(normalizeGroup(group), phi)
+	return &EveryoneFormula{Group: normalizeGroup(group), Sub: phi}
 }
 
 // Common returns C_G φ.
 func Common(group []system.AgentID, phi Formula) Formula {
-	return internCommon(normalizeGroup(group), phi)
+	return &CommonFormula{Group: normalizeGroup(group), Sub: phi}
 }
 
 // EveryonePr returns E_G^α φ.
 func EveryonePr(group []system.AgentID, phi Formula, alpha rat.Rat) Formula {
-	return internEveryonePr(normalizeGroup(group), phi, alpha)
+	return &EveryonePrFormula{Group: normalizeGroup(group), Alpha: alpha, Sub: phi}
 }
 
 // CommonPr returns C_G^α φ.
 func CommonPr(group []system.AgentID, phi Formula, alpha rat.Rat) Formula {
-	return internCommonPr(normalizeGroup(group), phi, alpha)
+	return &CommonPrFormula{Group: normalizeGroup(group), Alpha: alpha, Sub: phi}
 }
 
 func normalizeGroup(group []system.AgentID) []system.AgentID {

@@ -293,7 +293,10 @@ func TestPropExtensionsSurviveReset(t *testing.T) {
 func TestAbortedSpaceBuildPublishesNothing(t *testing.T) {
 	sys := gen.MustScaleSystem(gen.ScaleConfig{NumAgents: 1, NumRuns: 2048, RunLen: 4, Buckets: 4})
 	props := map[string]system.Fact{"p": gen.ScaleFact("p", 3)}
-	f := PrGeq(0, Prop("p"), rat.New(1, 3))
+	// One p node: the loop warms it, so the canceled build's hook counts
+	// start at f's Pr node.
+	p := Prop("p")
+	f := PrGeq(0, p, rat.New(1, 3))
 	post := core.Post(sys)
 	want, err := NewEvaluator(sys, core.NewProbAssignment(sys, post), props).DenseExtension(f)
 	if err != nil {
@@ -313,7 +316,7 @@ func TestAbortedSpaceBuildPublishesNothing(t *testing.T) {
 	for _, abort := range []string{"canceled", "panicked"} {
 		m := NewModel(sys, sa, props)
 		e := m.NewEvaluator()
-		if _, err := e.DenseExtension(Prop("p")); err != nil {
+		if _, err := e.DenseExtension(p); err != nil {
 			t.Fatal(err)
 		}
 		samples = 0

@@ -169,9 +169,6 @@ func (e *Engine) install(seed *Checkpoint) error {
 		e.nextCkpt = e.stats.NodesExpanded + e.cfg.CheckpointEvery
 		return nil
 	}
-	if seed.Version != CheckpointVersion {
-		return fmt.Errorf("search: checkpoint version %d, want %d", seed.Version, CheckpointVersion)
-	}
 	if seed.Fingerprint != e.p.fingerprint {
 		return fmt.Errorf("search: checkpoint fingerprint %s does not match problem %s",
 			seed.Fingerprint, e.p.fingerprint)
@@ -385,7 +382,6 @@ func (e *Engine) Checkpoint() Checkpoint {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := Checkpoint{
-		Version:       CheckpointVersion,
 		Fingerprint:   e.p.fingerprint,
 		NodesExpanded: e.stats.NodesExpanded,
 		NodesPruned:   e.stats.NodesPruned,

@@ -7,21 +7,23 @@ import (
 	"kpa/internal/search"
 )
 
-// FuzzDecodeCheckpoint feeds the checkpoint decoder arbitrary documents
-// of up to 16 KiB. DecodeCheckpoint must never panic, and any checkpoint
-// it accepts must survive a round trip: Encode then DecodeCheckpoint
-// yields a reflect.DeepEqual checkpoint. Plain `go test` replays the
-// seeds (the codec tests' documents and checkpoints of a real run);
-// `make fuzz` explores further.
+// FuzzDecodeCheckpoint feeds the checkpoint decoder arbitrary files of up
+// to 16 KiB. DecodeCheckpoint must never panic, and any checkpoint it
+// accepts must survive a round trip: Encode then DecodeCheckpoint yields a
+// reflect.DeepEqual checkpoint. Each input is also tried with its payload
+// length and CRC recomputed, so mutations of the JSON document reach the
+// JSON parser instead of stopping at the checksum. Plain `go test` replays
+// the seeds (the codec tests' framed documents and checkpoints of a real
+// run); `make fuzz` explores further.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	codec := &search.Checkpoint{
-		Version:       search.CheckpointVersion,
 		Fingerprint:   "abc123",
 		Frontier:      [][]byte{{0, 1}, {1}, {}},
 		Incumbent:     &search.Incumbent{Value: "-5/7", Choices: []byte{0, 1, 1}},
 		NodesExpanded: 42,
 		NodesPruned:   17,
 		LeafEvals:     9,
+		Request:       []byte(`{"job": [ 1 ]}`),
 	}
 	seeds := []*search.Checkpoint{codec}
 	var mid []*search.Checkpoint
@@ -50,31 +52,43 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	for _, doc := range []string{
 		`{`,
-		`{"version":2,"fingerprint":"x","frontier":[]}`,
-		`{"version":1,"frontier":[]}`,
-		`{"version":1,"fingerprint":"x","incumbent":{"value":"nope","choices":"AA=="}}`,
+		`{"frontier":[]}`,
+		`{"fingerprint":"x","incumbent":{"value":"nope","choices":"AA=="}}`,
 	} {
-		f.Add([]byte(doc))
+		f.Add(frameDoc(doc, search.CheckpointVersion))
 	}
+	f.Add(frameDoc(`{"fingerprint":"x","frontier":[]}`, search.CheckpointVersion+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 16<<10 {
 			return
 		}
-		c, err := search.DecodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		out, err := c.Encode()
-		if err != nil {
-			t.Fatalf("Encode of a decoded checkpoint: %v", err)
-		}
-		back, err := search.DecodeCheckpoint(out)
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint does not decode: %v\n%s", err, out)
-		}
-		if !reflect.DeepEqual(back, c) {
-			t.Fatalf("round trip changed the checkpoint:\n got %+v\nwant %+v", back, c)
+		checkCheckpointRoundTrip(t, data)
+		if len(data) >= 16+4 {
+			checkCheckpointRoundTrip(t, reframe(data))
 		}
 	})
+}
+
+// checkCheckpointRoundTrip decodes data and, if it is accepted, requires
+// the re-encoded checkpoint to decode to an identical one.
+func checkCheckpointRoundTrip(t *testing.T, data []byte) {
+	c, err := search.DecodeCheckpoint(data)
+	if err != nil {
+		if c != nil {
+			t.Fatalf("DecodeCheckpoint returned a checkpoint with error %v", err)
+		}
+		return
+	}
+	out, err := c.Encode()
+	if err != nil {
+		t.Fatalf("Encode of a decoded checkpoint: %v", err)
+	}
+	back, err := search.DecodeCheckpoint(out)
+	if err != nil {
+		t.Fatalf("re-encoded checkpoint does not decode: %v\n%q", err, out)
+	}
+	if !reflect.DeepEqual(back, c) {
+		t.Fatalf("round trip changed the checkpoint:\n got %+v\nwant %+v", back, c)
+	}
 }

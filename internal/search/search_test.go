@@ -9,6 +9,7 @@ import (
 
 	"kpa/internal/betting"
 	"kpa/internal/core"
+	"kpa/internal/frame"
 	"kpa/internal/rat"
 	"kpa/internal/search"
 	"kpa/internal/system"
@@ -189,13 +190,13 @@ func TestSingleCellHandBuilt(t *testing.T) {
 
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	c := &search.Checkpoint{
-		Version:       search.CheckpointVersion,
 		Fingerprint:   "abc123",
 		Frontier:      [][]byte{{0, 1}, {1}, {}},
 		Incumbent:     &search.Incumbent{Value: "-5/7", Choices: []byte{0, 1, 1}},
 		NodesExpanded: 42,
 		NodesPruned:   17,
 		LeafEvals:     9,
+		Request:       []byte(`{"job": [ 1 ]}`),
 	}
 	data, err := c.Encode()
 	if err != nil {
@@ -212,18 +213,23 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if got.Incumbent == nil || got.Incumbent.Value != "-5/7" || len(got.Incumbent.Choices) != 3 {
 		t.Fatalf("round trip mangled incumbent: %+v", got.Incumbent)
 	}
+	// The request is opaque bytes: kept exactly, spaces and all.
+	if string(got.Request) != string(c.Request) {
+		t.Fatalf("round trip changed the request: %q, want %q", got.Request, c.Request)
+	}
 }
 
+// TestCheckpointCodecRejects: a document that passes the frame but not
+// the codec's own checks is frame.ErrCorrupt.
 func TestCheckpointCodecRejects(t *testing.T) {
 	cases := map[string]string{
 		"bad json":       `{`,
-		"wrong version":  `{"version":2,"fingerprint":"x","frontier":[]}`,
-		"no fingerprint": `{"version":1,"frontier":[]}`,
-		"bad incumbent":  `{"version":1,"fingerprint":"x","incumbent":{"value":"nope","choices":"AA=="}}`,
+		"no fingerprint": `{"frontier":[]}`,
+		"bad incumbent":  `{"fingerprint":"x","incumbent":{"value":"nope","choices":"AA=="}}`,
 	}
 	for name, doc := range cases {
-		if _, err := search.DecodeCheckpoint([]byte(doc)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := search.DecodeCheckpoint(frameDoc(doc, search.CheckpointVersion)); !errors.Is(err, frame.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -239,12 +245,6 @@ func TestRunRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := search.New(q, search.Config{Workers: 1}).Run(&ckpt); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("foreign checkpoint accepted (err=%v)", err)
-	}
-	bad := eng.Checkpoint()
-	bad.Version = 99
-	if _, err := search.New(p, search.Config{Workers: 1}).Run(&bad); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong-version checkpoint accepted (err=%v)", err)
 	}
 }
 

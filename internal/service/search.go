@@ -205,30 +205,19 @@ type searchSpec struct {
 	every     uint64
 }
 
-// searchCheckpointFile is the on-disk job checkpoint: the embedded request
-// re-derives the problem (and hence the fingerprint the engine validates),
-// so a restarted daemon needs nothing but this file to continue.
-type searchCheckpointFile struct {
-	Version    int                `json:"version"`
-	ID         string             `json:"id"`
-	Request    SearchRequest      `json:"request"`
-	Checkpoint *search.Checkpoint `json:"checkpoint"`
-}
-
 // StartSearch validates the request, admits it (one blocking evaluation
 // slot, shed with KindOverloaded like Check), registers the job, and runs
 // the search on a detached goroutine. Additional workers up to the
 // configured count take evaluation slots opportunistically — a busy
 // service degrades a search to fewer workers rather than starving checks.
 func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
-	resumedFrom := ""
+	resumed := req.ResumeFrom
 	var seed *search.Checkpoint
-	if req.ResumeFrom != "" {
-		embedded, ckpt, err := s.resumeSeed(req.ResumeFrom)
+	if resumed != "" {
+		embedded, ckpt, err := s.resumeSeed(resumed)
 		if err != nil {
 			return SearchStatus{}, err
 		}
-		resumedFrom = req.ResumeFrom
 		seed = ckpt
 		workers, every := req.Workers, req.CheckpointEvery
 		req = embedded
@@ -240,15 +229,25 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 			req.CheckpointEvery = every
 		}
 	}
-	spec, err := s.compileSearchSpec(req)
+	job := &searchJob{req: req, done: make(chan struct{}), state: SearchRunning, resumed: resumed}
+	if err := s.launchSearch(job, seed); err != nil {
+		return SearchStatus{}, err
+	}
+	return job.status(), nil
+}
+
+// launchSearch compiles job.req, admits it, registers the job and starts
+// runSearch. A job without an ID takes the next fresh one; a job with an
+// ID (ResumeSearches restarting it under its own) conflicts with a
+// registered job of that ID.
+func (s *Service) launchSearch(job *searchJob, seed *search.Checkpoint) error {
+	spec, err := s.compileSearchSpec(job.req)
 	if err != nil {
-		return SearchStatus{}, err
+		return err
 	}
-
 	if err := s.admit(nil); err != nil {
-		return SearchStatus{}, err
+		return err
 	}
-
 	s.searchMu.Lock()
 	running := 0
 	for _, j := range s.searches {
@@ -259,27 +258,26 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 	if running >= s.cfg.MaxSearchJobs {
 		s.searchMu.Unlock()
 		<-s.sem
-		return SearchStatus{}, &Error{
+		return &Error{
 			Kind:       KindOverloaded,
 			Msg:        fmt.Sprintf("service: all %d search-job slots busy", s.cfg.MaxSearchJobs),
 			RetryAfter: retryAfter,
 		}
 	}
-	s.searchSeq++
-	job := &searchJob{
-		id:      fmt.Sprintf("s%d", s.searchSeq),
-		seq:     s.searchSeq,
-		req:     req,
-		done:    make(chan struct{}),
-		state:   SearchRunning,
-		resumed: resumedFrom,
+	if job.id == "" {
+		s.searchSeq++
+		job.id, job.seq = fmt.Sprintf("s%d", s.searchSeq), s.searchSeq
+	} else if _, taken := s.searches[job.id]; taken {
+		s.searchMu.Unlock()
+		<-s.sem
+		return &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", job.id)}
 	}
 	s.searches[job.id] = job
 	s.searchMu.Unlock()
 	s.pruneSearches()
 
 	go s.runSearch(job, spec, seed)
-	return job.status(), nil
+	return nil
 }
 
 func (j *searchJob) runningNow() bool {
@@ -475,11 +473,11 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 // as a fact: the engine never touches an evaluator afterwards.
 func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
 	err = s.withEvaluator(spec.model, spec.canonical, nil, func(ev *logic.Evaluator) error {
-		ext, err := ev.Extension(spec.phi)
+		ext, err := ev.DenseExtension(spec.phi)
 		if err != nil {
 			return s.classifyEvalErr(err)
 		}
-		phi = system.NewFact(spec.canonical, ext.Contains)
+		phi = system.NewFact(spec.canonical, ext.ContainsPoint)
 		return nil
 	})
 	return phi, err
@@ -520,12 +518,12 @@ func (s *Service) writeSearchCheckpoint(job *searchJob, c *search.Checkpoint) er
 	if err := s.cfg.Seams.checkpoint("write", job.id); err != nil {
 		return err
 	}
-	doc, err := json.Marshal(searchCheckpointFile{
-		Version:    search.CheckpointVersion,
-		ID:         job.id,
-		Request:    job.req,
-		Checkpoint: c,
-	})
+	req, err := json.Marshal(job.req)
+	if err != nil {
+		return err
+	}
+	c.Request = req
+	doc, err := c.Encode()
 	if err != nil {
 		return err
 	}
@@ -543,8 +541,10 @@ func (s *Service) writeSearchCheckpoint(job *searchJob, c *search.Checkpoint) er
 
 // resumeSeed finds the checkpoint for a job id: a retained job's in-memory
 // snapshot first (canceled and failed jobs keep their engine state), the
-// checkpoint file second. It returns the embedded original request, which
-// defines the resumed problem.
+// checkpoint file second. It returns the job's original request, which
+// defines the resumed problem; a file carries it in the checkpoint's
+// Request. A file that fails DecodeCheckpoint, or whose request does not
+// parse, is a KindConflict.
 func (s *Service) resumeSeed(id string) (SearchRequest, *search.Checkpoint, error) {
 	s.searchMu.Lock()
 	job := s.searches[id]
@@ -579,23 +579,16 @@ func (s *Service) resumeSeed(id string) (SearchRequest, *search.Checkpoint, erro
 		return SearchRequest{}, nil, &Error{Kind: KindNotFound,
 			Msg: fmt.Sprintf("service: no checkpoint for search %s", id), Err: err}
 	}
-	var file searchCheckpointFile
-	if err := json.Unmarshal(doc, &file); err != nil {
-		return SearchRequest{}, nil, &Error{Kind: KindInternal, Msg: "service: corrupt checkpoint", Err: err}
+	ckpt, err := search.DecodeCheckpoint(doc)
+	var req SearchRequest
+	if err == nil {
+		err = json.Unmarshal(ckpt.Request, &req)
 	}
-	if file.Version != search.CheckpointVersion || file.Checkpoint == nil {
+	if err != nil {
 		return SearchRequest{}, nil, &Error{Kind: KindConflict,
-			Msg: fmt.Sprintf("service: checkpoint for %s has version %d, want %d", id, file.Version, search.CheckpointVersion)}
+			Msg: fmt.Sprintf("service: checkpoint for search %s rejected", id), Err: err}
 	}
-	raw, err := file.Checkpoint.Encode()
-	if err != nil {
-		return SearchRequest{}, nil, &Error{Kind: KindInternal, Err: err}
-	}
-	ckpt, err := search.DecodeCheckpoint(raw)
-	if err != nil {
-		return SearchRequest{}, nil, &Error{Kind: KindConflict, Msg: "service: checkpoint rejected", Err: err}
-	}
-	return file.Request, ckpt, nil
+	return req, ckpt, nil
 }
 
 // SearchResumeReport summarizes one ResumeSearches scan.
@@ -655,7 +648,7 @@ func (s *Service) ResumeSearches() SearchResumeReport {
 	}
 	s.searchMu.Unlock()
 	for _, c := range cands {
-		if err := s.resumeJobAs(c.id, c.seq); err != nil {
+		if err := s.resumeJob(c.id, c.seq); err != nil {
 			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s.json: %v", c.id, err))
 			continue
 		}
@@ -664,67 +657,17 @@ func (s *Service) ResumeSearches() SearchResumeReport {
 	return rep
 }
 
-// resumeJobAs restarts one checkpointed job under its original ID. It is
-// StartSearch's resume path minus the fresh-ID allocation: the checkpoint
-// file's embedded request defines the problem, the current config defines
-// the worker count (a restarted daemon may well be sized differently), and
-// the job slot cap still applies.
-func (s *Service) resumeJobAs(id string, seq int) error {
-	s.searchMu.Lock()
-	_, taken := s.searches[id]
-	s.searchMu.Unlock()
-	if taken {
-		return &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", id)}
-	}
+// resumeJob restarts one checkpointed job under its original ID. The
+// checkpoint's request defines the problem and the current config the
+// worker count: a restarted daemon may well be sized differently.
+func (s *Service) resumeJob(id string, seq int) error {
 	req, seed, err := s.resumeSeed(id)
 	if err != nil {
 		return err
 	}
-	req.ResumeFrom = ""
-	// The old daemon's worker preference is advisory at best; resume with
-	// the new config's sizing.
-	req.Workers = 0
-	spec, err := s.compileSearchSpec(req)
-	if err != nil {
-		return err
-	}
-	if err := s.admit(nil); err != nil {
-		return err
-	}
-	s.searchMu.Lock()
-	running := 0
-	for _, j := range s.searches {
-		if j.runningNow() {
-			running++
-		}
-	}
-	if running >= s.cfg.MaxSearchJobs {
-		s.searchMu.Unlock()
-		<-s.sem
-		return &Error{
-			Kind: KindOverloaded,
-			Msg:  fmt.Sprintf("service: all %d search-job slots busy; checkpoint kept", s.cfg.MaxSearchJobs),
-		}
-	}
-	if _, taken := s.searches[id]; taken {
-		s.searchMu.Unlock()
-		<-s.sem
-		return &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", id)}
-	}
-	job := &searchJob{
-		id:      id,
-		seq:     seq,
-		req:     req,
-		done:    make(chan struct{}),
-		state:   SearchRunning,
-		resumed: id,
-	}
-	s.searches[id] = job
-	s.searchMu.Unlock()
-	s.pruneSearches()
-
-	go s.runSearch(job, spec, seed)
-	return nil
+	req.ResumeFrom, req.Workers = "", 0
+	job := &searchJob{id: id, seq: seq, req: req, done: make(chan struct{}), state: SearchRunning, resumed: id}
+	return s.launchSearch(job, seed)
 }
 
 // SearchStatusOf reports one job.

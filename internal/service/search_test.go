@@ -13,6 +13,7 @@ import (
 
 	"kpa/internal/encode"
 	"kpa/internal/faultinject"
+	"kpa/internal/frame"
 	"kpa/internal/rat"
 	"kpa/internal/system"
 )
@@ -531,33 +532,9 @@ func TestSearchResumeDiscoveryAcrossRestart(t *testing.T) {
 // other on disk.
 func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 	dir := t.TempDir()
-	gate := newCkptGate()
-	svc := New(Config{
-		SearchCheckpointDir: dir,
-		Seams:               &Seams{BeforeCheckpoint: gate.seam},
-	})
-	uploadCoupled(t, svc, 8, 4)
-
-	st1, err := svc.StartSearch(everyNode(bigSearchReq()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.entered
-	stop := make(chan struct{})
-	go func() {
-		svc.DrainSearches()
-		close(stop)
-	}()
-	svc.searchMu.Lock()
-	job := svc.searches[st1.ID]
-	svc.searchMu.Unlock()
-	for !job.canceled.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.release)
-	<-stop
+	st1 := drainedSearch(t, dir)
 	// Forge a second unfinished job by copying the first checkpoint under
-	// the next ID (the embedded ID is advisory; the filename is the key).
+	// the next ID (the filename is the job's key).
 	data, err := os.ReadFile(filepath.Join(dir, st1.ID+".json"))
 	if err != nil {
 		t.Fatal(err)
@@ -587,6 +564,100 @@ func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 	close(gate2.release)
 	if fin := waitSearch(t, svc2, st1.ID); fin.State != SearchDone {
 		t.Fatalf("resumed job: %s (%s)", fin.State, fin.Error)
+	}
+}
+
+// drainedSearch starts a search over dir, drains the service once the
+// job's first checkpoint write begins, and returns the job, whose final
+// checkpoint is then on disk: a daemon shut down mid-search.
+func drainedSearch(t *testing.T, dir string) SearchStatus {
+	t.Helper()
+	gate := newCkptGate()
+	svc := New(Config{
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
+	})
+	uploadCoupled(t, svc, 8, 4)
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
+	stop := make(chan struct{})
+	go func() {
+		svc.DrainSearches()
+		close(stop)
+	}()
+	svc.searchMu.Lock()
+	job := svc.searches[st.ID]
+	svc.searchMu.Unlock()
+	for !job.canceled.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	<-stop
+	return st
+}
+
+// TestSearchResumeSkipsDamagedCheckpoints: a torn and a bit-flipped copy
+// of a job's checkpoint are each skipped by discovery, with the frame's
+// reason, and kept on disk; a hand resume of either is a typed conflict,
+// and the intact job still resumes to the clean optimum.
+func TestSearchResumeSkipsDamagedCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	st1 := drainedSearch(t, dir)
+	data, err := os.ReadFile(filepath.Join(dir, st1.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 1
+	damaged := map[string]struct {
+		data []byte
+		want error
+	}{
+		"s2": {data[:len(data)/2], frame.ErrTruncated},
+		"s3": {flipped, frame.ErrChecksum},
+	}
+	for id, d := range damaged {
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), d.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc := New(Config{SearchCheckpointDir: dir})
+	uploadCoupled(t, svc, 8, 4)
+	rep := svc.ResumeSearches()
+	if len(rep.Resumed) != 1 || rep.Resumed[0] != st1.ID {
+		t.Fatalf("Resumed = %v, want [%s] (skipped: %v)", rep.Resumed, st1.ID, rep.Skipped)
+	}
+	if len(rep.Skipped) != 2 {
+		t.Fatalf("Skipped = %v, want s2.json and s3.json", rep.Skipped)
+	}
+	for i, id := range []string{"s2", "s3"} {
+		want := damaged[id].want
+		if !strings.HasPrefix(rep.Skipped[i], id+".json: ") || !strings.Contains(rep.Skipped[i], want.Error()) {
+			t.Errorf("Skipped[%d] = %q, want %s.json rejected with %q", i, rep.Skipped[i], id, want)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, id+".json")); err != nil || string(got) != string(damaged[id].data) {
+			t.Errorf("%s.json was not kept as it was (err %v)", id, err)
+		}
+		_, err := svc.StartSearch(SearchRequest{ResumeFrom: id})
+		if KindOf(err) != KindConflict || !errors.Is(err, want) {
+			t.Errorf("hand resume of %s: %v (kind %s), want a conflict wrapping %q", id, err, KindOf(err), want)
+		}
+	}
+
+	clean := New(Config{})
+	uploadCoupled(t, clean, 8, 4)
+	cst, err := clean.StartSearch(bigSearchReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitSearch(t, clean, cst.ID)
+	fin := waitSearch(t, svc, st1.ID)
+	if fin.State != SearchDone || fin.Result == nil || want.Result == nil || fin.Result.Value != want.Result.Value {
+		t.Fatalf("resumed job: %s (%s) %+v, want the clean run's %+v", fin.State, fin.Error, fin.Result, want.Result)
 	}
 }
 

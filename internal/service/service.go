@@ -48,8 +48,10 @@ type Config struct {
 	// MaxSearchJobs bounds concurrently running search jobs. Default 4.
 	MaxSearchJobs int
 	// SearchCheckpointDir, when set, persists search-job checkpoints as
-	// <dir>/<jobID>.json so a restarted daemon can resume them. Empty
-	// disables persistence (in-memory resume of canceled jobs still works).
+	// <dir>/<jobID>.json, each a framed, CRC-32C-checksummed file (see
+	// search.Checkpoint.Encode), so a restarted daemon can resume them.
+	// Empty disables persistence (in-memory resume of canceled jobs still
+	// works).
 	SearchCheckpointDir string
 	// SnapshotDir, when set, makes sessions durable: a background writer
 	// persists each loaded system's snapshot (identity, names and cached

@@ -319,7 +319,7 @@ func (s *Service) restoreFile(ctx context.Context, path string) (bytes, verdicts
 		return 0, 0, err
 	}
 	for _, name := range snap.Names {
-		s.store.intern(name, sess)
+		s.store.register(name, sess)
 	}
 	for _, v := range snap.Verdicts {
 		key := cacheKey{sysHash: snap.Hash, assign: v.Assign, formula: v.Formula}

@@ -163,7 +163,7 @@ func (st *store) get(name string) (*session, error) {
 		return nil, &Error{Kind: KindNotFound, Err: err}
 	}
 	s = newSession(name, canon.Hash(entry.Sys), entry.Sys, entry.Props, entry.Description, nil)
-	return st.intern(name, s), nil
+	return st.register(name, s), nil
 }
 
 // upload decodes a JSON document and registers it under the name. Uploading
@@ -181,20 +181,20 @@ func (st *store) upload(name string, doc []byte) (*session, error) {
 		return nil, badRequest(err)
 	}
 	s := newSession(name, canon.Hash(sys), sys, props, "", append([]byte(nil), doc...))
-	got := st.intern(name, s)
+	got := st.register(name, s)
 	if got.hash != s.hash {
 		// The name was already taken — possibly by a concurrent upload —
 		// and its content differs. (Re-uploading identical content is
-		// idempotent: intern resolved it to the existing session.)
+		// idempotent: register resolved it to the existing session.)
 		return nil, &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: name %q already names a different system", name)}
 	}
 	return got, nil
 }
 
-// intern registers the session under the name, deduping by content hash:
+// register adds the session under the name, deduping by content hash:
 // if an identical system is already loaded, the name becomes an alias for
 // the existing session. Races on the same name are resolved first-wins.
-func (st *store) intern(name string, s *session) *session {
+func (st *store) register(name string, s *session) *session {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.byName[name]; ok {

@@ -10,13 +10,8 @@
 // canon.Hash) and restores them at boot, so a restarted daemon serves
 // every verdict it had already paid for from the first request.
 //
-// The format is binary, versioned and checksummed:
-//
-//	offset 0   magic   "KPSNAP" (6 bytes)
-//	offset 6   version uint16 little-endian (currently 2)
-//	offset 8   payload length uint64 little-endian
-//	offset 16  payload (see Session)
-//	tail       CRC-32C (Castagnoli) of everything before it, uint32 LE
+// The format is binary, versioned and checksummed: a Session payload in
+// the internal/frame envelope, with magic "KPSNAP" and version Version.
 //
 // Decode refuses — with a typed error, never a partial Session — any
 // file that is truncated (ErrTruncated), from a different format version
@@ -30,10 +25,10 @@ package snapshot
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"kpa/internal/frame"
 )
 
 // Version is the current format version. Decode rejects every other
@@ -48,21 +43,15 @@ const Ext = ".kpasnap"
 // content hash.
 func Filename(hash string) string { return hash + Ext }
 
-// Typed decode failures. Every Decode error wraps exactly one of these,
-// so callers can classify failures without string matching.
+// Typed decode failures, the frame package's. Every Decode error wraps
+// exactly one of these, so callers can classify failures without string
+// matching.
 var (
-	// ErrBadMagic: the file does not begin with the snapshot magic.
-	ErrBadMagic = errors.New("snapshot: bad magic")
-	// ErrVersion: the file's format version is not Version.
-	ErrVersion = errors.New("snapshot: unsupported format version")
-	// ErrTruncated: the file is shorter (or longer) than its header
-	// promises.
-	ErrTruncated = errors.New("snapshot: truncated")
-	// ErrChecksum: the footer CRC does not match the file's contents.
-	ErrChecksum = errors.New("snapshot: checksum mismatch")
-	// ErrCorrupt: the checksum holds but the payload is structurally
-	// inconsistent (a writer bug or a deliberate forgery, not bit rot).
-	ErrCorrupt = errors.New("snapshot: corrupt payload")
+	ErrBadMagic  = frame.ErrBadMagic
+	ErrVersion   = frame.ErrVersion
+	ErrTruncated = frame.ErrTruncated
+	ErrChecksum  = frame.ErrChecksum
+	ErrCorrupt   = frame.ErrCorrupt
 )
 
 // Session is one system's durable state. Exactly one of Registry and Doc
@@ -100,11 +89,7 @@ type Verdict struct {
 	CounterExamples []string
 }
 
-var magic = [6]byte{'K', 'P', 'S', 'N', 'A', 'P'}
-
-// crcTable is the Castagnoli polynomial table; CRC-32C has hardware
-// support on the platforms the daemon runs on.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var snapFrame = frame.Format{Magic: [6]byte{'K', 'P', 'S', 'N', 'A', 'P'}, Version: Version}
 
 // Encode serializes the session in the current format, footer CRC
 // included.
@@ -131,45 +116,18 @@ func Encode(s *Session) []byte {
 			p.str(ce)
 		}
 	}
-
-	out := make([]byte, 0, 16+len(p.buf)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(p.buf)))
-	out = append(out, p.buf...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
-	return out
+	return snapFrame.Encode(p.buf)
 }
 
 // Decode parses a snapshot file. On any failure it returns nil and an
 // error wrapping exactly one of the typed sentinels above — never a
 // partially-filled Session.
 func Decode(data []byte) (*Session, error) {
-	if len(data) < len(magic) {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the magic", ErrTruncated, len(data))
+	payload, err := snapFrame.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	for i := range magic {
-		if data[i] != magic[i] {
-			return nil, ErrBadMagic
-		}
-	}
-	if len(data) < 16+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than an empty snapshot", ErrTruncated, len(data))
-	}
-	if v := binary.LittleEndian.Uint16(data[6:8]); v != Version {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrVersion, v, Version)
-	}
-	plen := binary.LittleEndian.Uint64(data[8:16])
-	if plen != uint64(len(data)-16-4) {
-		return nil, fmt.Errorf("%w: header promises %d payload bytes, file carries %d",
-			ErrTruncated, plen, len(data)-16-4)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(data[:len(data)-4], crcTable); got != sum {
-		return nil, fmt.Errorf("%w: footer %08x, contents %08x", ErrChecksum, sum, got)
-	}
-
-	r := &payloadReader{buf: data[16 : len(data)-4]}
+	r := &payloadReader{buf: payload}
 	s := &Session{}
 	s.Hash = r.str()
 	s.Source = r.str()
@@ -198,10 +156,10 @@ func Decode(data []byte) (*Session, error) {
 		return nil, r.err
 	}
 	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.buf)-r.off)
+		return nil, fmt.Errorf("snapshot: %w: %d trailing payload bytes", ErrCorrupt, len(r.buf)-r.off)
 	}
 	if s.Source != "registry" && s.Source != "upload" {
-		return nil, fmt.Errorf("%w: unknown source %q", ErrCorrupt, s.Source)
+		return nil, fmt.Errorf("snapshot: %w: unknown source %q", ErrCorrupt, s.Source)
 	}
 	return s, nil
 }
@@ -241,7 +199,7 @@ type payloadReader struct {
 
 func (r *payloadReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("snapshot: %w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
 }
 

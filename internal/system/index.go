@@ -112,7 +112,7 @@ func (x *Index) System() *System { return x.sys }
 func (x *Index) NumPoints() int { return len(x.points) }
 
 // Words returns the number of uint64 words backing a DenseSet over this
-// index; pools use it to account for memoized extensions.
+// index; the evaluator's set algebra shards only above a word threshold.
 func (x *Index) Words() int { return x.words }
 
 // PointAt returns the point with dense ID id.

@@ -41,9 +41,10 @@ go test -race ./...
 # proves little. The fan-out contract, the sharded set algebra, index
 # fill, the index's shared caches, cell partition, K, E_G, component and
 # Pr-sum kernels, the engine's token gate, logic's forceParallel
-# differential tests, and the model's tables shared by concurrent
-# evaluators and kept empty by aborted builds, ten times each.
-go test -race -count=10 -run '^(TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentSharedIndex|TestConcurrentParallelSharedIndex|TestPropExtensionsSurviveReset|TestAbortedSpaceBuildPublishesNothing|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/system ./internal/logic
+# differential tests, the model's tables shared by concurrent evaluators
+# and kept empty by aborted builds, and fut's and prior's one partition
+# shared by every agent, ten times each.
+go test -race -count=10 -run '^(TestAgentFreeBlocksBuiltOnce|TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentSharedIndex|TestConcurrentParallelSharedIndex|TestPropExtensionsSurviveReset|TestAbortedSpaceBuildPublishesNothing|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/core ./internal/system ./internal/logic
 # The service's side of the same sharing: every evaluation makes its own
 # evaluator, so a session's model is the only evaluation state concurrent
 # checks share. Mixed concurrent traffic and evaluations over one model,
@@ -55,10 +56,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # The scale-tier benchmarks are env-gated (they skip without KPA_SCALE_TIER),
 # so smoke the smallest tier explicitly, one iteration, budget 2.
 KPA_SCALE_TIER=100k KPA_SCALE_WORKERS=2 go test -run '^$' -bench 'Scale' -benchtime 1x ./internal/logic
-# The snapshot round-trip, named as its own gate: encode → disk → decode →
-# byte-identical warm answers must hold before a release, independent of
-# whatever subset the full -race run happened to exercise above.
-go test -race -count=1 -run 'Snapshot|Restore|WarmRestart' ./internal/snapshot ./internal/service ./cmd/kpad
+# The two durable formats, named as their own gate, independent of
+# whatever subset the full -race run happened to exercise above: session
+# snapshots (the codec's round trips and typed rejections, and encode →
+# disk → decode → byte-identical warm answers), and search checkpoints
+# (every truncation and bit flip refused by type, damaged files skipped
+# and kept, resume across a restart to the uninterrupted optimum).
+go test -race -count=1 -run 'Snapshot|Restore|WarmRestart|RoundTrip|Decode|Checkpoint|Resume' ./internal/snapshot ./internal/search ./internal/service ./cmd/kpad
 # Smoke the end-to-end oracle: kpabench drives a real kpad over a
 # 16384-point system with unequal run weights and checks every verdict
 # against its own independent model checker. Two short runs, one per
