@@ -232,7 +232,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestStatsEngineBlock pins the JSON shape of the /v1/stats engine block:
 // the configured parallelism budget plus the three activity counters, under
 // exactly these key names — the block is part of the service's public
-// surface and scripts/scale_bench.sh readers depend on it.
+// surface and kpabench's trace mode reads it.
 func TestStatsEngineBlock(t *testing.T) {
 	svc := service.New(service.Config{Parallelism: 4})
 	srv := httptest.NewServer(newHandler(svc, 10*time.Second, 1<<16))

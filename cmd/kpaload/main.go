@@ -11,8 +11,8 @@
 // /v1/check. Before the timed phase, one lone probe request measures the
 // first-request latency — the number that separates a cold daemon
 // (rebuilding indexes and partitions on demand) from one restored warm
-// from a snapshot directory; scripts/load_bench.sh records both sides as
-// BENCH_RESTART.json.
+// from a snapshot directory; scripts/bench.sh records both sides as its
+// http/restart rows in BENCH.json.
 package main
 
 import (

@@ -159,10 +159,12 @@ func randomDistribution(rng *rand.Rand, k int) []rat.Rat {
 }
 
 // RandomFact returns a random fact over the system: a random subset of the
-// global states (so the fact is always a fact about the global state).
+// global states (so the fact is always a fact about the global state). The
+// states draw in the points' sorted order, so one seed gives one fact in
+// every process.
 func RandomFact(rng *rand.Rand, sys *system.System, name string) system.Fact {
 	member := make(map[string]bool)
-	for p := range sys.Points() {
+	for _, p := range sys.Points().Sorted() {
 		key := p.State().Key()
 		if _, seen := member[key]; !seen {
 			member[key] = rng.Intn(2) == 0

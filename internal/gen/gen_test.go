@@ -47,15 +47,19 @@ func TestAsynchronousGeneration(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
-	a := MustSystem(rand.New(rand.NewSource(42)), cfg)
-	b := MustSystem(rand.New(rand.NewSource(42)), cfg)
+	ra, rb := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	a, b := MustSystem(ra, cfg), MustSystem(rb, cfg)
 	if a.Points().Len() != b.Points().Len() {
 		t.Error("same seed produced different systems")
 	}
+	fa, fb := RandomFact(ra, a, "p"), RandomFact(rb, b, "p")
 	pa, pb := a.Points().Sorted(), b.Points().Sorted()
 	for i := range pa {
 		if !pa[i].State().Equal(pb[i].State()) {
 			t.Fatalf("point %d differs between same-seed systems", i)
+		}
+		if fa.Holds(pa[i]) != fb.Holds(pb[i]) {
+			t.Fatalf("point %d: same-seed RandomFact facts differ", i)
 		}
 	}
 }

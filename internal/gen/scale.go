@@ -42,7 +42,7 @@ type ScaleConfig struct {
 func (c ScaleConfig) NumPoints() int { return c.NumRuns * c.RunLen }
 
 // ScaleTiers are the standard benchmark sizes: ~10^5, ~10^6 and ~10^7
-// points. Keyed by the label scripts/scale_bench.sh reports.
+// points. Keyed by the label scripts/bench.sh puts in its scale rows' names.
 var ScaleTiers = map[string]ScaleConfig{
 	"100k": {NumAgents: 3, NumRuns: 8192, RunLen: 12, Buckets: 32},
 	"1m":   {NumAgents: 3, NumRuns: 65536, RunLen: 16, Buckets: 64},

@@ -16,12 +16,12 @@ import (
 
 // The scale-tier benchmarks drive the dense engine over the gen.ScaleTiers
 // broom systems (~10^5 to ~10^7 points) at a configurable parallelism
-// budget. They are opt-in — scripts/scale_bench.sh and the verify smoke set
-// the environment, everything else skips them — because each (tier,
-// workers) pair must run in its own process: the peak-RSS metric reads
-// VmHWM from /proc/self/status, which is monotonic over a process's life,
-// so mixing tiers in one invocation would charge the small tiers the big
-// tier's high-water mark.
+// budget. They are opt-in — scripts/bench.sh sets the environment,
+// everything else skips them — because each (tier, workers) pair must run
+// in its own process: the peak-RSS metric reads VmHWM from
+// /proc/self/status, which is monotonic over a process's life, so mixing
+// tiers in one invocation would charge the small tiers the big tier's
+// high-water mark.
 //
 //	KPA_SCALE_TIER     tier label from gen.ScaleTiers ("100k", "1m", "10m")
 //	KPA_SCALE_WORKERS  parallelism budget (default 1)
@@ -46,7 +46,7 @@ func scaleSetup(b *testing.B) {
 	b.Helper()
 	tier := os.Getenv("KPA_SCALE_TIER")
 	if tier == "" {
-		b.Skip("scale-tier benchmark: set KPA_SCALE_TIER (100k, 1m, 10m); see scripts/scale_bench.sh")
+		b.Skip("scale-tier benchmark: set KPA_SCALE_TIER (100k, 1m, 10m); see scripts/bench.sh")
 	}
 	if scaleFix.sys != nil {
 		if scaleFix.tier != tier {
@@ -88,24 +88,42 @@ func scaleEvaluator(b *testing.B) *Evaluator {
 	return e
 }
 
-// reportPeakRSS attaches the process's VmHWM (peak resident set, KB) to the
-// benchmark result. Linux-only; silently absent elsewhere.
+// peakRSSKB is the process's VmHWM (peak resident set, KB) at the end of
+// the running benchmark's first run, which the testing package always
+// makes with b.N = 1 and no later run does: the fixture, any untimed
+// warm-up and one iteration.
+var peakRSSKB float64
+
+// reportPeakRSS attaches peakRSSKB to the benchmark result, reading it on
+// the first run. Read after a run of many iterations, VmHWM also counts
+// the garbage the collector has not yet reclaimed, and so grows with b.N
+// toward the heap target instead of giving the footprint. Linux-only;
+// silently absent elsewhere.
 func reportPeakRSS(b *testing.B) {
+	if b.N == 1 {
+		peakRSSKB = vmHWM()
+	}
+	if peakRSSKB > 0 {
+		b.ReportMetric(peakRSSKB, "peakRSS-KB")
+	}
+}
+
+// vmHWM reads VmHWM from /proc/self/status in KB, or 0 where it cannot.
+func vmHWM() float64 {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
-		return
+		return 0
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) >= 2 && fields[0] == "VmHWM:" {
-			if kb, err := strconv.ParseFloat(fields[1], 64); err == nil {
-				b.ReportMetric(kb, "peakRSS-KB")
-			}
-			return
+			kb, _ := strconv.ParseFloat(fields[1], 64)
+			return kb
 		}
 	}
+	return 0
 }
 
 // scaleBenchFormula times f on a warm evaluator. One untimed evaluation

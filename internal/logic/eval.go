@@ -394,13 +394,18 @@ func (e *Evaluator) compute(f Formula) (*system.DenseSet, error) {
 		return e.computeUntil(True, f.Sub)
 
 	case *AlwaysFormula:
-		// □φ = ¬◇¬φ. The ¬φ node is new on every call, but the □ node's
-		// own memo entry means it is built once per □ node.
-		ev, err := e.computeUntil(True, Not(f.Sub))
+		// □φ = ¬(true U ¬φ), from the extensions of φ and of the shared
+		// true that ◇ memoizes too: no ¬φ node is built, so the memo holds
+		// no entry a later lookup cannot reach.
+		l, err := e.DenseExtension(True)
 		if err != nil {
 			return nil, err
 		}
-		return e.complementPar(ev), nil
+		r, err := e.DenseExtension(f.Sub)
+		if err != nil {
+			return nil, err
+		}
+		return e.complementPar(idx.Until(l, e.complementPar(r))), nil
 
 	case *KnowFormula:
 		if err := checkAgentIn(e.m.sys, f.Agent); err != nil {

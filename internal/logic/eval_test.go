@@ -431,3 +431,33 @@ func TestEvaluatorReset(t *testing.T) {
 		t.Fatalf("verdict changed across Reset: %v -> %v", want, got)
 	}
 }
+
+// TestAlwaysMemoOnePerNode pins □φ = ¬(true U ¬φ) computed from the
+// extensions of φ and of the shared true: neither evaluator builds a ¬φ
+// node of its own, so the memo holds one entry per node of the query plus
+// the one for true, which ◇ reads too, and none a later lookup cannot
+// reach.
+func TestAlwaysMemoOnePerNode(t *testing.T) {
+	for _, c := range []struct {
+		src     string
+		entries int
+	}{{"G heads", 3}, {"G (G heads)", 4}, {"F heads", 3}} {
+		e, sys := introEval(t)
+		ref := NewReferenceEvaluator(sys, nil, map[string]system.Fact{"heads": canon.Heads()})
+		f := MustParse(c.src)
+		got, err := e.Extension(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Extension(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: dense and reference extensions differ", c.src)
+		}
+		if e.MemoLen() != c.entries || len(ref.memo) != c.entries {
+			t.Errorf("%s: memo entries dense %d, reference %d; want %d", c.src, e.MemoLen(), len(ref.memo), c.entries)
+		}
+	}
+}

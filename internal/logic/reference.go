@@ -134,12 +134,16 @@ func (e *ReferenceEvaluator) compute(f Formula) (system.PointSet, error) {
 		return e.computeUntil(True, f.Sub)
 
 	case *AlwaysFormula:
-		// □φ = ¬◇¬φ.
-		ev, err := e.computeUntil(True, Not(f.Sub))
+		// □φ = ¬(true U ¬φ).
+		l, err := e.Extension(True)
 		if err != nil {
 			return nil, err
 		}
-		return all.Minus(ev), nil
+		r, err := e.Extension(f.Sub)
+		if err != nil {
+			return nil, err
+		}
+		return all.Minus(e.until(l, all.Minus(r))), nil
 
 	case *KnowFormula:
 		if err := checkAgentIn(e.sys, f.Agent); err != nil {
@@ -235,8 +239,7 @@ func (e *ReferenceEvaluator) compute(f Formula) (system.PointSet, error) {
 	}
 }
 
-// computeUntil computes the extension of φ U ψ over finite runs: ψ holds at
-// some point l ≥ k of the run and φ holds at all points in [k, l).
+// computeUntil computes the extension of φ U ψ.
 func (e *ReferenceEvaluator) computeUntil(phi, psi Formula) (system.PointSet, error) {
 	l, err := e.Extension(phi)
 	if err != nil {
@@ -246,6 +249,13 @@ func (e *ReferenceEvaluator) computeUntil(phi, psi Formula) (system.PointSet, er
 	if err != nil {
 		return nil, err
 	}
+	return e.until(l, r), nil
+}
+
+// until returns φ U ψ over finite runs, given l = φ's extension and r =
+// ψ's: ψ holds at some point j ≥ k of the run and φ holds at all points in
+// [k, j).
+func (e *ReferenceEvaluator) until(l, r system.PointSet) system.PointSet {
 	out := make(system.PointSet)
 	for _, tree := range e.sys.Trees() {
 		for run := 0; run < tree.NumRuns(); run++ {
@@ -269,7 +279,7 @@ func (e *ReferenceEvaluator) computeUntil(phi, psi Formula) (system.PointSet, er
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // knowExtension computes {c : K_i(c) ⊆ ext}, re-partitioning the system

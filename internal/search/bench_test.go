@@ -1,10 +1,7 @@
 package search_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
-	"time"
 
 	"kpa/internal/search"
 )
@@ -16,42 +13,18 @@ func benchProblem(t testing.TB, mode search.Mode) *search.Problem {
 	return coupledProblem(t, 6, 5, mode)
 }
 
-// searchBenchReport is the BENCH_SEARCH.json schema. All metrics are
-// integers: rates are per-second counts and the pruned fraction is in
-// permille, so the report stays exact and float-free.
-type searchBenchReport struct {
-	Strategies      uint64 `json:"strategies"`
-	StrategiesExact bool   `json:"strategiesExact"`
-	Depth           int    `json:"depth"`
-	Offers          int    `json:"offers"`
-	Spaces          int    `json:"spaces"`
-	Workers         int    `json:"workers"`
-	NodesExpanded   uint64 `json:"nodesExpanded"`
-	NodesPruned     uint64 `json:"nodesPruned"`
-	LeafEvals       uint64 `json:"leafEvals"`
-	NodesPerSec     uint64 `json:"nodesPerSec"`
-	PrunedPermille  uint64 `json:"prunedPermille"`
-	ElapsedNanos    int64  `json:"elapsedNanos"`
-	Value           string `json:"value"`
-	Optimal         bool   `json:"optimal"`
-}
-
-// TestSearchBenchReport solves the bench fixture, asserts the issue's
-// acceptance floor — a ≥10^6-strategy space with pruned fraction > 0.9 —
-// and, when KPA_SEARCH_BENCH_OUT names a file, writes the metrics there
-// (scripts/search_bench.sh → BENCH_SEARCH.json).
+// TestSearchBenchReport solves the bench fixture and asserts the
+// acceptance floor: a ≥10^6-strategy space with pruned fraction > 0.9.
+// BenchmarkEngineAdversary reports the same counters per op.
 func TestSearchBenchReport(t *testing.T) {
 	p := benchProblem(t, search.ModeAdversary)
-	total, exact := p.TotalStrategies()
+	total, _ := p.TotalStrategies()
 	if total < 1_000_000 {
 		t.Fatalf("bench space has only %d strategies, want >= 1e6", total)
 	}
 
-	const workers = 4
-	eng := search.New(p, search.Config{Workers: workers})
-	start := time.Now()
+	eng := search.New(p, search.Config{Workers: 4})
 	res, err := eng.Run(nil)
-	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,52 +39,30 @@ func TestSearchBenchReport(t *testing.T) {
 	if permille <= 900 {
 		t.Fatalf("pruned fraction %d permille, want > 900", permille)
 	}
-
-	nanos := elapsed.Nanoseconds()
-	if nanos < 1 {
-		nanos = 1
-	}
-	rep := searchBenchReport{
-		Strategies:      total,
-		StrategiesExact: exact,
-		Depth:           p.Depth(),
-		Offers:          p.NumOffers(),
-		Spaces:          p.NumSpaces(),
-		Workers:         workers,
-		NodesExpanded:   prog.NodesExpanded,
-		NodesPruned:     prog.NodesPruned,
-		LeafEvals:       prog.LeafEvals,
-		NodesPerSec:     prog.NodesExpanded * uint64(time.Second) / uint64(nanos),
-		PrunedPermille:  permille,
-		ElapsedNanos:    nanos,
-		Value:           res.Value.String(),
-		Optimal:         res.Optimal,
-	}
 	t.Logf("bench: %d strategies, %d nodes expanded, %d pruned, %d leaf evals, %d permille pruned",
-		rep.Strategies, rep.NodesExpanded, rep.NodesPruned, rep.LeafEvals, rep.PrunedPermille)
-
-	out := os.Getenv("KPA_SEARCH_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
+		total, prog.NodesExpanded, prog.NodesPruned, prog.LeafEvals, permille)
 }
 
+// BenchmarkEngineAdversary times the bench fixture's search and reports
+// its nodes expanded, nodes pruned and leaf evaluations per op.
 func BenchmarkEngineAdversary(b *testing.B) {
 	p := benchProblem(b, search.ModeAdversary)
+	var sum search.Progress
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := search.New(p, search.Config{Workers: 4}).Run(nil); err != nil {
+		eng := search.New(p, search.Config{Workers: 4})
+		if _, err := eng.Run(nil); err != nil {
 			b.Fatal(err)
 		}
+		prog := eng.Progress()
+		sum.NodesExpanded += prog.NodesExpanded
+		sum.NodesPruned += prog.NodesPruned
+		sum.LeafEvals += prog.LeafEvals
 	}
+	ops := float64(b.N)
+	b.ReportMetric(float64(sum.NodesExpanded)/ops, "expanded/op")
+	b.ReportMetric(float64(sum.NodesPruned)/ops, "pruned/op")
+	b.ReportMetric(float64(sum.LeafEvals)/ops, "leaf-evals/op")
 }
 
 func BenchmarkProblemCompile(b *testing.B) {

@@ -50,12 +50,12 @@ go test -race -count=10 -run '^(TestAgentFreeBlocksBuiltOnce|TestParRangePartiti
 # checks share. Mixed concurrent traffic and evaluations over one model,
 # ten times each.
 go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel)$' ./internal/service
-# Smoke the benchmark trajectory: one iteration each, so a broken or
-# bit-rotted benchmark fails verification without paying for a full run.
-go test -run '^$' -bench . -benchtime 1x ./...
-# The scale-tier benchmarks are env-gated (they skip without KPA_SCALE_TIER),
-# so smoke the smallest tier explicitly, one iteration, budget 2.
-KPA_SCALE_TIER=100k KPA_SCALE_WORKERS=2 go test -run '^$' -bench 'Scale' -benchtime 1x ./internal/logic
+# Smoke the layer benchmarks: every benchmark once, each in a process of
+# its own, the 100k scale tier at w2 and an introcoin cold/warm restart
+# cycle, parsed into a temporary file. A broken or bit-rotted benchmark, a
+# broken parser or a missing floor row fails verification without paying
+# for a full `make bench`.
+./scripts/bench.sh smoke
 # The two durable formats, named as their own gate, independent of
 # whatever subset the full -race run happened to exercise above: session
 # snapshots (the codec's round trips and typed rejections, and encode →
@@ -73,9 +73,3 @@ for workload in hit miss; do
 	echo "$result" | grep -q '"correct":true'
 	echo "$result" | grep -q '"failed":0[,}]'
 done
-# Smoke the warm-restart load benchmark: one tiny cold/warm cycle against
-# a real kpad (floor off — the 5x gate only means something on the scale
-# tiers; `make loadtest` runs the real thing).
-KPA_LOAD_SYSTEM=introcoin KPA_LOAD_PROPS=heads KPA_LOAD_REQUESTS=25 \
-	KPA_LOAD_CONCURRENCY=2 KPA_LOAD_FLOOR=0 \
-	BENCH_OUT="$(mktemp)" ./scripts/load_bench.sh
