@@ -10,11 +10,13 @@
 //
 // The analyzer flags order-sensitive sinks lexically inside a
 // map-ranging loop body: append, string += / s = s + x, Write\* methods
-// on strings.Builder or bytes.Buffer, fmt printing, and calls named
-// Report or Encode. Order-insensitive uses stay clean — storing into
-// another map, adding to a set, summing counters, or building a string
-// or slice in a variable declared inside the loop body (it restarts
-// every iteration, so no cross-iteration order survives). An append is
+// on strings.Builder or bytes.Buffer, fmt printing, calls named Report
+// or Encode, and method calls on a *math/rand.Rand (each draw advances a
+// seeded generator, so draws handed out in map order give one seed a
+// different outcome in each process). Order-insensitive uses stay clean
+// — storing into another map, adding to a set, summing counters, or
+// building a string or slice in a variable declared inside the loop body
+// (it restarts every iteration, so no cross-iteration order survives). An append is
 // also exonerated when the same function later passes the slice to a
 // sort.* or slices.Sort* call: collect-then-sort is the idiomatic
 // deterministic pattern, alongside iterating a sorted key slice
@@ -40,7 +42,7 @@ func New() *Analyzer { return &Analyzer{} }
 func (*Analyzer) Name() string { return "maprange" }
 
 func (*Analyzer) Doc() string {
-	return "ranging over a map must not feed order-sensitive output (append without a later sort, string building, buffer/stream writes, Report/Encode calls); iterate sorted keys or sort the result"
+	return "ranging over a map must not feed order-sensitive output (append without a later sort, string building, buffer/stream writes, Report/Encode calls, seeded *rand.Rand draws); iterate sorted keys or sort the result"
 }
 
 func (*Analyzer) Run(pass *analysis.Pass) error {
@@ -177,6 +179,10 @@ func (c *checker) callSink(call *ast.CallExpr) (sink, bool) {
 	if strings.HasPrefix(name, "Write") && c.isWriteBuffer(sel.X) {
 		return sink{pos: call.Pos(), desc: "a buffer write"}, true
 	}
+	// Draws from a seeded generator: their order is the map's.
+	if c.isNamed(sel.X, "math/rand", "Rand") {
+		return sink{pos: call.Pos(), desc: "a draw from a seeded *rand.Rand"}, true
+	}
 	// Encoders and reporters by conventional name.
 	if name == "Encode" || name == "Report" {
 		return sink{pos: call.Pos(), desc: "an " + name + " call"}, true
@@ -185,6 +191,12 @@ func (c *checker) callSink(call *ast.CallExpr) (sink, bool) {
 }
 
 func (c *checker) isWriteBuffer(e ast.Expr) bool {
+	return c.isNamed(e, "strings", "Builder") || c.isNamed(e, "bytes", "Buffer")
+}
+
+// isNamed reports whether e's type is the named type path.name or a
+// pointer to it.
+func (c *checker) isNamed(e ast.Expr, path, name string) bool {
 	tv, ok := c.pass.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
@@ -194,11 +206,7 @@ func (c *checker) isWriteBuffer(e ast.Expr) bool {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	path, name := n.Obj().Pkg().Path(), n.Obj().Name()
-	return (path == "strings" && name == "Builder") || (path == "bytes" && name == "Buffer")
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == path && n.Obj().Name() == name
 }
 
 func (c *checker) isString(e ast.Expr) bool {

@@ -5,6 +5,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 	"strings"
 )
@@ -68,6 +69,16 @@ func Audit(m map[string]bool) {
 	}
 }
 
+// Coins draws from a seeded generator in random iteration order, so one
+// seed flips a different coin for each key in each process.
+func Coins(rng *rand.Rand, m map[string]int) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = rng.Intn(2) == 0 // want `\[maprange\] map iteration order reaches a draw from a seeded \*rand.Rand`
+	}
+	return out
+}
+
 // --- clean look-alikes ---
 
 // SortedNames collects then sorts: deterministic.
@@ -121,6 +132,15 @@ func PerKey(m map[string][]int, sink func(string)) {
 		}
 		sink(line)
 	}
+}
+
+// SortedCoins draws in sorted key order: one seed, one outcome.
+func SortedCoins(rng *rand.Rand, m map[string]int) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for _, k := range SortedNames(m) {
+		out[k] = rng.Intn(2) == 0
+	}
+	return out
 }
 
 // JoinSorted ranges over a sorted slice, not the map.

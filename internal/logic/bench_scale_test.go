@@ -259,8 +259,10 @@ func BenchmarkScaleKnowledge(b *testing.B) {
 	scaleBenchFormula(b, K(0, Prop("p")))
 }
 
-// BenchmarkScaleKnowledgeAllPass is the K_i sweep's worst case: every cell
-// passes, so every member of every cell is walked.
+// BenchmarkScaleKnowledgeAllPass is the K_i sweep over a full extension:
+// every cell passes, so the member walks would visit every member of
+// every cell, and instead give up at the cost of a visit of the (empty)
+// complement.
 func BenchmarkScaleKnowledgeAllPass(b *testing.B) {
 	scaleBenchFormula(b, K(0, True))
 }

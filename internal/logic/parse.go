@@ -67,7 +67,9 @@ type token struct {
 }
 
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Every token but the EOF spans at least one byte, so one allocation
+	// holds them all.
+	toks := make([]token, 0, len(input)+1)
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -95,7 +97,7 @@ func lex(input string) ([]token, error) {
 			toks = append(toks, token{kind: tokPunct, text: input[i : i+2], pos: i})
 			i += 2
 		case strings.ContainsRune("(){},^/!&|[]", c):
-			toks = append(toks, token{kind: tokPunct, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokPunct, text: input[i : i+1], pos: i})
 			i++
 		default:
 			return nil, fmt.Errorf("logic: unexpected character %q at position %d", c, i)

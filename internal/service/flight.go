@@ -5,94 +5,50 @@ import "sync"
 // flightCall is one in-progress evaluation shared by every request that
 // missed the cache on the same (system hash, assignment, formula) key.
 type flightCall struct {
-	// done is closed by finish after v and err are set; waiters read the
-	// result only after observing the close, so no lock is needed.
+	// done is closed by finish after v, err and orphaned are set; followers
+	// read the result only after observing the close, so no lock is needed.
 	done chan struct{}
-	// abandoned is closed when the last waiter leaves before the result is
-	// ready. The evaluation goroutine selects on it from the admission
-	// queue and from the evaluator's cancellation hook, so work nobody is
-	// waiting for halts instead of running to completion.
-	abandoned chan struct{}
 
 	v   Verdict
 	err error
-
-	finished bool // set by finish under the owning group's mu
-}
-
-// canceled reports (without blocking) whether every waiter has left.
-func (c *flightCall) canceled() bool {
-	select {
-	case <-c.abandoned:
-		return true
-	default:
-		return false
-	}
+	// orphaned records that the leader's own context ended before the
+	// evaluation produced a result. The error is the leader's, not the
+	// followers': they join again, and one of them evaluates afresh.
+	orphaned bool
 }
 
 // flightGroup collapses concurrent identical cache misses onto a single
-// evaluation: the first caller for a key becomes the leader and runs the
-// evaluation; the rest wait for its result. A key whose waiters all leave
-// is removed so a later request starts fresh instead of latching onto a
-// half-canceled call.
+// evaluation: the first caller for a key becomes the leader and evaluates
+// on its own goroutine; the rest wait for its result.
 type flightGroup struct {
-	mu      sync.Mutex
-	calls   map[cacheKey]*flightCall // guarded by mu
-	waiters map[*flightCall]int      // guarded by mu
+	mu    sync.Mutex
+	calls map[cacheKey]*flightCall // guarded by mu
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{
-		calls:   make(map[cacheKey]*flightCall),
-		waiters: make(map[*flightCall]int),
-	}
+	return &flightGroup{calls: make(map[cacheKey]*flightCall)}
 }
 
-// join registers the caller as a waiter on the key's call, creating the
-// call (and electing the caller leader) if none is in flight.
+// join returns the key's call, creating the call (and electing the caller
+// leader) if none is in flight.
 func (g *flightGroup) join(key cacheKey) (c *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
-		g.waiters[c]++
 		return c, false
 	}
-	c = &flightCall{done: make(chan struct{}), abandoned: make(chan struct{})}
+	c = &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
-	g.waiters[c] = 1
 	return c, true
 }
 
-// leave unregisters a waiter. When the last waiter leaves an unfinished
-// call, the call is abandoned: its key is freed for fresh evaluations and
-// its abandoned channel wakes the evaluation goroutine's cancellation
-// points.
-func (g *flightGroup) leave(key cacheKey, c *flightCall) {
+// finish publishes the leader's result and wakes every follower. The key
+// is freed: a successful verdict is in the cache by now, and a failure
+// must not be served to requests that arrive later.
+func (g *flightGroup) finish(key cacheKey, c *flightCall, v Verdict, err error, orphaned bool) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.waiters[c]--
-	if g.waiters[c] > 0 {
-		return
-	}
-	delete(g.waiters, c)
-	if !c.finished {
-		close(c.abandoned)
-		if g.calls[key] == c {
-			delete(g.calls, key)
-		}
-	}
-}
-
-// finish publishes the result and wakes every waiter. The key is freed:
-// a successful verdict is in the cache by now, and a failure must not be
-// served to requests that arrive later.
-func (g *flightGroup) finish(key cacheKey, c *flightCall, v Verdict, err error) {
-	g.mu.Lock()
-	c.v, c.err = v, err
-	c.finished = true
-	if g.calls[key] == c {
-		delete(g.calls, key)
-	}
+	c.v, c.err, c.orphaned = v, err, orphaned
+	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
 }

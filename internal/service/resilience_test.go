@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +141,94 @@ func TestStampedeCollapsesToOneEvaluation(t *testing.T) {
 	v, err := svc.Check(context.Background(), req)
 	if err != nil || !v.Cached {
 		t.Fatalf("post-stampede check: %+v, %v, want a cache hit", v, err)
+	}
+}
+
+// TestMissEvaluatesOnCallersGoroutine: at Parallelism 1 a cache miss
+// starts no goroutine. The evaluation, seams included, runs on the
+// goroutine that called Check.
+func TestMissEvaluatesOnCallersGoroutine(t *testing.T) {
+	goid := func() string {
+		buf := make([]byte, 64)
+		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	}
+	var evalG string
+	svc := New(Config{Parallelism: 1, Seams: &Seams{BeforeEval: func(string) error {
+		evalG = goid()
+		return nil
+	}}})
+	v, err := svc.Check(context.Background(), CheckRequest{System: "introcoin", Formula: "K1^1/2 heads"})
+	if err != nil || v.Cached {
+		t.Fatalf("check: %+v, %v, want a fresh verdict", v, err)
+	}
+	if g := goid(); evalG != g {
+		t.Fatalf("the miss evaluated on goroutine %s, not its caller's %s", evalG, g)
+	}
+}
+
+// TestFollowerOutlivesCanceledLeader is the singleflight contract when
+// the leader gives up: the leader evaluates on its own goroutine under its
+// own context, so canceling that context fails the leader with
+// KindCanceled, but a follower that joined its flight must not inherit the
+// cancellation. It joins again and gets the verdict from an evaluation of
+// its own.
+func TestFollowerOutlivesCanceledLeader(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	svc := New(Config{Seams: &Seams{BeforeEval: func(string) error {
+		first := false
+		once.Do(func() { first = true })
+		if first { // hold the leader's evaluation, and only its
+			close(held)
+			<-release
+		}
+		return nil
+	}}})
+	req := CheckRequest{System: "introcoin", Formula: "K1^1/2 heads"}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := svc.Check(ctx, req)
+		leaderErr <- err
+	}()
+	<-held
+	type result struct {
+		v   Verdict
+		err error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		v, err := svc.Check(context.Background(), req)
+		follower <- result{v, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Resilience.Dedups < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(release)
+
+	if err := <-leaderErr; KindOf(err) != KindCanceled {
+		t.Fatalf("leader error = %v (kind %s), want canceled", err, KindOf(err))
+	}
+	r := <-follower
+	if r.err != nil {
+		t.Fatalf("follower inherited the leader's cancellation: %v", r.err)
+	}
+	if r.v.Valid || r.v.HoldsAt != 2 || r.v.Points != 4 || r.v.Cached {
+		t.Fatalf("follower verdict %+v, want an uncached 2 of 4 points from its own evaluation", r.v)
+	}
+	if st := svc.Stats(); st.Eval.Evals != 2 || st.Resilience.Cancels != 1 {
+		t.Fatalf("evals = %d, cancels = %d: want the canceled leader's evaluation and the follower's",
+			st.Eval.Evals, st.Resilience.Cancels)
+	}
+	if v, err := svc.Check(context.Background(), req); err != nil || !v.Cached {
+		t.Fatalf("after the follower's evaluation: %+v, %v, want a cache hit", v, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -245,7 +246,7 @@ func (s *Service) launchSearch(job *searchJob, seed *search.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if err := s.admit(nil); err != nil {
+	if err := s.admit(context.Background()); err != nil {
 		return err
 	}
 	s.searchMu.Lock()
@@ -472,7 +473,7 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 // searchFact evaluates φ's extension on a fresh evaluator and freezes it
 // as a fact: the engine never touches an evaluator afterwards.
 func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
-	err = s.withEvaluator(spec.model, spec.canonical, nil, func(ev *logic.Evaluator) error {
+	err = s.withEvaluator(context.Background(), spec.model, spec.canonical, func(ev *logic.Evaluator) error {
 		ext, err := ev.DenseExtension(spec.phi)
 		if err != nil {
 			return s.classifyEvalErr(err)

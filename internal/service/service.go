@@ -117,11 +117,11 @@ func (c Config) withDefaults() Config {
 // paper's adversary picks worst-case nondeterminism: a bounded admission
 // semaphore sheds floods (KindOverloaded) instead of queueing them
 // unboundedly, a singleflight group collapses stampedes of identical cache
-// misses onto one evaluation, evaluations whose waiters have all gone are
-// cooperatively canceled (logic.Evaluator.SetCancel) instead of burning
-// CPU to completion, and evaluator panics are contained to the request,
-// losing only that request's evaluator. docs/RESILIENCE.md states the
-// contract.
+// misses onto one evaluation, run on the goroutine of the request that
+// missed first and cooperatively canceled (logic.Evaluator.SetCancel) when
+// that request's context ends instead of burning CPU to completion, and
+// evaluator panics are contained to the request, losing only that
+// request's evaluator. docs/RESILIENCE.md states the contract.
 type Service struct {
 	cfg    Config
 	store  *store
@@ -238,13 +238,15 @@ func (s *Service) Upload(name string, doc []byte) (SystemInfo, error) {
 // Systems lists the loaded systems by name.
 func (s *Service) Systems() []SystemInfo { return s.store.list() }
 
-// Check evaluates one formula, consulting the verdict cache first. The
-// context bounds the wait: on expiry Check returns a KindTimeout error and
-// — once every other waiter on the same evaluation has also gone — the
-// evaluation itself is cooperatively canceled instead of running to
-// completion in the background. Concurrent identical cache misses share
-// one evaluation, and admission control sheds work (KindOverloaded) when
-// every evaluation slot stays busy for the whole queue wait.
+// Check evaluates one formula, consulting the verdict cache first. A cache
+// miss is evaluated on the calling goroutine, and the context bounds it:
+// on expiry the queue wait or the evaluation stops cooperatively and Check
+// returns a KindTimeout (or, on cancellation, KindCanceled) error.
+// Concurrent identical cache misses share one evaluation, run by the first
+// of them; the others wait for it until their own contexts end, and
+// evaluate again if the first one's context ended before a result.
+// Admission control sheds work (KindOverloaded) when every evaluation slot
+// stays busy for the whole queue wait.
 func (s *Service) Check(ctx context.Context, req CheckRequest) (Verdict, error) {
 	s.checks.Add(1)
 	return s.check(ctx, req)
@@ -280,66 +282,60 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, ctxError(err)
 	}
-	c, leader := s.flight.join(key)
-	defer s.flight.leave(key, c)
-	if leader {
-		go s.runEval(c, key, m, sess, f)
-	} else {
+	for {
+		c, leader := s.flight.join(key)
+		if leader {
+			v, err := s.leaderEval(ctx, m, sess, f, key)
+			if err == nil {
+				s.cache.put(key, v)
+			}
+			s.flight.finish(key, c, v, err, err != nil && ctx.Err() != nil)
+			if err != nil {
+				return Verdict{}, err
+			}
+			v.System = req.System
+			return v, nil
+		}
 		s.dedups.Add(1)
-	}
-	select {
-	case <-c.done:
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return Verdict{}, ctxError(ctx.Err())
+		}
+		if c.orphaned {
+			continue // the leader's context ended, not ours: join again
+		}
 		if c.err != nil {
 			return Verdict{}, c.err
 		}
 		v := c.v
 		v.System = req.System
-		v.Cached = !leader // followers were served someone else's evaluation
+		v.Cached = true // served from another request's evaluation
 		return v, nil
-	case <-ctx.Done():
-		return Verdict{}, ctxError(ctx.Err())
 	}
-}
-
-// runEval is the evaluation goroutine behind one flight call: it queues
-// for an admission slot, evaluates f, caches a successful verdict, and
-// publishes the result to every waiter. It is detached from any single
-// request — it stops early only when all waiters abandon the call
-// (admission select, evaluator cancellation hook).
-func (s *Service) runEval(c *flightCall, key cacheKey, m *modelEntry, sess *session, f logic.Formula) {
-	v, err := s.leaderEval(c, m, sess, f, key)
-	if err == nil && !c.canceled() {
-		s.cache.put(key, v)
-	}
-	s.flight.finish(key, c, v, err)
 }
 
 // leaderEval runs one admission-controlled, panic-contained evaluation of
-// f, whose canonical text and assignment name key carries.
-func (s *Service) leaderEval(c *flightCall, m *modelEntry, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
+// f, whose canonical text and assignment name key carries, on the calling
+// goroutine. ctx bounds both the queue wait and the evaluation.
+func (s *Service) leaderEval(ctx context.Context, m *modelEntry, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
 	// Containment for faults outside the evaluator region (an injected
-	// pool-seam panic, an admission bug): no panic on this goroutine may
-	// kill the daemon.
+	// pool-seam panic, an admission bug): no panic may escape to the
+	// request's goroutine and kill the daemon.
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("evaluation panicked: %v", r)}
 		}
 	}()
-	if err := s.admit(c.abandoned); err != nil {
+	if err := s.admit(ctx); err != nil {
 		return Verdict{}, err
 	}
 	defer func() { <-s.sem }()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	cancel := func() error {
-		if c.canceled() {
-			return context.Canceled
-		}
-		return nil
-	}
-	err = s.withEvaluator(m, key.formula, cancel, func(ev *logic.Evaluator) error {
+	err = s.withEvaluator(ctx, m, key.formula, func(ev *logic.Evaluator) error {
 		start := time.Now()
 		var err error
 		v, err = s.evaluate(ev, sess, f, key.formula, key.assign)
@@ -358,12 +354,12 @@ func (s *Service) leaderEval(c *flightCall, m *modelEntry, sess *session, f logi
 
 // withEvaluator is the one evaluation path, for checks, batch items and
 // search jobs' φ: it runs the pool-get seam, makes a fresh evaluator over
-// m's model with the service's engine and the cancel hook (nil for none),
+// m's model with the service's engine, whose cancel hook reads ctx.Done(),
 // runs the eval seam with the canonical formula, and hands the evaluator
 // to fn. A panic in the eval seam or in fn returns as a KindPanic error
 // and loses only this evaluator: its memo is all it held of its own, and
 // a model build that panics publishes nothing.
-func (s *Service) withEvaluator(m *modelEntry, canonical string, cancel func() error, fn func(ev *logic.Evaluator) error) (err error) {
+func (s *Service) withEvaluator(ctx context.Context, m *modelEntry, canonical string, fn func(ev *logic.Evaluator) error) (err error) {
 	if err := s.cfg.Seams.poolGet(); err != nil {
 		return err
 	}
@@ -376,7 +372,16 @@ func (s *Service) withEvaluator(m *modelEntry, canonical string, cancel func() e
 	m.created.Add(1)
 	ev := m.model.NewEvaluator()
 	ev.SetEngine(s.engine)
-	ev.SetCancel(cancel)
+	if done := ctx.Done(); done != nil {
+		ev.SetCancel(func() error {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+				return nil
+			}
+		})
+	}
 	if err := s.cfg.Seams.eval(canonical); err != nil {
 		return err
 	}
@@ -384,12 +389,10 @@ func (s *Service) withEvaluator(m *modelEntry, canonical string, cancel func() e
 }
 
 // admit acquires an evaluation slot: immediately when one is free,
-// otherwise by queueing for at most QueueWait. A check's queue is
-// deadline-aware through its flight call's abandoned channel — when every
-// waiter's context has expired the wait stops with KindCanceled instead of
-// holding the queue position for work nobody wants. Search jobs pass nil,
-// which never fires.
-func (s *Service) admit(abandoned <-chan struct{}) error {
+// otherwise by queueing for at most QueueWait. The wait ends early, with
+// ctx's error kind, when ctx ends: a request that has given up holds no
+// queue position. Search jobs pass context.Background(), which never ends.
+func (s *Service) admit(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -402,9 +405,9 @@ func (s *Service) admit(abandoned <-chan struct{}) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
-	case <-abandoned:
+	case <-ctx.Done():
 		s.cancels.Add(1)
-		return &Error{Kind: KindCanceled, Msg: "service: evaluation abandoned while queued"}
+		return ctxError(ctx.Err())
 	case <-t.C:
 		s.sheds.Add(1)
 		return &Error{
@@ -461,18 +464,35 @@ func (s *Service) evaluate(ev *logic.Evaluator, sess *session, f logic.Formula, 
 		v.CounterTotal = total - holds
 		// FirstN walks only as far as the bound, and the dense-ID order is
 		// the same (tree, run, time) order Sorted produced.
-		for _, p := range ext.Complement(1).FirstN(maxCounterexamples) {
-			v.CounterExamples = append(v.CounterExamples, counterexample(p))
-		}
+		v.CounterExamples = counterexamples(ext.Complement(1).FirstN(maxCounterexamples))
 	}
 	return v, nil
 }
 
-// counterexample renders a failing point as the point and its global
+// counterexamples renders each failing point as the point and its global
 // state, "(adversary/rRUN, TIME) (env=E, p1=L1, …)". Snapshots store these
-// strings in cached verdicts, so the rendering must never change.
-func counterexample(p system.Point) string {
-	return p.String() + " " + p.State().String()
+// strings in cached verdicts, so the rendering must never change. They are
+// substrings of one string: a verdict makes one string and one slice, and
+// a cached verdict holds one string object for the collector, not one per
+// point.
+func counterexamples(pts []system.Point) []string {
+	var buf [2048]byte
+	b := buf[:0]
+	ends := make([]int, 0, maxCounterexamples)
+	for _, p := range pts {
+		b = p.AppendString(b)
+		b = append(b, ' ')
+		b = p.State().AppendString(b)
+		ends = append(ends, len(b))
+	}
+	all := string(b)
+	out := make([]string, len(pts))
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
+	}
+	return out
 }
 
 // BatchRequest checks many formulas against one system and assignment.

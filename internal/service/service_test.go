@@ -327,7 +327,7 @@ func TestColdCheckoutSharesModel(t *testing.T) {
 	}
 	exts := make([]*system.DenseSet, 10)
 	for k := 0; k < 2; k++ {
-		if err := svc.withEvaluator(m, canonical, nil, check(&exts[k])); err != nil {
+		if err := svc.withEvaluator(context.Background(), m, canonical, check(&exts[k])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestColdCheckoutSharesModel(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			errs[k] = svc.withEvaluator(m, canonical, nil, check(&exts[k]))
+			errs[k] = svc.withEvaluator(context.Background(), m, canonical, check(&exts[k]))
 		}(k)
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kpa/internal/rat"
@@ -309,47 +310,127 @@ func TestCellsParMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestKnowExtensionKernel checks the member-walk K kernel against a
-// per-point K check: c passes exactly when every point sharing c's local
-// state is in ext.
-func TestKnowExtensionKernel(t *testing.T) {
-	sys := broomSystem(t, 2, 40, 6, 4)
-	idx := sys.Index()
-	n := idx.NumPoints()
-	for _, density := range []int{1, 7, 1 << 30} {
-		// ext: every point but one in density, cell-misaligned; the
-		// largest density leaves ext full, so every cell passes.
-		ext := idx.NewDense()
-		for id := 0; id < n; id++ {
-			if id%density != 0 || density == 1<<30 {
-				ext.add(id)
-			}
+// knowsByLocal is the K check by local state: c passes exactly when every
+// point sharing c's local state for agent is in ext.
+func knowsByLocal(idx *Index, agent AgentID, ext *DenseSet) *DenseSet {
+	allIn := make(map[LocalState]bool)
+	for id := 0; id < idx.NumPoints(); id++ {
+		l := idx.PointAt(id).Local(agent)
+		in, seen := allIn[l]
+		allIn[l] = (in || !seen) && ext.Contains(id)
+	}
+	want := idx.NewDense()
+	for id := 0; id < idx.NumPoints(); id++ {
+		if allIn[idx.PointAt(id).Local(agent)] {
+			want.add(id)
 		}
-		for _, agent := range []AgentID{0, 1} {
-			want := idx.NewDense()
-			for c := 0; c < n; c++ {
-				knows := true
-				for d := 0; d < n && knows; d++ {
-					if idx.PointAt(d).Local(agent) == idx.PointAt(c).Local(agent) && !ext.Contains(d) {
-						knows = false
+	}
+	return want
+}
+
+// knowExtensionSets returns the sets TestKnowExtensionKernel checks K
+// over: empty, full, near-empty and near-full, cell-misaligned, and
+// unions of agent 0's cells, which pass exactly those cells for agent 0
+// and straddle the other agents' cells. The near-full sets make the
+// member walks give up for the complement visit; the sparse ones do not.
+func knowExtensionSets(idx *Index) map[string]*DenseSet {
+	n := idx.NumPoints()
+	cells := idx.Cells(0, 1)
+	sets := map[string]*DenseSet{
+		"empty":             idx.NewDense(),
+		"full":              idx.FullDense(),
+		"one point":         idx.NewDense(),
+		"all but one":       idx.FullDense(),
+		"every 7th":         idx.NewDense(),
+		"all but every 7th": idx.NewDense(),
+		"every other cell":  idx.NewDense(),
+		"all cells but one": idx.NewDense(),
+	}
+	sets["one point"].add(n / 2)
+	sets["all but one"].bits[n/2/64] &^= 1 << (n / 2 % 64)
+	for id := 0; id < n; id++ {
+		if id%7 == 0 {
+			sets["every 7th"].add(id)
+		} else {
+			sets["all but every 7th"].add(id)
+		}
+		if k := cells.BlockOf(id); k%2 == 0 {
+			sets["every other cell"].add(id)
+		}
+		if cells.BlockOf(id) != cells.NumBlocks()/2 {
+			sets["all cells but one"].add(id)
+		}
+	}
+	return sets
+}
+
+// TestKnowExtensionKernel checks the K kernel — member walks that give up
+// for a visit of the complement past that visit's cost — against the K
+// check by local state, for every agent, on sets that keep the walks and
+// sets that make them give up, at 1, 3 and 8 workers. Then a stop that
+// fires at each poll in turn of a full sweep, midway through the walks or
+// the visit, must end the sweep within a poll per loop still running.
+func TestKnowExtensionKernel(t *testing.T) {
+	systems := map[string]*System{
+		"broom":      broomSystem(t, 2, 40, 6, 4),
+		"wide broom": broomSystem(t, 3, 1200, 6, 8), // 94 words: the visit polls midway
+		"uneven":     unevenSystem(t),
+	}
+	for name, sys := range systems {
+		idx := sys.Index()
+		for setName, ext := range knowExtensionSets(idx) {
+			for agent := AgentID(0); int(agent) < sys.NumAgents(); agent++ {
+				want := knowsByLocal(idx, agent, ext)
+				cells := idx.Cells(agent, 1)
+				for _, workers := range []int{1, 3, 8} {
+					if got := cells.KnowExtension(ext, workers, nil); !got.Equal(want) {
+						t.Fatalf("%s, %s, agent %d: KnowExtension(workers=%d) differs from the K check by local state",
+							name, setName, agent, workers)
 					}
-				}
-				if knows {
-					want.add(c)
-				}
-			}
-			cells := idx.Cells(agent, 1)
-			for _, workers := range []int{1, 3, 8} {
-				if got := cells.KnowExtension(ext, workers, nil); !got.Equal(want) {
-					t.Fatalf("density %d agent %d: KnowExtension(workers=%d) differs from the per-point K check", density, agent, workers)
 				}
 			}
 		}
 	}
 	// A stop that fires immediately abandons the sweep.
+	idx := systems["broom"].Index()
 	stopped := idx.Cells(0, 1).KnowExtension(idx.FullDense(), 4, func() bool { return true })
 	if !stopped.IsEmpty() {
 		t.Fatal("KnowExtension with firing stop returned a non-empty set")
+	}
+	idx = systems["wide broom"].Index()
+	cells := idx.Cells(1, 1)
+	for setName, ext := range knowExtensionSets(idx) {
+		for _, workers := range []int{1, 3} {
+			var polls atomic.Int64
+			if got := cells.KnowExtension(ext, workers, func() bool { polls.Add(1); return false }); !got.Equal(knowsByLocal(idx, 1, ext)) {
+				t.Fatalf("%s: a stop that never fires changed KnowExtension(workers=%d)", setName, workers)
+			}
+			for fireAt := int64(1); fireAt <= polls.Load(); fireAt++ {
+				var calls atomic.Int64
+				cells.KnowExtension(ext, workers, func() bool { return calls.Add(1) >= fireAt })
+				// After the firing poll, each walk shard, the visit and each
+				// Spread shard polls at most once more.
+				if extra := calls.Load() - fireAt; extra > int64(2*workers+2) {
+					t.Fatalf("%s, workers=%d: the sweep polled %d more times after its stop fired at poll %d of %d",
+						setName, workers, extra, fireAt, polls.Load())
+				}
+			}
+		}
+	}
+	// A stop that fires at the visit's second poll, 64 words in, leaves
+	// the rest of the visit undone: the cell of a last point outside ext
+	// keeps its passing verdict.
+	last := idx.NumPoints() - 1
+	ext := idx.FullDense()
+	ext.bits[last/64] &^= 1 << (last % 64)
+	pass := make([]bool, cells.NumBlocks())
+	polls := 0
+	cells.failOutside(pass, ext, func() bool { polls++; return polls == 2 })
+	if !pass[cells.BlockOf(last)] || polls != 2 {
+		t.Fatalf("the complement visit polled %d times and went on past the stop that fired at the second", polls)
+	}
+	if cells.failOutside(pass, ext, nil); pass[cells.BlockOf(last)] {
+		t.Fatal("the complement visit missed the last point")
 	}
 }
 

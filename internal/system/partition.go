@@ -98,35 +98,107 @@ func newPartition(x *Index, numBlocks int, blockOf []int32) *Partition {
 }
 
 // KnowExtension computes {c : block(c) ⊆ ext}, over an agent's cells the
-// dense extension of K_i. A block's member walk stops at the first member
-// outside ext, and the walks shard over blocks across up to workers
-// goroutines; the verdicts then fan out through Spread. stop, when
-// non-nil, is polled every 16 blocks and by Spread; returning true
-// abandons the sweep early (the partial result must be discarded).
+// dense extension of K_i: the verdicts of knowVerdicts, fanned out through
+// Spread. stop, when non-nil, is polled as knowVerdicts and Spread say;
+// returning true abandons the sweep early (the partial result must be
+// discarded).
 func (p *Partition) KnowExtension(ext *DenseSet, workers int, stop func() bool) *DenseSet {
 	return p.Spread(p.knowVerdicts(ext, workers, stop), workers, stop)
 }
 
 // knowVerdicts returns, per block, whether all its members are in ext:
-// KnowExtension's member walks.
+// KnowExtension's verdicts. It walks each block's members up to the first
+// one outside ext, sharded over blocks across up to workers goroutines.
+// Over a dense ext the walks visit nearly every member, so they stop at
+// the cost of the other way to the verdicts, failOutside's visit of the
+// complement: 2·words + zeros, a popcount and the visit, where zeros are
+// ext's clear bits, the tail's included. Each shard bounds its walks by
+// its share of that cost. It counts zeros lazily, a word at a time and
+// only once its walks have spent the bound the words counted so far
+// allow, so a walk shorter than 2·words counts none. A shard that has
+// counted all its words and spent the whole bound gives up, unless the
+// members it has left cost less than the visit, and then failOutside sets
+// every verdict. stop, when non-nil, is polled every 16 blocks of the
+// walks, and before the visit and every 64 words of it.
 func (p *Partition) knowVerdicts(ext *DenseSet, workers int, stop func() bool) []bool {
 	pass := make([]bool, p.NumBlocks())
-	ParFill(pass, workers, func(_ int, part []bool, lo int) {
+	words, n := len(ext.bits), len(p.blockOf)
+	gaveUp := ParMap(pass, workers, func(_ int, part []bool, lo int) bool {
+		// The shard's share of the visit's cost is its share, by members,
+		// of 2·words, plus the zeros of its share of the words, which the
+		// shards' word ranges tile. bound is that share as far as the
+		// words counted so far show it, and left what the walks may still
+		// spend of it.
+		mine := int(p.off[lo+len(part)] - p.off[lo])
+		counted, end := words*lo/len(pass), words*(lo+len(part))/len(pass)
+		bound := 2 * words * mine / n
+		left := bound
+		// more counts the shard's words until the bound rises, and returns
+		// the rise (0 once every word is counted).
+		more := func() int {
+			for counted < end {
+				zeros := 64 - bits.OnesCount64(ext.bits[counted])
+				counted++
+				if zeros > 0 {
+					bound += zeros
+					return zeros
+				}
+			}
+			return 0
+		}
 		for j := range part {
 			k := lo + j
 			if stop != nil && k&15 == 0 && stop() {
-				return
+				return false
 			}
 			part[j] = true
 			for _, id := range p.ids[p.off[k]:p.off[k+1]] {
-				if !ext.Contains(int(id)) {
+				if left == 0 {
+					if left = more(); left == 0 {
+						// The bound is spent. Finish the walks if the
+						// members left to them cost less than the visit.
+						if left = int(p.off[lo+len(part)] - p.off[k]); left > bound {
+							return true
+						}
+					}
+				}
+				left--
+				if ext.Bit(int(id)) == 0 {
 					part[j] = false
 					break
 				}
 			}
 		}
+		return false
 	})
+	if slices.Contains(gaveUp, true) {
+		p.failOutside(pass, ext, stop)
+	}
 	return pass
+}
+
+// failOutside sets pass[k] to whether block k has no member outside ext,
+// from one visit of the complement's set bits.
+func (p *Partition) failOutside(pass []bool, ext *DenseSet, stop func() bool) {
+	if stop != nil && stop() {
+		return
+	}
+	for k := range pass {
+		pass[k] = true
+	}
+	n, last := len(p.blockOf), len(ext.bits)-1
+	for w, word := range ext.bits {
+		if stop != nil && w&63 == 0 && w > 0 && stop() {
+			return
+		}
+		word = ^word
+		if w == last && n%64 != 0 {
+			word &= 1<<(n%64) - 1
+		}
+		for id0 := w * 64; word != 0; word &= word - 1 {
+			pass[p.blockOf[id0+bits.TrailingZeros64(word)]] = false
+		}
+	}
 }
 
 // Everyone returns ⋂_k x.Cells(group[k]).KnowExtension(exts[k]): over a

@@ -56,13 +56,19 @@ func (p Point) SameGlobalState(q Point) bool {
 // String renders the point as (adversary/rRUN, TIME).
 func (p Point) String() string {
 	var buf [64]byte
-	b := append(buf[:0], '(')
+	return string(p.AppendString(buf[:0]))
+}
+
+// AppendString appends the point's String rendering to b and returns the
+// extended buffer.
+func (p Point) AppendString(b []byte) []byte {
+	b = append(b, '(')
 	b = append(b, p.Tree.Adversary...)
 	b = append(b, "/r"...)
 	b = strconv.AppendInt(b, int64(p.Run), 10)
 	b = append(b, ", "...)
 	b = strconv.AppendInt(b, int64(p.Time), 10)
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // PointSet is a finite set of points, possibly spanning several trees.

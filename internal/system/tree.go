@@ -89,11 +89,13 @@ func (g GlobalState) Equal(h GlobalState) bool {
 
 // String renders the global state as (env=E, p1=L1, …, pn=Ln).
 func (g GlobalState) String() string {
-	n := len("(env=)") + len(g.Env)
-	for _, l := range g.Locals {
-		n += len(", p00=") + len(l)
-	}
-	b := make([]byte, 0, n)
+	var buf [128]byte
+	return string(g.AppendString(buf[:0]))
+}
+
+// AppendString appends the global state's String rendering to b and
+// returns the extended buffer.
+func (g GlobalState) AppendString(b []byte) []byte {
 	b = append(b, "(env="...)
 	b = append(b, g.Env...)
 	for i, l := range g.Locals {
@@ -102,7 +104,7 @@ func (g GlobalState) String() string {
 		b = append(b, '=')
 		b = append(b, l...)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // NodeID identifies a node within one tree.

@@ -14,8 +14,10 @@
 #     alone), and its peak RSS, read from the monotonic VmHWM, is its own;
 #  2. internal/logic's scale-tier benchmarks over the gen.ScaleTiers
 #     brooms, once per (tier, workers) pair: 100k and 1m at w1, w2 and w4,
-#     and 10m at w1 without CommonPr, whose process peaked at 4.1–4.7 GB
-#     in one iteration (the other 10m rows reach 2.5–5.3 GB at 2 s);
+#     and 10m at w1, one iteration each (-benchtime 1x) and without
+#     CommonPr, whose process peaked at 4.1–4.7 GB in one iteration. (At
+#     2 s, 10m ScaleKnowledge and ScaleCommon ran 10,000 iterations, whose
+#     garbage took their processes to 4.45 and 5.34 GB resident.);
 #  3. http/restart/cold and http/restart/warm: kpaload against a kpad
 #     booted over an empty snapshot directory, then against the same kpad
 #     restored after a SIGTERM. ns_per_op is the lone first request.
@@ -89,6 +91,7 @@ if [ "$SMOKE" = 1 ]; then
 else
 	scale 100k '1 2 4' '.*'
 	scale 1m '1 2 4' '.*'
+	BT=1x
 	scale 10m 1 'IndexBuild|Knowledge|Common'
 fi
 
