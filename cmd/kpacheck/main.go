@@ -133,48 +133,48 @@ func run(args []string) error {
 	P := core.NewProbAssignment(entry.Sys, sa)
 	e := logic.NewEvaluator(entry.Sys, P, entry.Props)
 
+	total := entry.Sys.NumPoints()
 	fmt.Printf("system   : %s — %s\n", entry.Name, entry.Description)
 	fmt.Printf("           %d trees, %d points, synchronous=%v\n",
-		len(entry.Sys.Trees()), entry.Sys.Points().Len(), entry.Sys.IsSynchronous())
+		len(entry.Sys.Trees()), total, entry.Sys.IsSynchronous())
 	fmt.Printf("assign   : %s\n", sa.Name())
 	fmt.Printf("formula  : %s\n", f)
 
-	ext, err := e.Extension(f)
+	// The extension stays a bitset over the system's dense index, and rows
+	// are printed in dense-ID order, (tree, run, time) with trees in the
+	// system's order, so a large system never builds its map of points.
+	ext, err := e.DenseExtension(f)
 	if err != nil {
 		return err
 	}
 	if *points {
 		fmt.Println("points:")
-		rows := 0
-		for _, p := range entry.Sys.Points().Sorted() {
-			if rows >= *maxRows {
-				fmt.Printf("  ... (%d more)\n", entry.Sys.Points().Len()-rows)
+		idx := ext.Index()
+		for id := 0; id < total; id++ {
+			if id >= *maxRows {
+				fmt.Printf("  ... (%d more)\n", total-id)
 				break
 			}
+			p := idx.PointAt(id)
 			mark := " "
-			if ext.Contains(p) {
+			if ext.Contains(id) {
 				mark = "✓"
 			}
 			fmt.Printf("  %s %v  %s\n", mark, p, p.State())
-			rows++
 		}
 		return nil
 	}
 
-	total := entry.Sys.Points().Len()
-	fmt.Printf("holds at : %d / %d points\n", ext.Len(), total)
-	if ext.Len() == total {
+	holds := ext.Len()
+	fmt.Printf("holds at : %d / %d points\n", holds, total)
+	if holds == total {
 		fmt.Println("verdict  : VALID (holds at every point)")
 		return nil
 	}
 	fmt.Println("verdict  : NOT VALID; counterexamples:")
-	ces, err := e.CounterExamples(f)
-	if err != nil {
-		return err
-	}
-	for i, p := range ces {
+	for i, p := range ext.Complement(1).FirstN(max(*maxRows, 0) + 1) {
 		if i >= *maxRows {
-			fmt.Printf("  ... (%d more)\n", len(ces)-i)
+			fmt.Printf("  ... (%d more)\n", total-holds-i)
 			break
 		}
 		fmt.Printf("  %v  %s\n", p, p.State())
@@ -188,8 +188,9 @@ func run(args []string) error {
 func runREPL(entry registry.Entry, sa core.SampleAssignment, in io.Reader, out io.Writer) error {
 	P := core.NewProbAssignment(entry.Sys, sa)
 	e := logic.NewEvaluator(entry.Sys, P, entry.Props)
+	total := entry.Sys.NumPoints()
 	fmt.Fprintf(out, "%s (%d points, assignment %s) — enter formulas, :quit to exit\n",
-		entry.Name, entry.Sys.Points().Len(), sa.Name())
+		entry.Name, total, sa.Name())
 	scanner := bufio.NewScanner(in)
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
@@ -227,17 +228,17 @@ func runREPL(entry registry.Entry, sa core.SampleAssignment, in io.Reader, out i
 			fmt.Fprintln(out, "parse error:", err)
 			continue
 		}
-		ext, err := e.Extension(f)
+		ext, err := e.DenseExtension(f)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			continue
 		}
-		total := entry.Sys.Points().Len()
+		holds := ext.Len()
 		verdict := "NOT VALID"
-		if ext.Len() == total {
+		if holds == total {
 			verdict = "VALID"
 		}
-		fmt.Fprintf(out, "%s — holds at %d/%d points\n", verdict, ext.Len(), total)
+		fmt.Fprintf(out, "%s — holds at %d/%d points\n", verdict, holds, total)
 	}
 	return scanner.Err()
 }

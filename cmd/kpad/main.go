@@ -16,7 +16,8 @@
 //	GET  /v1/search       list search jobs
 //	GET  /v1/search/{id}  job progress: nodes expanded/pruned, incumbent
 //	DELETE /v1/search/{id} cancel a job (resumable via resumeFrom)
-//	GET  /v1/stats        cache, pool, request, resilience and search counters
+//	GET  /v1/stats        cache, request, resilience and search counters, and
+//	                      a "pools" entry per model: evaluators made over it
 //	GET  /healthz         liveness: 200 while the process serves
 //	GET  /readyz          readiness: 200 once warm; 503 "restoring" during
 //	                      snapshot restore, 503 "draining" during shutdown

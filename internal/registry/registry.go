@@ -239,11 +239,6 @@ func Assignment(sys *system.System, name string) (core.SampleAssignment, error) 
 	}
 }
 
-// AssignmentNames lists the fixed assignment names (opp:J is parameterized).
-func AssignmentNames() []string {
-	return []string{"post", "fut", "prior", "opp:J"}
-}
-
 // fixedNames are the registry's names that take no parameter.
 var fixedNames = []string{
 	"introcoin", "vardi", "die", "biased", "fig1",

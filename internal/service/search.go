@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"kpa/internal/betting"
 	"kpa/internal/core"
@@ -134,21 +133,22 @@ type SearchStats struct {
 	CheckpointsWritten uint64 `json:"checkpointsWritten"`
 }
 
-// errSearchCanceled is the cancellation hook's sentinel.
-var errSearchCanceled = &Error{Kind: KindCanceled, Msg: "service: search canceled"}
-
 // maxRetainedSearches bounds finished jobs kept for status queries;
 // resuming an evicted job still works through its checkpoint file.
 const maxRetainedSearches = 64
 
 // searchJob is one job's lifetime state.
 type searchJob struct {
-	id   string
-	seq  int
-	req  SearchRequest
+	id  string
+	seq int
+	req SearchRequest
+	// ctx is canceled by CancelSearch and DrainSearches; φ's evaluation
+	// and the engine's cancel hook read it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// done is closed once the job has returned its evaluation slot and
+	// search-job token and published its terminal state.
 	done chan struct{}
-
-	canceled atomic.Bool
 
 	mu      sync.Mutex
 	state   string          // guarded by mu
@@ -206,11 +206,13 @@ type searchSpec struct {
 	every     uint64
 }
 
-// StartSearch validates the request, admits it (one blocking evaluation
-// slot, shed with KindOverloaded like Check), registers the job, and runs
-// the search on a detached goroutine. Additional workers up to the
-// configured count take evaluation slots opportunistically — a busy
-// service degrades a search to fewer workers rather than starving checks.
+// StartSearch validates the request, admits it, registers the job, and
+// runs the search on a detached goroutine under the job's own context.
+// Admission takes one of MaxSearchJobs tokens without waiting and one
+// evaluation slot, queued like Check's; either shortfall is a
+// KindOverloaded error with a retry hint. The job keeps that one slot
+// whatever its worker count, so running searches leave the other slots to
+// checks.
 func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 	resumed := req.ResumeFrom
 	var seed *search.Checkpoint
@@ -238,53 +240,44 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 }
 
 // launchSearch compiles job.req, admits it, registers the job and starts
-// runSearch. A job without an ID takes the next fresh one; a job with an
-// ID (ResumeSearches restarting it under its own) conflicts with a
-// registered job of that ID.
+// runSearch, which returns both admission tokens when the job ends. A job
+// without an ID takes the next fresh one; a job with an ID (ResumeSearches
+// restarting it under its own) conflicts with a registered job of that ID.
 func (s *Service) launchSearch(job *searchJob, seed *search.Checkpoint) error {
 	spec, err := s.compileSearchSpec(job.req)
 	if err != nil {
 		return err
 	}
-	if err := s.admit(context.Background()); err != nil {
-		return err
-	}
-	s.searchMu.Lock()
-	running := 0
-	for _, j := range s.searches {
-		if j.runningNow() {
-			running++
-		}
-	}
-	if running >= s.cfg.MaxSearchJobs {
-		s.searchMu.Unlock()
-		<-s.sem
+	select {
+	case s.searchSlots <- struct{}{}:
+	default:
 		return &Error{
 			Kind:       KindOverloaded,
 			Msg:        fmt.Sprintf("service: all %d search-job slots busy", s.cfg.MaxSearchJobs),
 			RetryAfter: retryAfter,
 		}
 	}
+	if err := s.admit(context.Background()); err != nil {
+		<-s.searchSlots
+		return err
+	}
+	s.searchMu.Lock()
 	if job.id == "" {
 		s.searchSeq++
 		job.id, job.seq = fmt.Sprintf("s%d", s.searchSeq), s.searchSeq
 	} else if _, taken := s.searches[job.id]; taken {
 		s.searchMu.Unlock()
 		<-s.sem
+		<-s.searchSlots
 		return &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", job.id)}
 	}
+	job.ctx, job.cancel = context.WithCancel(context.Background())
 	s.searches[job.id] = job
 	s.searchMu.Unlock()
 	s.pruneSearches()
 
 	go s.runSearch(job, spec, seed)
 	return nil
-}
-
-func (j *searchJob) runningNow() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == SearchRunning
 }
 
 // compileSearchSpec resolves and validates everything cheap: system,
@@ -372,34 +365,28 @@ func (s *Service) compileSearchSpec(req SearchRequest) (*searchSpec, error) {
 	}, nil
 }
 
-// runSearch is the job goroutine: evaluate φ, compile the problem, run the
-// engine, publish the outcome. It owns one evaluation slot (taken by
-// StartSearch) and opportunistically borrows up to workers−1 more.
+// runSearch is the job goroutine: it solves the job, turning a panic into
+// a KindPanic failure, and publishes the outcome.
 func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Checkpoint) {
-	extra := 0
+	var err error
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			s.finishSearch(job, nil, &Error{Kind: KindPanic, Msg: fmt.Sprintf("search job panicked: %v", r)})
+			err = &Error{Kind: KindPanic, Msg: fmt.Sprintf("search job panicked: %v", r)}
 		}
-		for n := 0; n < extra+1; n++ {
-			<-s.sem
-		}
+		s.finishSearch(job, err)
 	}()
-	for extra < spec.workers-1 {
-		select {
-		case s.sem <- struct{}{}:
-			extra++
-			continue
-		default:
-		}
-		break
-	}
+	err = s.solveSearch(job, spec, seed)
+}
 
-	phi, err := s.searchFact(spec)
+// solveSearch evaluates φ, compiles the problem, runs the engine on
+// spec.workers workers and records the result. The job's context stops
+// both the evaluation and the engine, whose first poll comes before its
+// first expansion.
+func (s *Service) solveSearch(job *searchJob, spec *searchSpec, seed *search.Checkpoint) error {
+	phi, err := s.searchFact(job.ctx, spec)
 	if err != nil {
-		s.finishSearch(job, nil, err)
-		return
+		return err
 	}
 	spec.rule.Phi = phi
 	// The problem compiles against a ProbAssignment, whose space cache the
@@ -408,18 +395,12 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 	prob := core.NewProbAssignment(spec.sess.sys, spec.model.sample)
 	p, err := search.NewProblem(prob, spec.i, spec.j, spec.c, spec.rule, spec.payoffs, spec.mode)
 	if err != nil {
-		s.finishSearch(job, nil, badRequest(err))
-		return
+		return badRequest(err)
 	}
 
 	cfg := search.Config{
-		Workers: 1 + extra,
-		Cancel: func() error {
-			if job.canceled.Load() {
-				return errSearchCanceled
-			}
-			return nil
-		},
+		Workers:         spec.workers,
+		Cancel:          job.ctx.Err,
 		CheckpointEvery: spec.every,
 	}
 	if s.cfg.SearchCheckpointDir != "" {
@@ -432,22 +413,17 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 	job.prob, job.eng = p, eng
 	job.mu.Unlock()
 
-	if job.canceled.Load() { // canceled during compilation
-		s.finishSearch(job, eng, errSearchCanceled)
-		return
-	}
 	res, err := eng.Run(seed)
 	if err != nil {
 		// Canceled or failed: persist the final frontier so the job can be
 		// resumed, and never publish the provisional incumbent.
 		if s.cfg.SearchCheckpointDir != "" {
 			final := eng.Checkpoint()
-			if werr := s.writeSearchCheckpoint(job, &final); werr != nil && !errors.Is(err, errSearchCanceled) {
+			if werr := s.writeSearchCheckpoint(job, &final); werr != nil && !errors.Is(err, context.Canceled) {
 				err = fmt.Errorf("%w (final checkpoint also failed: %v)", err, werr)
 			}
 		}
-		s.finishSearch(job, eng, err)
-		return
+		return err
 	}
 	out := &SearchResult{Value: res.Value.String(), Optimal: true}
 	for _, l := range p.Locals() {
@@ -467,13 +443,13 @@ func (s *Service) runSearch(job *searchJob, spec *searchSpec, seed *search.Check
 	job.mu.Lock()
 	job.result = out
 	job.mu.Unlock()
-	s.finishSearch(job, eng, nil)
+	return nil
 }
 
-// searchFact evaluates φ's extension on a fresh evaluator and freezes it
-// as a fact: the engine never touches an evaluator afterwards.
-func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
-	err = s.withEvaluator(context.Background(), spec.model, spec.canonical, func(ev *logic.Evaluator) error {
+// searchFact evaluates φ's extension on a fresh evaluator under ctx and
+// freezes it as a fact: the engine never touches an evaluator afterwards.
+func (s *Service) searchFact(ctx context.Context, spec *searchSpec) (phi system.Fact, err error) {
+	err = s.withEvaluator(ctx, spec.model, spec.canonical, func(ev *logic.Evaluator) error {
 		ext, err := ev.DenseExtension(spec.phi)
 		if err != nil {
 			return s.classifyEvalErr(err)
@@ -484,20 +460,19 @@ func (s *Service) searchFact(spec *searchSpec) (phi system.Fact, err error) {
 	return phi, err
 }
 
-// finishSearch publishes the job's terminal state exactly once.
-func (s *Service) finishSearch(job *searchJob, eng *search.Engine, err error) {
+// finishSearch returns the job's evaluation slot and search-job token,
+// publishes its terminal state and closes done; runSearch calls it once.
+// The tokens go first, so a client that sees the job finished can start
+// the next one at once. A job stopped by its context's cancellation is
+// canceled, whatever stage it stopped at.
+func (s *Service) finishSearch(job *searchJob, err error) {
+	<-s.sem
+	<-s.searchSlots
 	job.mu.Lock()
-	if job.state != SearchRunning {
-		job.mu.Unlock()
-		return
-	}
-	if eng != nil {
-		job.eng = eng
-	}
 	switch {
 	case err == nil:
 		job.state = SearchDone
-	case errors.Is(err, errSearchCanceled):
+	case errors.Is(err, context.Canceled):
 		job.state = SearchCanceled
 		job.err = err
 	default:
@@ -505,6 +480,7 @@ func (s *Service) finishSearch(job *searchJob, eng *search.Engine, err error) {
 		job.err = err
 	}
 	job.mu.Unlock()
+	job.cancel()
 	close(job.done)
 }
 
@@ -682,9 +658,10 @@ func (s *Service) SearchStatusOf(id string) (SearchStatus, error) {
 	return job.status(), nil
 }
 
-// CancelSearch cancels a running job and waits for it to stop (the engine
-// polls the hook once per node expansion, so this is prompt). Canceling a
-// finished job is a no-op returning its status.
+// CancelSearch cancels a running job's context and waits for it to stop
+// (φ's evaluation polls the context at every subformula and the engine
+// once per node expansion, so this is prompt). Canceling a finished job is
+// a no-op returning its status.
 func (s *Service) CancelSearch(id string) (SearchStatus, error) {
 	s.searchMu.Lock()
 	job := s.searches[id]
@@ -692,7 +669,7 @@ func (s *Service) CancelSearch(id string) (SearchStatus, error) {
 	if job == nil {
 		return SearchStatus{}, &Error{Kind: KindNotFound, Msg: fmt.Sprintf("service: unknown search %s", id)}
 	}
-	job.canceled.Store(true)
+	job.cancel()
 	<-job.done
 	return job.status(), nil
 }
@@ -713,12 +690,10 @@ func (s *Service) Searches() []SearchStatus {
 func (s *Service) DrainSearches() {
 	jobs := s.searchesBySeq()
 	for _, job := range jobs {
-		job.canceled.Store(true)
+		job.cancel()
 	}
 	for _, job := range jobs {
-		if job.runningNow() {
-			<-job.done
-		}
+		<-job.done
 	}
 }
 
@@ -736,22 +711,17 @@ func (s *Service) searchesBySeq() []*searchJob {
 
 // pruneSearches evicts the oldest finished jobs above the retention cap.
 func (s *Service) pruneSearches() {
+	jobs := s.searchesBySeq()
 	s.searchMu.Lock()
 	defer s.searchMu.Unlock()
-	if len(s.searches) <= maxRetainedSearches {
-		return
-	}
-	jobs := make([]*searchJob, 0, len(s.searches))
-	for _, job := range s.searches {
-		jobs = append(jobs, job)
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	for _, job := range jobs {
 		if len(s.searches) <= maxRetainedSearches {
 			return
 		}
-		if !job.runningNow() {
+		select {
+		case <-job.done:
 			delete(s.searches, job.id)
+		default:
 		}
 	}
 }

@@ -303,14 +303,12 @@ func TestSearchCancelAndResume(t *testing.T) {
 		cs, cerr := svc.CancelSearch(st.ID)
 		done <- cancelRes{cs, cerr}
 	}()
-	// Release the gate only after the cancel flag is set, so the engine
-	// cannot finish the search before it notices the cancellation.
+	// Release the gate only after the job's context is canceled, so the
+	// engine cannot finish the search before it notices the cancellation.
 	svc.searchMu.Lock()
 	job := svc.searches[st.ID]
 	svc.searchMu.Unlock()
-	for !job.canceled.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-job.ctx.Done()
 	close(gate.release)
 	cr := <-done
 	if cr.err != nil {
@@ -466,9 +464,7 @@ func TestSearchResumeDiscoveryAcrossRestart(t *testing.T) {
 	svc.searchMu.Lock()
 	job := svc.searches[st.ID]
 	svc.searchMu.Unlock()
-	for !job.canceled.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-job.ctx.Done()
 	close(gate.release)
 	<-cancelDone
 	if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); err != nil {
@@ -591,9 +587,7 @@ func drainedSearch(t *testing.T, dir string) SearchStatus {
 	svc.searchMu.Lock()
 	job := svc.searches[st.ID]
 	svc.searchMu.Unlock()
-	for !job.canceled.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-job.ctx.Done()
 	close(gate.release)
 	<-stop
 	return st
@@ -714,7 +708,7 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 		t.Fatalf("overload error carries no Retry-After: %v", err)
 	}
 
-	// Drain flags every running job and waits for it, like kpad shutdown.
+	// Drain cancels every running job and waits for it, like kpad shutdown.
 	drained := make(chan struct{})
 	go func() {
 		svc.DrainSearches()
@@ -723,9 +717,7 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 	svc.searchMu.Lock()
 	job := svc.searches[st.ID]
 	svc.searchMu.Unlock()
-	for !job.canceled.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-job.ctx.Done()
 	close(gate.release)
 	select {
 	case <-drained:
@@ -738,6 +730,105 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 	}
 	if fin.State != SearchCanceled || fin.Result != nil {
 		t.Fatalf("drained job: state=%s result=%v", fin.State, fin.Result)
+	}
+}
+
+// TestSearchCancelStopsFactEvaluation holds the evaluation of a job's φ
+// at the eval seam, cancels the job and releases the seam: φ's evaluation
+// runs under the job's context, so it stops at its first poll, counts as
+// a cancellation, and the job ends canceled.
+func TestSearchCancelStopsFactEvaluation(t *testing.T) {
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	svc := New(Config{Seams: &Seams{BeforeEval: func(formula string) error {
+		if formula == "phi" {
+			held <- struct{}{}
+			<-release
+		}
+		return nil
+	}}})
+	uploadCoupled(t, svc, 6, 3)
+	st, err := svc.StartSearch(smallSearchReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	canceled := make(chan SearchStatus, 1)
+	go func() {
+		cs, err := svc.CancelSearch(st.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		canceled <- cs
+	}()
+	svc.searchMu.Lock()
+	job := svc.searches[st.ID]
+	svc.searchMu.Unlock()
+	<-job.ctx.Done()
+	close(release)
+	if cs := <-canceled; cs.State != SearchCanceled || cs.Result != nil {
+		t.Fatalf("canceled job: state=%s result=%v, want canceled without a result", cs.State, cs.Result)
+	}
+	if got := svc.Stats().Resilience.Cancels; got != 1 {
+		t.Fatalf("cancels = %d, want 1: φ's evaluation ran to completion", got)
+	}
+}
+
+// TestSearchesLeaveCheckSlots runs as many big jobs as the default
+// MaxSearchJobs allows, each held at its first checkpoint write with the
+// default SearchWorkers: they hold one evaluation slot each, and a check
+// that misses the cache is admitted at once instead of shed.
+func TestSearchesLeaveCheckSlots(t *testing.T) {
+	// Until release, each job's workers block in their first writes: the
+	// buffer holds one entry per worker, and later writes go unreported.
+	entered := make(chan string, 16)
+	release := make(chan struct{})
+	svc := New(Config{
+		QueueWait:           20 * time.Millisecond,
+		SearchCheckpointDir: t.TempDir(),
+		Seams: &Seams{BeforeCheckpoint: func(op, jobID string) error {
+			if op == "write" {
+				select {
+				case entered <- jobID:
+				default:
+				}
+				<-release
+			}
+			return nil
+		}},
+	})
+	uploadCoupled(t, svc, 8, 4)
+	jobs := svc.cfg.MaxSearchJobs
+	for n := 0; n < jobs; n++ {
+		if _, err := svc.StartSearch(everyNode(bigSearchReq())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for held := map[string]bool{}; len(held) < jobs; {
+		held[<-entered] = true
+	}
+	if got, want := len(svc.sem), jobs; got != want {
+		t.Errorf("%d running jobs hold %d of %d evaluation slots, want %d", jobs, got, cap(svc.sem), want)
+	}
+	v, err := svc.Check(context.Background(), CheckRequest{System: "coupled", Formula: "!phi"})
+	if err != nil {
+		t.Errorf("check beside %d running jobs: %v", jobs, err)
+	} else if v.Cached {
+		t.Errorf("check %+v was served from the cache, want an evaluation", v)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		svc.DrainSearches()
+		close(drained)
+	}()
+	for _, job := range svc.searchesBySeq() {
+		<-job.ctx.Done()
+	}
+	close(release)
+	<-drained
+	if got := len(svc.sem); got != 0 {
+		t.Fatalf("%d evaluation slots still held after the drain", got)
 	}
 }
 

@@ -41,9 +41,9 @@ type Config struct {
 	// evaluation slot before it is shed with a KindOverloaded error.
 	// Default 250ms.
 	QueueWait time.Duration
-	// SearchWorkers bounds the branch-and-bound workers per search job
-	// (the job's first worker holds a blocking evaluation slot; the rest
-	// are taken opportunistically). Default 4.
+	// SearchWorkers bounds the branch-and-bound workers per search job; a
+	// request's Workers may ask for fewer. However many workers it runs, a
+	// job holds one evaluation slot. Default 4.
 	SearchWorkers int
 	// MaxSearchJobs bounds concurrently running search jobs. Default 4.
 	MaxSearchJobs int
@@ -150,6 +150,8 @@ type Service struct {
 	searches    map[string]*searchJob // guarded by searchMu
 	searchSeq   int                   // guarded by searchMu
 	searchCkpts atomic.Uint64         // checkpoint files durably written
+	// searchSlots holds one token per running search job (MaxSearchJobs).
+	searchSlots chan struct{}
 
 	// snap is the durability layer (nil without Config.SnapshotDir);
 	// closeOnce makes Close idempotent.
@@ -163,13 +165,14 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:      cfg,
-		store:    newStore(cfg.Seams),
-		cache:    newVerdictCache(cfg.CacheSize),
-		flight:   newFlightGroup(),
-		engine:   logic.NewEngine(cfg.Parallelism),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		searches: make(map[string]*searchJob),
+		cfg:         cfg,
+		store:       newStore(cfg.Seams),
+		cache:       newVerdictCache(cfg.CacheSize),
+		flight:      newFlightGroup(),
+		engine:      logic.NewEngine(cfg.Parallelism),
+		sem:         make(chan struct{}, cfg.MaxInFlight),
+		searches:    make(map[string]*searchJob),
+		searchSlots: make(chan struct{}, cfg.MaxSearchJobs),
 	}
 	if cfg.SnapshotDir != "" {
 		s.snap = newSnapshotter(cfg.SnapshotDir, cfg.SnapshotEvery)
@@ -262,11 +265,7 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 		return Verdict{}, badRequest(err)
 	}
 	canonical := f.String()
-	assign := req.Assign
-	if assign == "" {
-		assign = "post"
-	}
-	m, err := sess.model(assign, s.engine)
+	m, err := sess.model(orPost(req.Assign), s.engine)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -319,9 +318,9 @@ func (s *Service) check(ctx context.Context, req CheckRequest) (Verdict, error) 
 // f, whose canonical text and assignment name key carries, on the calling
 // goroutine. ctx bounds both the queue wait and the evaluation.
 func (s *Service) leaderEval(ctx context.Context, m *modelEntry, sess *session, f logic.Formula, key cacheKey) (v Verdict, err error) {
-	// Containment for faults outside the evaluator region (an injected
-	// pool-seam panic, an admission bug): no panic may escape to the
-	// request's goroutine and kill the daemon.
+	// Containment for faults outside the evaluator region (a panic
+	// injected at the BeforePoolGet seam, an admission bug): no panic may
+	// escape to the request's goroutine and kill the daemon.
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -353,12 +352,12 @@ func (s *Service) leaderEval(ctx context.Context, m *modelEntry, sess *session, 
 }
 
 // withEvaluator is the one evaluation path, for checks, batch items and
-// search jobs' φ: it runs the pool-get seam, makes a fresh evaluator over
-// m's model with the service's engine, whose cancel hook reads ctx.Done(),
-// runs the eval seam with the canonical formula, and hands the evaluator
-// to fn. A panic in the eval seam or in fn returns as a KindPanic error
-// and loses only this evaluator: its memo is all it held of its own, and
-// a model build that panics publishes nothing.
+// search jobs' φ: it runs the BeforePoolGet seam, makes a fresh evaluator
+// over m's model with the service's engine, whose cancel hook reads
+// ctx.Done(), runs the eval seam with the canonical formula, and hands the
+// evaluator to fn. A panic in the eval seam or in fn returns as a KindPanic
+// error and loses only this evaluator: its memo is all it held of its own,
+// and a model build that panics publishes nothing.
 func (s *Service) withEvaluator(ctx context.Context, m *modelEntry, canonical string, fn func(ev *logic.Evaluator) error) (err error) {
 	if err := s.cfg.Seams.poolGet(); err != nil {
 		return err

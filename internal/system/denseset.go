@@ -80,10 +80,6 @@ func (s *DenseSet) check(t *DenseSet) {
 // Index returns the index the set ranges over.
 func (s *DenseSet) Index() *Index { return s.idx }
 
-// Words returns the number of backing words, the unit pools account
-// memoized extensions in.
-func (s *DenseSet) Words() int { return len(s.bits) }
-
 // add inserts the point with dense ID id.
 func (s *DenseSet) add(id int) { s.bits[id/64] |= 1 << (id % 64) }
 

@@ -312,7 +312,7 @@ func TestDenseSetReadOnlyAPI(t *testing.T) {
 	want := []string{
 		"Bit", "Clone", "Complement", "Contains", "ContainsPoint", "Equal",
 		"FirstN", "Index", "Intersect", "IsEmpty", "Iterate", "Key", "Len",
-		"PointSet", "Sorted", "Union", "Words",
+		"PointSet", "Sorted", "Union",
 	}
 	typ := reflect.TypeOf((*DenseSet)(nil))
 	var got []string

@@ -47,10 +47,11 @@ go test -race ./...
 go test -race -count=10 -run '^(TestAgentFreeBlocksBuiltOnce|TestParRangePartitions|TestParRangeSerialWhenOneWorker|TestSelectAndComplementTailBits|TestDenseAlgebraParMatchesSerial|TestBuildIndexParallelMatchesSerial|TestIndexConcurrent|TestCellsParMatchesSerial|TestKnowExtensionKernel|TestEveryoneKernel|TestCommonCellsComponents|TestWeightInKernel|TestGateConcurrent|TestDifferentialParallelVsReference|TestDifferentialParallelScaleSystem|TestConcurrentSharedIndex|TestConcurrentParallelSharedIndex|TestPropExtensionsSurviveReset|TestAbortedSpaceBuildPublishesNothing|TestBlocksPanicReleasesWorkers|TestCommonCellsMatchFixpoint|TestPrSmallerSide)$' ./internal/core ./internal/system ./internal/logic
 # The service's side of the same sharing: every evaluation makes its own
 # evaluator, so a session's model is the only evaluation state concurrent
-# checks share. Mixed concurrent traffic, evaluations over one model, and
-# a singleflight follower that outlives its leader's cancellation, ten
-# times each.
-go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel|TestFollowerOutlivesCanceledLeader)$' ./internal/service
+# checks share. Mixed concurrent traffic, evaluations over one model, a
+# singleflight follower that outlives its leader's cancellation, and
+# search jobs whose context, evaluation slot, job token and done channel
+# race CancelSearch and DrainSearches, ten times each.
+go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel|TestFollowerOutlivesCanceledLeader|TestSearchOverloadAndDrain|TestSearchCancelAndResume|TestSearchCancelStopsFactEvaluation|TestSearchesLeaveCheckSlots)$' ./internal/service
 # Smoke the layer benchmarks: every benchmark once, each in a process of
 # its own, the 100k scale tier at w2 and an introcoin cold/warm restart
 # cycle, parsed into a temporary file. A broken or bit-rotted benchmark, a
