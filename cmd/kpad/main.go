@@ -33,8 +33,9 @@
 // upload's body is read once and scanned in place (encode.Envelope): its
 // doc is handed to the service as the bytes it arrived as, and a repeated
 // key, such as a second "name", is an error, as inside documents.
-// SIGINT/SIGTERM flip /readyz to 503, then drain in-flight requests before
-// exiting.
+// SIGINT/SIGTERM flip /readyz to 503, drain in-flight requests, then close
+// the service (running searches canceled with their final checkpoints, a
+// final snapshot flushed) before exiting.
 //
 // With -snapshot-dir the daemon persists each loaded session — the
 // system's identity, its names and its cached verdicts — and restores
@@ -172,20 +173,21 @@ func run(args []string) error {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		// Flip readiness first so load balancers stop routing here; cancel
-		// running searches so their final checkpoints are written (they
-		// resume from -search-dir on restart); flush a final snapshot; then
-		// drain in-flight requests.
+		// Flip readiness first so load balancers stop routing here; drain
+		// in-flight requests; then close the service, which refuses new
+		// searches, cancels the running ones so their final checkpoints are
+		// written (they resume from -search-dir on restart) and flushes a
+		// final snapshot holding every verdict the drained requests made.
 		d.state.Store(stateDraining)
 		log.Printf("shutting down")
 		<-restored // the aborted restore goroutine, if any, has settled
-		svc.DrainSearches()
-		if err := svc.Close(); err != nil {
-			log.Printf("final snapshot flush: %v", err)
-		}
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		return srv.Shutdown(shutCtx)
+		err := srv.Shutdown(shutCtx)
+		if cerr := svc.Close(); cerr != nil {
+			log.Printf("final snapshot flush: %v", cerr)
+		}
+		return err
 	}
 }
 

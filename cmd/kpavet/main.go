@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	kpavet [-root dir] [-run analyzer,...] [-list] [-json] [./...]
+//	kpavet [-root dir] [-run analyzer,...] [-list] [./...]
 //
 // kpavet always analyzes the whole module containing -root (default: the
 // enclosing module of the working directory); the ./... argument is
@@ -19,18 +19,11 @@
 //
 //	file:line: [analyzer] message
 //
-// or, with -json, one JSON object per line with the fields file, line,
-// col, analyzer, message and doc (the first sentence of the analyzer's
-// contract, for grouping without a roster lookup), and exits 1 if
-// there were any violations,
-// 2 if the module failed to load, 0 when clean. Suppress a diagnostic
-// with a justified directive:
-//
-//	//kpavet:ignore <analyzer> <reason>
+// and exits 1 if there were any violations, 2 if the module failed to
+// load, 0 when clean.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -117,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root to analyze (default: the module containing the working directory)")
 	list := fs.Bool("list", false, "list the analyzers and the contracts they enforce, then exit")
-	asJSON := fs.Bool("json", false, "emit one JSON object per diagnostic instead of file:line lines")
 	runSpec := fs.String("run", "", "comma-separated subset of analyzers to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -152,18 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "kpavet: %v\n", err)
 		return 2
 	}
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		for _, d := range diags {
-			if err := enc.Encode(d); err != nil {
-				fmt.Fprintf(stderr, "kpavet: %v\n", err)
-				return 2
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", d.File, d.Line, d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", d.File, d.Line, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "kpavet: %d contract violation(s)\n", len(diags))

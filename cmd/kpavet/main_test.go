@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"kpa/internal/analysis"
 )
 
 // TestRepoIsClean runs the full suite against this repository's own
@@ -91,66 +86,6 @@ func TestRunSubsetOnRepo(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("kpavet -run errkind on own repo: unexpected diagnostics:\n%s", stdout.String())
-	}
-}
-
-// TestJSONRoundTrip runs -json against a throwaway module with one known
-// maprange violation and demands machine-readable output: every line is
-// a JSON object that decodes into analysis.Diagnostic and re-encodes to
-// the identical bytes, with the file path relative to the module root.
-func TestJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module kpa\n\ngo 1.22\n",
-		"report.go": `package report
-
-func Names(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`,
-	}
-	for rel, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, rel), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-root", dir, "-json"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("kpavet -json: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatalf("kpavet -json: no output lines")
-	}
-	sawMaprange := false
-	for _, line := range lines {
-		var d analysis.Diagnostic
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("line %q is not a JSON diagnostic: %v", line, err)
-		}
-		if d.File != "report.go" || d.Line <= 0 || d.Col <= 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("decoded diagnostic has bad fields: %+v", d)
-		}
-		if d.Doc == "" || strings.ContainsAny(d.Doc, "\n\t") {
-			t.Errorf("diagnostic doc summary should be one non-empty line: %+v", d)
-		}
-		if d.Analyzer == "maprange" {
-			sawMaprange = true
-		}
-		back, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(back) != line {
-			t.Errorf("diagnostic does not round-trip:\n got %s\nwant %s", back, line)
-		}
-	}
-	if !sawMaprange {
-		t.Errorf("expected a maprange diagnostic, got:\n%s", stdout.String())
 	}
 }
 

@@ -22,13 +22,13 @@
 // signal" (Signals), "this function can return a kindless error"
 // (NakedErrReturn), "this DenseSet method writes its receiver"
 // (WritesReceiver) — that the driver carries to later passes of the same
-// analyzer on importing packages; the driver schedules packages in import-
-// dependency order, so an imported object's facts are always complete
-// before the importer is analyzed.
+// analyzer on importing packages; the driver runs each analyzer over the
+// packages in import-dependency order, so an imported object's facts are
+// always complete before the importer is analyzed.
 //
 // Analyzers are deliberately dependency-light (go/ast + go/types + the
 // local cfg package) so the suite runs with the toolchain alone; the
-// loading and scheduling live in the sibling driver package, fixtures-
+// loading and pass ordering live in the sibling driver package, fixtures-
 // based testing in analysistest.
 package analysis
 
@@ -41,13 +41,11 @@ import (
 )
 
 // Analyzer checks one invariant over one type-checked package at a time.
-// Implementations must be safe for concurrent Run calls on distinct passes:
-// the driver fans independent packages out across goroutines (passes of one
-// analyzer over mutually dependent packages are serialized, in dependency
-// order, so facts flow).
+// The driver calls Run once per package, one pass at a time, with every
+// package after its local imports.
 type Analyzer interface {
 	// Name is the short identifier that appears in diagnostics as
-	// "[name]" and in //kpavet:ignore directives.
+	// "[name]".
 	Name() string
 	// Doc is a one-paragraph description of the contract enforced.
 	Doc() string
@@ -83,7 +81,7 @@ type Pass struct {
 	// Info holds the type-checking results for Files.
 	Info *types.Info
 	// Report records a diagnostic at pos. The driver attaches the
-	// analyzer name, resolves the position and applies ignore directives.
+	// analyzer name and resolves the position.
 	Report func(pos token.Pos, msg string)
 	// CFG returns the control-flow graph of a function body, built on
 	// first use and cached for the whole run (graphs are shared between
@@ -101,16 +99,11 @@ type Pass struct {
 
 // Diagnostic is one reported contract violation, already resolved to a
 // file position. The driver returns them sorted by (File, Line, Col,
-// Analyzer, Message) so output is deterministic run to run. The JSON tags
-// define the kpavet -json line format.
+// Analyzer, Message) so output is deterministic run to run.
 type Diagnostic struct {
-	File     string `json:"file"` // path relative to the module root
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	// Doc is the first sentence of the reporting analyzer's Doc, a
-	// stable per-contract summary CI consumers can group findings by
-	// without a roster lookup.
-	Doc string `json:"doc"`
+	File     string // path relative to the module root
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }

@@ -1,7 +1,6 @@
 // Package driver loads and type-checks a Go module with the standard
 // library alone (go/parser + go/types; no go/packages, matching the
-// module's zero-dependency rule) and fans the packages out to analyzers
-// across goroutines.
+// module's zero-dependency rule) and runs analyzers over its packages.
 //
 // The driver type-checks ./... once: every non-test file outside testdata
 // directories is parsed, packages are topologically sorted by their local
@@ -10,22 +9,11 @@
 // the compiler's export data with a source-importer fallback, so the
 // driver works wherever the go toolchain itself does.
 //
-// Analyzer passes are scheduled as a DAG: for each analyzer, the pass over
-// a package waits for the same analyzer's passes over the package's local
-// imports, so object facts (analysis.Fact) exported by a dependency are
-// complete before its importers run — facts flow from internal/system up
-// through internal/logic and internal/service. Tasks with no ordering
-// between them still fan out across a bounded pool of goroutines, and
-// every pass shares one control-flow-graph cache (analysis.Pass.CFG).
-//
-// Suppression: a comment of the form
-//
-//	//kpavet:ignore <analyzer> <reason>
-//
-// on the offending line, or alone on the line above it, suppresses that
-// analyzer's diagnostics there. The reason is mandatory — a bare ignore is
-// itself a diagnostic (BareIgnoreMessage) so silent opt-outs cannot
-// accumulate.
+// Each analyzer then runs over the packages in that same order, so object
+// facts (analysis.Fact) exported by a dependency are complete before its
+// importers run — facts flow from internal/system up through
+// internal/logic and internal/service. Every pass shares one
+// control-flow-graph cache (analysis.Pass.CFG).
 package driver
 
 import (
@@ -39,11 +27,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"kpa/internal/analysis"
 	"kpa/internal/analysis/cfg"
@@ -76,20 +61,8 @@ type ExportedFact struct {
 	Fact     analysis.Fact
 }
 
-// BareIgnoreMessage is the pinned diagnostic for an ignore directive that
-// is missing its analyzer name or its reason. Tests assert this text
-// verbatim; change it only with them.
-const BareIgnoreMessage = `bare //kpavet:ignore directive: an analyzer name and a reason are required ("//kpavet:ignore <analyzer> <reason>")`
-
-// driverName labels diagnostics emitted by the driver itself (malformed
-// ignore directives) rather than by an analyzer.
-const driverName = "kpavet"
-
-// driverDoc is the Doc summary attached to the driver's own diagnostics.
-const driverDoc = "every //kpavet:ignore directive names an analyzer and gives a reason"
-
 // Run loads the module at cfg.Root, type-checks every package and runs
-// every analyzer, returning the surviving diagnostics sorted by position.
+// every analyzer, returning the diagnostics sorted by position.
 // A non-nil error means the module could not be loaded or an analyzer
 // failed — not that diagnostics were found.
 func Run(conf Config) ([]analysis.Diagnostic, error) {
@@ -119,11 +92,8 @@ func Run(conf Config) ([]analysis.Diagnostic, error) {
 		}
 	}
 
-	ig, diags := collectDirectives(fset, root, order)
-
-	facts := newFactStore()
-	more, err := schedule(fset, root, module, order, conf.Analyzers, facts)
-	diags = append(diags, more...)
+	facts := factStore{}
+	diags, err := analyze(fset, root, module, order, conf.Analyzers, facts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +103,6 @@ func Run(conf Config) ([]analysis.Diagnostic, error) {
 		}
 	}
 
-	diags = ig.filter(diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -153,137 +122,46 @@ func Run(conf Config) ([]analysis.Diagnostic, error) {
 	return dedupe(diags), nil
 }
 
-// task is one (package, analyzer) pass in the scheduler's DAG: it becomes
-// runnable when the same analyzer's passes over every locally imported
-// package have completed, so exported facts are always complete before an
-// importer reads them. Independent tasks run concurrently.
-type task struct {
-	p          *pkg
-	a          analysis.Analyzer
-	deps       atomic.Int32 // remaining unfinished dependencies
-	dependents []*task
-}
-
-// schedule runs every analyzer over every package, ordering each
-// analyzer's passes by import dependency while fanning independent
-// (package, analyzer) pairs out across a bounded pool of goroutines.
-func schedule(fset *token.FileSet, root, module string, order []*pkg, analyzers []analysis.Analyzer, facts *factStore) ([]analysis.Diagnostic, error) {
-	graphs := newCFGCache()
-
-	byPath := make(map[string]*pkg, len(order))
-	for _, p := range order {
-		byPath[p.path] = p
-	}
-	tasks := make([]*task, 0, len(order)*len(analyzers))
-	index := make(map[string]*task, len(order)) // path → task, per analyzer round
+// analyze runs each analyzer over the packages in order, where every
+// package follows its local imports, so the facts a pass imports are
+// complete before it reads them. Every pass shares one CFG cache.
+func analyze(fset *token.FileSet, root, module string, order []*pkg, analyzers []analysis.Analyzer, facts factStore) ([]analysis.Diagnostic, error) {
+	graphs := cfgCache{}
+	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
-		for path := range index {
-			delete(index, path)
-		}
+		name := a.Name()
 		for _, p := range order {
-			t := &task{p: p, a: a}
-			index[p.path] = t
-			tasks = append(tasks, t)
-		}
-		for _, p := range order {
-			t := index[p.path]
-			seen := make(map[string]bool, len(p.imports))
-			for _, dep := range p.imports {
-				if seen[dep] || dep == p.path {
-					continue
-				}
-				seen[dep] = true
-				if dt, ok := index[dep]; ok {
-					dt.dependents = append(dt.dependents, t)
-					t.deps.Add(1)
-				}
+			pass := &analysis.Pass{
+				Fset:    fset,
+				Module:  module,
+				PkgPath: p.path,
+				Pkg:     p.types,
+				Files:   p.files,
+				Info:    p.info,
+				CFG:     graphs.get,
+				Report: func(pos token.Pos, msg string) {
+					diags = append(diags, diag(fset, root, pos, name, msg))
+				},
+				ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
+					facts.export(name, obj, fact)
+				},
+				ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
+					return facts.lookup(name, obj, fact)
+				},
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analyzer %s on %s: %w", name, p.path, err)
 			}
 		}
-	}
-
-	var (
-		mu       sync.Mutex
-		diags    []analysis.Diagnostic
-		firstErr error
-	)
-	ready := make(chan *task, len(tasks))
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
-	// Seed the queue before any worker exists: once a worker runs it
-	// decrements dependents' counters concurrently, so a task reaching
-	// zero mid-loop could be sent twice if workers were already draining.
-	for _, t := range tasks {
-		if t.deps.Load() == 0 {
-			ready <- t
-		}
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for t := range ready {
-				local, err := runPass(fset, root, module, t, facts, graphs)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("analyzer %s on %s: %w", t.a.Name(), t.p.path, err)
-				}
-				diags = append(diags, local...)
-				mu.Unlock()
-				for _, d := range t.dependents {
-					if d.deps.Add(-1) == 0 {
-						ready <- d
-					}
-				}
-				wg.Done()
-			}
-		}()
-	}
-	wg.Wait()
-	close(ready)
-	if firstErr != nil {
-		return diags, firstErr
 	}
 	return diags, nil
-}
-
-// runPass runs one analyzer over one package and returns its diagnostics.
-func runPass(fset *token.FileSet, root, module string, t *task, facts *factStore, graphs *cfgCache) ([]analysis.Diagnostic, error) {
-	name := t.a.Name()
-	doc := docSummary(t.a.Doc())
-	pass := &analysis.Pass{
-		Fset:    fset,
-		Module:  module,
-		PkgPath: t.p.path,
-		Pkg:     t.p.types,
-		Files:   t.p.files,
-		Info:    t.p.info,
-		CFG:     graphs.get,
-	}
-	var local []analysis.Diagnostic
-	pass.Report = func(pos token.Pos, msg string) {
-		d := diag(fset, root, pos, name, msg)
-		d.Doc = doc
-		local = append(local, d)
-	}
-	pass.ExportObjectFact = func(obj types.Object, fact analysis.Fact) {
-		facts.export(name, obj, fact)
-	}
-	pass.ImportObjectFact = func(obj types.Object, fact analysis.Fact) bool {
-		return facts.lookup(name, obj, fact)
-	}
-	return local, t.a.Run(pass)
 }
 
 // factStore holds exported object facts for the whole run, namespaced by
 // analyzer name so two analyzers can use the same fact type without
 // interference. Object identity works across packages because the whole
 // module is type-checked once with shared *types.Package objects.
-type factStore struct {
-	mu sync.Mutex
-	m  map[factKey]analysis.Fact
-}
+type factStore map[factKey]analysis.Fact
 
 type factKey struct {
 	analyzer string
@@ -291,28 +169,20 @@ type factKey struct {
 	typ      reflect.Type
 }
 
-func newFactStore() *factStore {
-	return &factStore{m: make(map[factKey]analysis.Fact)}
-}
-
-func (fs *factStore) export(analyzer string, obj types.Object, fact analysis.Fact) {
+func (fs factStore) export(analyzer string, obj types.Object, fact analysis.Fact) {
 	t := reflect.TypeOf(fact)
 	if obj == nil || t == nil || t.Kind() != reflect.Ptr {
 		panic(fmt.Sprintf("driver: ExportObjectFact(%v, %T): facts must be non-nil pointers about non-nil objects", obj, fact))
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.m[factKey{analyzer, obj, t}] = fact
+	fs[factKey{analyzer, obj, t}] = fact
 }
 
-func (fs *factStore) lookup(analyzer string, obj types.Object, fact analysis.Fact) bool {
+func (fs factStore) lookup(analyzer string, obj types.Object, fact analysis.Fact) bool {
 	t := reflect.TypeOf(fact)
 	if obj == nil || t == nil || t.Kind() != reflect.Ptr {
 		return false
 	}
-	fs.mu.Lock()
-	stored, ok := fs.m[factKey{analyzer, obj, t}]
-	fs.mu.Unlock()
+	stored, ok := fs[factKey{analyzer, obj, t}]
 	if !ok {
 		return false
 	}
@@ -323,10 +193,9 @@ func (fs *factStore) lookup(analyzer string, obj types.Object, fact analysis.Fac
 // sorted renders the store's contents for Config.FactObserver in a
 // deterministic order: by resolved position, then analyzer, fact type
 // name and object name — the same tiebreak discipline diagnostics use.
-func (fs *factStore) sorted(fset *token.FileSet, root string) []ExportedFact {
-	fs.mu.Lock()
-	out := make([]ExportedFact, 0, len(fs.m))
-	for k, fact := range fs.m {
+func (fs factStore) sorted(fset *token.FileSet, root string) []ExportedFact {
+	out := make([]ExportedFact, 0, len(fs))
+	for k, fact := range fs {
 		d := diag(fset, root, k.obj.Pos(), k.analyzer, "")
 		out = append(out, ExportedFact{
 			File:     d.File,
@@ -337,7 +206,6 @@ func (fs *factStore) sorted(fset *token.FileSet, root string) []ExportedFact {
 			Fact:     fact,
 		})
 	}
-	fs.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {
@@ -361,34 +229,16 @@ func (fs *factStore) sorted(fset *token.FileSet, root string) []ExportedFact {
 	return out
 }
 
-// docSummary reduces an analyzer's Doc to its first sentence, the stable
-// per-contract summary carried on every diagnostic (Diagnostic.Doc).
-func docSummary(doc string) string {
-	if i := strings.Index(doc, ". "); i >= 0 {
-		return doc[:i+1]
-	}
-	return strings.TrimRight(doc, ".\n")
-}
-
 // cfgCache builds each function body's control-flow graph once and shares
 // it across every analyzer's passes.
-type cfgCache struct {
-	mu sync.Mutex
-	m  map[*ast.BlockStmt]*cfg.Graph
-}
+type cfgCache map[*ast.BlockStmt]*cfg.Graph
 
-func newCFGCache() *cfgCache {
-	return &cfgCache{m: make(map[*ast.BlockStmt]*cfg.Graph)}
-}
-
-func (c *cfgCache) get(body *ast.BlockStmt) *cfg.Graph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g, ok := c.m[body]; ok {
-		return g
+func (c cfgCache) get(body *ast.BlockStmt) *cfg.Graph {
+	g, ok := c[body]
+	if !ok {
+		g = cfg.New(body)
+		c[body] = g
 	}
-	g := cfg.New(body)
-	c.m[body] = g
 	return g
 }
 
@@ -603,67 +453,6 @@ func diag(fset *token.FileSet, root string, pos token.Pos, name, msg string) ana
 		Analyzer: name,
 		Message:  msg,
 	}
-}
-
-// ignoreSet records well-formed //kpavet:ignore directives by file and line.
-type ignoreSet map[string]map[int]map[string]bool
-
-var ignoreRE = regexp.MustCompile(`^//kpavet:ignore(?:[ \t]+(\S+))?(?:[ \t]+(\S.*))?$`)
-
-// collectDirectives scans every comment in the module for kpavet:ignore
-// directives. Well-formed directives land in the returned ignoreSet;
-// malformed ones (missing analyzer or reason) come back as driver
-// diagnostics so they fail the build instead of silently suppressing.
-func collectDirectives(fset *token.FileSet, root string, pkgs []*pkg) (ignoreSet, []analysis.Diagnostic) {
-	ig := make(ignoreSet)
-	var diags []analysis.Diagnostic
-	for _, p := range pkgs {
-		for _, f := range p.files {
-			for _, group := range f.Comments {
-				for _, c := range group.List {
-					m := ignoreRE.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					analyzer, reason := m[1], strings.TrimSpace(m[2])
-					if analyzer == "" || reason == "" {
-						d := diag(fset, root, c.Pos(), driverName, BareIgnoreMessage)
-						d.Doc = driverDoc
-						diags = append(diags, d)
-						continue
-					}
-					pos := fset.Position(c.Pos())
-					file := diag(fset, root, c.Pos(), "", "").File
-					if ig[file] == nil {
-						ig[file] = make(map[int]map[string]bool)
-					}
-					if ig[file][pos.Line] == nil {
-						ig[file][pos.Line] = make(map[string]bool)
-					}
-					ig[file][pos.Line][analyzer] = true
-				}
-			}
-		}
-	}
-	return ig, diags
-}
-
-// filter drops diagnostics covered by an ignore directive on the same
-// line or on the line directly above. Driver diagnostics (malformed
-// directives) are never suppressible.
-func (ig ignoreSet) filter(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	out := diags[:0]
-	for _, d := range diags {
-		if d.Analyzer != driverName && (ig.match(d.File, d.Line, d.Analyzer) || ig.match(d.File, d.Line-1, d.Analyzer)) {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-func (ig ignoreSet) match(file string, line int, analyzer string) bool {
-	return ig[file] != nil && ig[file][line] != nil && ig[file][line][analyzer]
 }
 
 func dedupe(diags []analysis.Diagnostic) []analysis.Diagnostic {

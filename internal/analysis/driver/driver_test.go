@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"kpa/internal/analysis"
@@ -45,9 +44,8 @@ func run(t *testing.T, root string, analyzers ...analysis.Analyzer) []analysis.D
 
 // TestDeterministicAndSorted type-checks a tmpdir module with violations
 // spread over several files and packages, and demands that repeated runs
-// agree byte for byte and that output is sorted by position — the driver
-// fans packages out across goroutines, so this is what makes CI output
-// stable.
+// agree byte for byte and that output is sorted by position, which is
+// what makes CI output stable.
 func TestDeterministicAndSorted(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module demo\n\ngo 1.22\n",
@@ -89,75 +87,6 @@ func TestDeterministicAndSorted(t *testing.T) {
 	}
 }
 
-// TestIgnoreDirective covers the suppression grammar: same line, the
-// line above, and the non-suppression cases (wrong analyzer, unrelated
-// line).
-func TestIgnoreDirective(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module demo\n\ngo 1.22\n",
-		"a/a.go": `package a
-
-// P is display-only, justified inline.
-var P = 0.5 //kpavet:ignore floatprob display constant, never compared
-
-//kpavet:ignore floatprob smoothing weight for the demo renderer
-var Q = 0.25
-
-var R = 0.75 //kpavet:ignore bigimport wrong analyzer name does not suppress
-`,
-	})
-	diags := run(t, root, floatprob.New())
-	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %+v, want exactly the unsuppressed R", diags)
-	}
-	if d := diags[0]; d.Line != 9 || d.Analyzer != "floatprob" {
-		t.Errorf("surviving diagnostic = %+v, want floatprob at a/a.go:9", d)
-	}
-}
-
-// TestBareIgnoreIsDiagnostic pins the error message for a directive with
-// no reason: silent opt-outs must fail the build, loudly and stably.
-func TestBareIgnoreIsDiagnostic(t *testing.T) {
-	const pinned = `bare //kpavet:ignore directive: an analyzer name and a reason are required ("//kpavet:ignore <analyzer> <reason>")`
-	if driver.BareIgnoreMessage != pinned {
-		t.Fatalf("BareIgnoreMessage drifted:\n got: %s\nwant: %s", driver.BareIgnoreMessage, pinned)
-	}
-	root := writeModule(t, map[string]string{
-		"go.mod": "module demo\n\ngo 1.22\n",
-		"a/a.go": `package a
-
-//kpavet:ignore
-var P = 0.5
-
-//kpavet:ignore floatprob
-var Q = 0.25
-`,
-	})
-	diags := run(t, root, floatprob.New())
-	var bare []analysis.Diagnostic
-	var rest []analysis.Diagnostic
-	for _, d := range diags {
-		if d.Analyzer == "kpavet" {
-			bare = append(bare, d)
-		} else {
-			rest = append(rest, d)
-		}
-	}
-	if len(bare) != 2 {
-		t.Fatalf("bare-ignore diagnostics = %+v, want 2", bare)
-	}
-	for _, d := range bare {
-		if d.Message != pinned {
-			t.Errorf("bare-ignore message = %q, want %q", d.Message, pinned)
-		}
-	}
-	// A malformed directive must not suppress anything: both float
-	// literals still fire.
-	if len(rest) != 2 {
-		t.Errorf("float diagnostics = %+v, want both literals unsuppressed", rest)
-	}
-}
-
 // markFact is the probe's payload: it travels from the defining package
 // to every importer through the driver's fact store.
 type markFact struct{ Tag string }
@@ -169,7 +98,6 @@ func (*markFact) AFact() {}
 // (if any) it can import for the base package's FreshBase through the
 // import graph, along with the order packages were analyzed in.
 type factProbe struct {
-	mu    sync.Mutex
 	order []string
 	found map[string]string // importer path → imported fact tag
 }
@@ -178,9 +106,7 @@ func (p *factProbe) Name() string { return "factprobe" }
 func (p *factProbe) Doc() string  { return "test stub: exports and imports marker facts" }
 
 func (p *factProbe) Run(pass *analysis.Pass) error {
-	p.mu.Lock()
 	p.order = append(p.order, pass.PkgPath)
-	p.mu.Unlock()
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		if strings.HasPrefix(name, "Fresh") {
@@ -194,9 +120,7 @@ func (p *factProbe) Run(pass *analysis.Pass) error {
 		}
 		var f markFact
 		if pass.ImportObjectFact(obj, &f) {
-			p.mu.Lock()
 			p.found[pass.PkgPath] = f.Tag
-			p.mu.Unlock()
 		}
 	}
 	return nil
@@ -204,9 +128,9 @@ func (p *factProbe) Run(pass *analysis.Pass) error {
 
 // TestFactsCrossPackages builds a diamond-shaped module — base, several
 // leaves importing base, and a top importing every leaf — and checks two
-// scheduler guarantees at once: a fact exported in base is visible (with
-// its payload intact) in every importer, and even with passes fanned out
-// across goroutines no importer runs before its imports.
+// ordering guarantees at once: a fact exported in base is visible (with
+// its payload intact) in every importer, and no importer runs before its
+// imports.
 func TestFactsCrossPackages(t *testing.T) {
 	const leaves = 6
 	files := map[string]string{
@@ -277,8 +201,8 @@ func (*depthFact) AFact() {}
 
 // summaryProbe exports a depthFact for the package-level function named
 // Step in every package: depth = 1 + max over imported packages' Step
-// facts. A scheduling bug (an importer racing ahead of its imports)
-// surfaces as a too-small depth — and under -race as a data race.
+// facts. An ordering bug (an importer analyzed before its imports)
+// surfaces as a too-small depth.
 type summaryProbe struct{}
 
 func (*summaryProbe) Name() string { return "summaryprobe" }
@@ -308,8 +232,7 @@ func (*summaryProbe) Run(pass *analysis.Pass) error {
 // real repository's analysis problem — a long dependency chain with wide
 // fan-out at every level (each level has several packages importing all
 // of the previous level) — and demands that transitive depth summaries
-// come out exact at every level. With the scheduler's goroutine pool
-// fanning independent passes out, any pass that ran before its imports
+// come out exact at every level. Any pass that ran before its imports
 // finished would read an incomplete fact and produce a wrong depth.
 // The facts are read back through Config.FactObserver, which also pins
 // the observer's deterministic ordering contract.
@@ -381,10 +304,8 @@ func TestSummariesFlowInDependencyOrder(t *testing.T) {
 }
 
 // cfgRecorder collects, per function body, the *cfg.Graph every probe
-// analyzer saw. Probes run concurrently across packages, so access is
-// locked.
+// analyzer saw.
 type cfgRecorder struct {
-	mu   sync.Mutex
 	cfgs map[*ast.BlockStmt][]*cfg.Graph
 }
 
@@ -407,17 +328,15 @@ func (p *cfgProbe) Run(pass *analysis.Pass) error {
 				continue
 			}
 			g := pass.CFG(fd.Body)
-			p.rec.mu.Lock()
 			p.rec.cfgs[fd.Body] = append(p.rec.cfgs[fd.Body], g)
-			p.rec.mu.Unlock()
 			pass.Report(fd.Name.Pos(), fmt.Sprintf("%s: %d blocks, %d reachable", fd.Name.Name, len(g.Blocks), len(g.Reachable())))
 		}
 	}
 	return nil
 }
 
-// TestDefUseCacheSharedAcrossAnalyzers runs two probes over a module
-// whose packages fan out across goroutines, and demands (a) both probes
+// TestDefUseCacheSharedAcrossAnalyzers runs two probes over a module of
+// three packages, and demands (a) both probes
 // get the very same *cfg.Graph for each body — the graph is built once
 // and shared, not rebuilt per analyzer — and (b) the CFG-derived
 // diagnostics are identical over five runs.

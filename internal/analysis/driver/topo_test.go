@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestTopoSort exercises the scheduler's ordering primitive directly:
+// TestTopoSort exercises the driver's ordering primitive directly:
 // every local import must precede its importer, the order must be
 // deterministic across calls, and a cycle must be an error, not a hang.
 func TestTopoSort(t *testing.T) {

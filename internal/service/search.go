@@ -58,7 +58,8 @@ type SearchRequest struct {
 	// ResumeFrom resumes from the named job's last checkpoint (in-memory
 	// snapshot of a canceled job, or its checkpoint file). The resumed
 	// job's own request defines the problem; only Workers and
-	// CheckpointEvery from this request still apply.
+	// CheckpointEvery from this request still apply. The new job takes
+	// the named job's checkpoint file over (see StartSearch).
 	ResumeFrom string `json:"resumeFrom,omitempty"`
 }
 
@@ -142,8 +143,8 @@ type searchJob struct {
 	id  string
 	seq int
 	req SearchRequest
-	// ctx is canceled by CancelSearch and DrainSearches; φ's evaluation
-	// and the engine's cancel hook read it.
+	// ctx is canceled by CancelSearch and Close; φ's evaluation and the
+	// engine's cancel hook read it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// done is closed once the job has returned its evaluation slot and
@@ -157,6 +158,9 @@ type searchJob struct {
 	result  *SearchResult   // guarded by mu
 	err     error           // guarded by mu
 	resumed string          // guarded by mu
+	// source is the checkpoint file of the job this one was resumed from
+	// by hand, until this job retires it (see retireSource).
+	source string // guarded by mu
 }
 
 // status snapshots the job.
@@ -209,10 +213,13 @@ type searchSpec struct {
 // StartSearch validates the request, admits it, registers the job, and
 // runs the search on a detached goroutine under the job's own context.
 // Admission takes one of MaxSearchJobs tokens without waiting and one
-// evaluation slot, queued like Check's; either shortfall is a
-// KindOverloaded error with a retry hint. The job keeps that one slot
-// whatever its worker count, so running searches leave the other slots to
-// checks.
+// evaluation slot, queued like Check's; either shortfall, like a start
+// after Close, is a KindOverloaded error with a retry hint. The job keeps
+// that one slot whatever its worker count, so running searches leave the
+// other slots to checks. A job resumed by ResumeFrom runs under a fresh ID
+// and takes the resumed job's checkpoint file over: it removes that file
+// once it has a durable checkpoint of its own or completes, so a crash
+// before then still leaves the file to resume.
 func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 	resumed := req.ResumeFrom
 	var seed *search.Checkpoint
@@ -232,7 +239,7 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 			req.CheckpointEvery = every
 		}
 	}
-	job := &searchJob{req: req, done: make(chan struct{}), state: SearchRunning, resumed: resumed}
+	job := &searchJob{req: req, done: make(chan struct{}), state: SearchRunning, resumed: resumed, source: resumed}
 	if err := s.launchSearch(job, seed); err != nil {
 		return SearchStatus{}, err
 	}
@@ -243,6 +250,7 @@ func (s *Service) StartSearch(req SearchRequest) (SearchStatus, error) {
 // runSearch, which returns both admission tokens when the job ends. A job
 // without an ID takes the next fresh one; a job with an ID (ResumeSearches
 // restarting it under its own) conflicts with a registered job of that ID.
+// Once Close has begun, every job is refused.
 func (s *Service) launchSearch(job *searchJob, seed *search.Checkpoint) error {
 	spec, err := s.compileSearchSpec(job.req)
 	if err != nil {
@@ -262,14 +270,21 @@ func (s *Service) launchSearch(job *searchJob, seed *search.Checkpoint) error {
 		return err
 	}
 	s.searchMu.Lock()
-	if job.id == "" {
-		s.searchSeq++
-		job.id, job.seq = fmt.Sprintf("s%d", s.searchSeq), s.searchSeq
+	var refused error
+	if s.closed {
+		refused = &Error{Kind: KindOverloaded, Msg: "service: closed, search jobs refused", RetryAfter: retryAfter}
 	} else if _, taken := s.searches[job.id]; taken {
+		refused = &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", job.id)}
+	}
+	if refused != nil {
 		s.searchMu.Unlock()
 		<-s.sem
 		<-s.searchSlots
-		return &Error{Kind: KindConflict, Msg: fmt.Sprintf("service: search %s already registered", job.id)}
+		return refused
+	}
+	if job.id == "" {
+		s.searchSeq++
+		job.id, job.seq = fmt.Sprintf("s%d", s.searchSeq), s.searchSeq
 	}
 	job.ctx, job.cancel = context.WithCancel(context.Background())
 	s.searches[job.id] = job
@@ -439,6 +454,7 @@ func (s *Service) solveSearch(job *searchJob, spec *searchSpec, seed *search.Che
 		// The search is complete; a leftover checkpoint would resume a
 		// finished job, so drop it (best effort).
 		os.Remove(s.searchCheckpointPath(job.id))
+		s.retireSource(job)
 	}
 	job.mu.Lock()
 	job.result = out
@@ -513,7 +529,21 @@ func (s *Service) writeSearchCheckpoint(job *searchJob, c *search.Checkpoint) er
 		return err
 	}
 	s.searchCkpts.Add(1)
+	s.retireSource(job)
 	return nil
+}
+
+// retireSource removes the checkpoint file a hand-resumed job started
+// from, once the job has a durable checkpoint of its own or has completed,
+// so each checkpoint file has one owner. Best effort, like the job's own.
+func (s *Service) retireSource(job *searchJob) {
+	job.mu.Lock()
+	src := job.source
+	job.source = ""
+	job.mu.Unlock()
+	if src != "" {
+		os.Remove(s.searchCheckpointPath(src))
+	}
 }
 
 // resumeSeed finds the checkpoint for a job id: a retained job's in-memory
@@ -581,29 +611,47 @@ type SearchResumeReport struct {
 
 // ResumeSearches scans SearchCheckpointDir for job checkpoints left behind
 // by a previous process and restarts each one under its original ID, so
-// clients polling a job across a daemon restart keep their handle. The
-// sequence counter is bumped past every discovered ID first: new jobs can
-// never collide with a resumed one. Corrupt or conflicting files are
-// skipped (and kept), and resumption stops admitting jobs at the
-// MaxSearchJobs cap — the excess stays on disk, resumable by hand.
+// clients polling a job across a daemon restart keep their handle; New
+// already numbered fresh jobs past every one of them. Corrupt or
+// conflicting files are skipped (and kept), and resumption stops admitting
+// jobs at the MaxSearchJobs cap — the excess stays on disk, resumable by
+// hand.
 func (s *Service) ResumeSearches() SearchResumeReport {
 	var rep SearchResumeReport
 	if s.cfg.SearchCheckpointDir == "" {
 		return rep
 	}
-	ents, err := os.ReadDir(s.cfg.SearchCheckpointDir)
+	cands, err := searchCheckpoints(s.cfg.SearchCheckpointDir)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: %v", s.cfg.SearchCheckpointDir, err))
 		}
 		return rep
 	}
-	type cand struct {
-		id  string
-		seq int
+	for _, c := range cands {
+		if err := s.resumeJob(c.id, c.seq); err != nil {
+			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s.json: %v", c.id, err))
+			continue
+		}
+		rep.Resumed = append(rep.Resumed, c.id)
 	}
-	var cands []cand
-	maxSeq := 0
+	return rep
+}
+
+// checkpointFile is one job checkpoint found in SearchCheckpointDir.
+type checkpointFile struct {
+	id  string
+	seq int
+}
+
+// searchCheckpoints lists the job checkpoints in dir, s<N>.json, in
+// sequence order.
+func searchCheckpoints(dir string) ([]checkpointFile, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []checkpointFile
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, "s") || !strings.HasSuffix(name, ".json") {
@@ -613,25 +661,10 @@ func (s *Service) ResumeSearches() SearchResumeReport {
 		if err != nil || seq <= 0 {
 			continue // temp files and strangers, not job checkpoints
 		}
-		cands = append(cands, cand{id: name[:len(name)-len(".json")], seq: seq})
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		out = append(out, checkpointFile{id: name[:len(name)-len(".json")], seq: seq})
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].seq < cands[b].seq })
-	s.searchMu.Lock()
-	if maxSeq > s.searchSeq {
-		s.searchSeq = maxSeq
-	}
-	s.searchMu.Unlock()
-	for _, c := range cands {
-		if err := s.resumeJob(c.id, c.seq); err != nil {
-			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s.json: %v", c.id, err))
-			continue
-		}
-		rep.Resumed = append(rep.Resumed, c.id)
-	}
-	return rep
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
+	return out, nil
 }
 
 // resumeJob restarts one checkpointed job under its original ID. The
@@ -682,19 +715,6 @@ func (s *Service) Searches() []SearchStatus {
 		out = append(out, job.status())
 	}
 	return out
-}
-
-// DrainSearches cancels every running job and waits for all of them: the
-// daemon calls it on shutdown so each search's final checkpoint is written
-// before the process exits.
-func (s *Service) DrainSearches() {
-	jobs := s.searchesBySeq()
-	for _, job := range jobs {
-		job.cancel()
-	}
-	for _, job := range jobs {
-		<-job.done
-	}
 }
 
 // searchesBySeq snapshots retained jobs in creation order.

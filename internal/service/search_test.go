@@ -563,7 +563,7 @@ func TestSearchResumeDiscoveryRespectsJobCap(t *testing.T) {
 	}
 }
 
-// drainedSearch starts a search over dir, drains the service once the
+// drainedSearch starts a search over dir, closes the service once the
 // job's first checkpoint write begins, and returns the job, whose final
 // checkpoint is then on disk: a daemon shut down mid-search.
 func drainedSearch(t *testing.T, dir string) SearchStatus {
@@ -581,7 +581,7 @@ func drainedSearch(t *testing.T, dir string) SearchStatus {
 	<-gate.entered
 	stop := make(chan struct{})
 	go func() {
-		svc.DrainSearches()
+		svc.Close()
 		close(stop)
 	}()
 	svc.searchMu.Lock()
@@ -708,10 +708,10 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 		t.Fatalf("overload error carries no Retry-After: %v", err)
 	}
 
-	// Drain cancels every running job and waits for it, like kpad shutdown.
+	// Close cancels every running job and waits for it, like kpad shutdown.
 	drained := make(chan struct{})
 	go func() {
-		svc.DrainSearches()
+		svc.Close()
 		close(drained)
 	}()
 	svc.searchMu.Lock()
@@ -722,7 +722,7 @@ func TestSearchOverloadAndDrain(t *testing.T) {
 	select {
 	case <-drained:
 	case <-time.After(30 * time.Second):
-		t.Fatal("DrainSearches did not return")
+		t.Fatal("Close did not return")
 	}
 	fin, err := svc.SearchStatusOf(st.ID)
 	if err != nil {
@@ -819,7 +819,7 @@ func TestSearchesLeaveCheckSlots(t *testing.T) {
 
 	drained := make(chan struct{})
 	go func() {
-		svc.DrainSearches()
+		svc.Close()
 		close(drained)
 	}()
 	for _, job := range svc.searchesBySeq() {
@@ -829,6 +829,167 @@ func TestSearchesLeaveCheckSlots(t *testing.T) {
 	<-drained
 	if got := len(svc.sem); got != 0 {
 		t.Fatalf("%d evaluation slots still held after the drain", got)
+	}
+}
+
+// TestSearchFreshIDSkipsLeftoverCheckpoints: a fresh job started before
+// ResumeSearches is numbered past the checkpoint a previous process left,
+// so it neither takes that job's ID nor, on completion, deletes its file.
+func TestSearchFreshIDSkipsLeftoverCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	st1 := drainedSearch(t, dir)
+	path := filepath.Join(dir, st1.ID+".json")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{SearchCheckpointDir: dir})
+	uploadCoupled(t, svc, 8, 4)
+	st, err := svc.StartSearch(smallSearchReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID == st1.ID {
+		t.Fatalf("fresh job took the ID %s of the checkpoint on disk", st.ID)
+	}
+	if fin := waitSearch(t, svc, st.ID); fin.State != SearchDone {
+		t.Fatalf("fresh job: %s (%s)", fin.State, fin.Error)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("%s.json changed under a fresh job (err %v)", st1.ID, err)
+	}
+
+	rep := svc.ResumeSearches()
+	if len(rep.Resumed) != 1 || rep.Resumed[0] != st1.ID {
+		t.Fatalf("Resumed = %v, want [%s] (skipped: %v)", rep.Resumed, st1.ID, rep.Skipped)
+	}
+	if fin := waitSearch(t, svc, st1.ID); fin.State != SearchDone {
+		t.Fatalf("resumed job: %s (%s)", fin.State, fin.Error)
+	}
+}
+
+// TestSearchResumeRetiresSourceCheckpoint cancels a job mid-search and
+// resumes it by hand under a new ID: the source checkpoint stays until the
+// resumed job's first checkpoint write lands, and once the resumed job is
+// done no checkpoint is left for a restarted service to run again.
+func TestSearchResumeRetiresSourceCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	gates := map[string]*ckptGate{"s1": newCkptGate(), "s2": newCkptGate()}
+	svc := New(Config{
+		SearchCheckpointDir: dir,
+		Seams: &Seams{BeforeCheckpoint: func(op, jobID string) error {
+			if g := gates[jobID]; g != nil {
+				return g.seam(op, jobID)
+			}
+			return nil
+		}},
+	})
+	uploadCoupled(t, svc, 8, 4)
+
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "s1" {
+		t.Fatalf("first job ID = %s, want s1", st.ID)
+	}
+	<-gates["s1"].entered
+	canceled := make(chan struct{})
+	go func() {
+		svc.CancelSearch(st.ID)
+		close(canceled)
+	}()
+	svc.searchMu.Lock()
+	job := svc.searches[st.ID]
+	svc.searchMu.Unlock()
+	<-job.ctx.Done()
+	close(gates["s1"].release)
+	<-canceled
+	source := filepath.Join(dir, st.ID+".json")
+	if _, err := os.Stat(source); err != nil {
+		t.Fatalf("canceled job left no checkpoint: %v", err)
+	}
+
+	res, err := svc.StartSearch(SearchRequest{ResumeFrom: st.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != "s2" {
+		t.Fatalf("resumed job ID = %s, want s2", res.ID)
+	}
+	<-gates["s2"].entered
+	if _, err := os.Stat(source); err != nil {
+		t.Fatalf("source checkpoint removed before the resumed job wrote its own: %v", err)
+	}
+	close(gates["s2"].release)
+	if fin := waitSearch(t, svc, res.ID); fin.State != SearchDone {
+		t.Fatalf("resumed job: %s (%s)", fin.State, fin.Error)
+	}
+	for _, id := range []string{st.ID, res.ID} {
+		if _, err := os.Stat(filepath.Join(dir, id+".json")); !os.IsNotExist(err) {
+			t.Errorf("%s.json left behind after the resumed job finished: %v", id, err)
+		}
+	}
+
+	svc2 := New(Config{SearchCheckpointDir: dir})
+	uploadCoupled(t, svc2, 8, 4)
+	if rep := svc2.ResumeSearches(); len(rep.Resumed) != 0 || len(rep.Skipped) != 0 {
+		t.Fatalf("restart resumed %v (skipped %v), want nothing", rep.Resumed, rep.Skipped)
+	}
+}
+
+// TestSearchCloseDrainsAndRefuses: Close cancels a running job and waits
+// until it has written its final checkpoint, and refuses jobs started after
+// it, like a full job cap.
+func TestSearchCloseDrainsAndRefuses(t *testing.T) {
+	gate := newCkptGate()
+	dir := t.TempDir()
+	svc := New(Config{
+		SearchCheckpointDir: dir,
+		Seams:               &Seams{BeforeCheckpoint: gate.seam},
+	})
+	uploadCoupled(t, svc, 8, 4)
+	st, err := svc.StartSearch(everyNode(bigSearchReq()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	svc.searchMu.Lock()
+	job := svc.searches[st.ID]
+	svc.searchMu.Unlock()
+	select {
+	case <-job.ctx.Done():
+	case <-closed:
+		t.Fatal("Close returned without canceling the running job")
+	}
+	close(gate.release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	fin, err := svc.SearchStatusOf(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != SearchCanceled || fin.Result != nil {
+		t.Fatalf("job after Close: state=%s result=%v, want canceled", fin.State, fin.Result)
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); err != nil {
+		t.Fatalf("no final checkpoint after Close: %v", err)
+	}
+
+	_, err = svc.StartSearch(smallSearchReq())
+	if KindOf(err) != KindOverloaded || RetryAfterOf(err) <= 0 {
+		t.Fatalf("search after Close: %v, want overloaded with a retry hint", err)
+	}
+	if n := len(svc.Searches()); n != 1 {
+		t.Fatalf("%d jobs registered, want only the canceled one", n)
+	}
+	if got := len(svc.sem); got != 0 {
+		t.Fatalf("%d evaluation slots held after Close", got)
 	}
 }
 

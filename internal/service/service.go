@@ -49,7 +49,9 @@ type Config struct {
 	MaxSearchJobs int
 	// SearchCheckpointDir, when set, persists search-job checkpoints as
 	// <dir>/<jobID>.json, each a framed, CRC-32C-checksummed file (see
-	// search.Checkpoint.Encode), so a restarted daemon can resume them.
+	// search.Checkpoint.Encode), so a restarted daemon can resume them
+	// (ResumeSearches). New numbers fresh jobs past every checkpoint
+	// already there, and Close leaves each running job's final checkpoint.
 	// Empty disables persistence (in-memory resume of canceled jobs still
 	// works).
 	SearchCheckpointDir string
@@ -149,6 +151,7 @@ type Service struct {
 	searchMu    sync.Mutex
 	searches    map[string]*searchJob // guarded by searchMu
 	searchSeq   int                   // guarded by searchMu
+	closed      bool                  // guarded by searchMu; set by Close
 	searchCkpts atomic.Uint64         // checkpoint files durably written
 	// searchSlots holds one token per running search job (MaxSearchJobs).
 	searchSlots chan struct{}
@@ -161,7 +164,10 @@ type Service struct {
 
 // New builds a Service with the config (zero value for defaults). With
 // Config.SnapshotDir set, the service owns a background snapshot writer;
-// the caller must eventually stop it with Close.
+// the caller must eventually stop it with Close. With
+// Config.SearchCheckpointDir set, fresh search jobs are numbered past every
+// checkpoint file already there, so none takes, and on completion deletes,
+// a file ResumeSearches has yet to resume.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -174,11 +180,47 @@ func New(cfg Config) *Service {
 		searches:    make(map[string]*searchJob),
 		searchSlots: make(chan struct{}, cfg.MaxSearchJobs),
 	}
+	if cfg.SearchCheckpointDir != "" {
+		// An unreadable directory leaves the count at 0; ResumeSearches
+		// reports it.
+		if files, err := searchCheckpoints(cfg.SearchCheckpointDir); err == nil && len(files) > 0 {
+			s.searchSeq = files[len(files)-1].seq
+		}
+	}
 	if cfg.SnapshotDir != "" {
 		s.snap = newSnapshotter(cfg.SnapshotDir, cfg.SnapshotEvery)
 		go s.snapshotLoop()
 	}
 	return s
+}
+
+// Close shuts the service down: it refuses new search jobs
+// (KindOverloaded), cancels the running ones and waits for them, each
+// leaving its final checkpoint, then stops the background snapshot writer
+// and flushes a final snapshot of every dirty session — the on-SIGTERM
+// half of durability. Checks are not refused, and a verdict computed after
+// the flush is not in it, so a server drains its requests first.
+// Idempotent.
+func (s *Service) Close() error {
+	var err error
+	s.closeOnce.Do(func() {
+		s.searchMu.Lock()
+		s.closed = true
+		s.searchMu.Unlock()
+		jobs := s.searchesBySeq()
+		for _, job := range jobs {
+			job.cancel()
+		}
+		for _, job := range jobs {
+			<-job.done
+		}
+		if s.snap != nil {
+			close(s.snap.stop)
+			<-s.snap.done
+			_, err = s.SnapshotNow()
+		}
+	})
+	return err
 }
 
 // CheckRequest asks whether a formula is valid (holds at every point) in a

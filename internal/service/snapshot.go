@@ -174,22 +174,6 @@ func (s *Service) writeSessionSnapshot(sess *session) (wrote bool, err error) {
 	return true, nil
 }
 
-// Close stops the background snapshot writer and flushes a final
-// snapshot of every dirty session — the on-SIGTERM half of durability.
-// Idempotent; a Service without a snapshot directory closes as a no-op.
-func (s *Service) Close() error {
-	if s.snap == nil {
-		return nil
-	}
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.snap.stop)
-		<-s.snap.done
-		_, err = s.SnapshotNow()
-	})
-	return err
-}
-
 // RestoreReport summarizes one RestoreSnapshots pass.
 type RestoreReport struct {
 	// Sessions is the number of sessions fully restored and published.

@@ -48,10 +48,12 @@ go test -race -count=10 -run '^(TestAgentFreeBlocksBuiltOnce|TestParRangePartiti
 # The service's side of the same sharing: every evaluation makes its own
 # evaluator, so a session's model is the only evaluation state concurrent
 # checks share. Mixed concurrent traffic, evaluations over one model, a
-# singleflight follower that outlives its leader's cancellation, and
-# search jobs whose context, evaluation slot, job token and done channel
-# race CancelSearch and DrainSearches, ten times each.
-go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel|TestFollowerOutlivesCanceledLeader|TestSearchOverloadAndDrain|TestSearchCancelAndResume|TestSearchCancelStopsFactEvaluation|TestSearchesLeaveCheckSlots)$' ./internal/service
+# singleflight follower that outlives its leader's cancellation, search
+# jobs whose context, evaluation slot, job token and done channel race
+# CancelSearch and Close, Close's refusal of new jobs, the job ID bump
+# past leftover checkpoints, and a hand-resumed job's removal of its
+# source checkpoint, ten times each.
+go test -race -count=10 -run '^(TestConcurrentMixedRequests|TestColdCheckoutSharesModel|TestFollowerOutlivesCanceledLeader|TestSearchOverloadAndDrain|TestSearchCancelAndResume|TestSearchCancelStopsFactEvaluation|TestSearchesLeaveCheckSlots|TestSearchFreshIDSkipsLeftoverCheckpoints|TestSearchResumeRetiresSourceCheckpoint|TestSearchCloseDrainsAndRefuses)$' ./internal/service
 # Smoke the layer benchmarks: every benchmark once, each in a process of
 # its own, the 100k scale tier at w2 and an introcoin cold/warm restart
 # cycle, parsed into a temporary file. A broken or bit-rotted benchmark, a
